@@ -28,7 +28,8 @@ EXIT_WORKER = 3
 
 
 def default_workers() -> int:
-    """QM_WORKERS environment variable, else the available parallelism."""
+    """QM_WORKERS environment variable, else the CPUs this process may run
+    on (its affinity mask where the platform has one)."""
     env = os.environ.get("QM_WORKERS")
     if env:
         try:
@@ -38,6 +39,8 @@ def default_workers() -> int:
         except ValueError:
             pass
         print(f"ignoring invalid QM_WORKERS={env!r}", file=sys.stderr)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -78,14 +81,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--full-oracle", action="store_true",
                          help="also run the raw pair sweeps (p = 2, 3) and full "
                               "fiber enumeration at p = 5")
-    p_locus.add_argument("--workers", type=int, metavar="N")
+    p_locus.add_argument("--workers", type=int, metavar="N",
+                         help="processes for fiber enumeration")
     p_locus.add_argument("--out", metavar="PATH", help="write the JSON here instead of stdout")
+    p_locus.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
 
     def add_verify_args(p):
         p.add_argument("--primes", default="2,3", metavar="LIST",
                        help="comma-separated primes (default: 2,3)")
         p.add_argument("--full-oracle", action="store_true")
-        p.add_argument("--workers", type=int, metavar="N")
+        p.add_argument("--workers", type=int, metavar="N",
+                       help="processes for fiber enumeration")
         p.add_argument("--out", metavar="PATH", help="write the JSON report here")
         p.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
 
@@ -166,7 +172,7 @@ def cmd_verify_locus(args) -> int:
         print(f"unsupported prime {args.prime}; supported: {SUPPORTED_PRIMES}",
               file=sys.stderr)
         return EXIT_INVALID
-    golden = load_golden(None)
+    golden = load_golden(args.golden)
     workers = _workers(args)
     try:
         sweep = sweep_locus(args.prime, workers=workers, full_oracle=args.full_oracle)

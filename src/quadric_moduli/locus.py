@@ -10,14 +10,18 @@ classifies them by their rank-one structure, counts determinant-zero
 points in every fiber, and assembles the total point counts that must
 match the Betti-polynomial evaluation.
 
-Everything is exact: plane classification and the determinant action
-matrix are computed with the package's form arithmetic, and the vectorized
-fiber sweeps work on integer matrices whose entries stay far below 2**53,
-so the float64 matrix products are exact.
+Fibers are counted by two routes.  The enumeration route evaluates the
+determinant on every fiber point of one plane at a time; sweeps spread its
+planes over worker processes and merge the results in the fixed plane
+order, so outputs are identical for any worker count.  The kernel route
+counts from the rank of the determinant action: the action is linear in
+the plane basis, so an 8 x 12 x 12 tensor built once from the package's
+form arithmetic is contracted with all planes of a prime in one integer
+product, and the whole stack of matrices is row-reduced mod p together in
+the calling process.
 
-Sweeps partition the plane list across worker processes that own their
-results; the merge is an ordered reduction over the fixed plane
-enumeration, so outputs are identical for any worker count.
+Everything is exact integer arithmetic with asserted bounds; no floating
+point enters a count.
 """
 
 from __future__ import annotations
@@ -341,13 +345,16 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
         if (image % p).any():
             raise VerificationError("factoring first-columns must have zero determinant")
     cols = _complement_columns(field, k_rows, reverse=reverse_complement)
-    # float64 keeps the products exact: entries < p <= 7, ten-term sums < 490
-    action = matrix[:, cols].astype(np.float64)
+    # integer matmul does not go through BLAS, whose threads busy-wait in a
+    # serial run and oversubscribe the cores under the worker pool; ten
+    # products below (p - 1)**2 sum to under 360 for p <= 7
+    assert 10 * (p - 1) ** 2 < 2**31, "fiber products must fit in int32"
+    action = matrix[:, cols].astype(np.int32)
     vectors = _canonical_vectors(p, 10)
     count = 0
     for start in range(0, len(vectors), chunk_size):
-        chunk = vectors[start:start + chunk_size].astype(np.float64)
-        values = (chunk @ action.T).astype(np.int64) % p
+        chunk = vectors[start:start + chunk_size].astype(np.int32)
+        values = chunk @ action.T % p
         count += int((values == 0).all(axis=1).sum())
     return count
 
@@ -359,22 +366,81 @@ def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> in
     return detzero_count_for_basis(f1, f2, reverse_complement=reverse_complement)
 
 
+def action_tensors(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """det_action_matrix and _k_rows as linear maps of the 8 coefficients
+    (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) integer
+    tensor.  Built by evaluating both functions on the unit bases, so that
+    BiForm stays the one definition of the monomial layout."""
+    field = GF(p)
+    zero = BiForm.zero(field, 1, 1)
+    units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
+    bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
+    det = np.stack([det_action_matrix(f1, f2) for f1, f2 in bases])
+    k = np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64)
+    return det, k
+
+
+def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The det action matrices (N, 12, 12) and the K bases (N, 2, 12) of N
+    planes given by their basis rows (f1, f2), shape (N, 2, 4), as
+    canonical representatives mod p: both tensors contracted with all
+    planes in one integer matmul (8-term sums below 8 * (p - 1)**2)."""
+    det, k = action_tensors(p)
+    maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int32)
+    images = np.asarray(rows, dtype=np.int32).reshape(-1, 8) @ maps % p
+    n = len(images)
+    return images[:, :144].reshape(n, 12, 12), images[:, 144:].reshape(n, 2, 12)
+
+
+def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
+    """Rank over F_p of every matrix of an (N, rows, cols) stack of
+    canonical representatives, by Gaussian elimination on the whole stack
+    one column at a time.  Runs in int8: every intermediate lies between
+    -(p - 1)**2 and p, so p <= 11."""
+    if (p - 1) ** 2 > 127:
+        raise ValueError(f"int8 elimination needs p <= 11, got {p}")
+    field = GF(p)
+    inverse = np.array([0] + [field.inv(a) for a in range(1, p)], dtype=np.int8)
+    m = stack.astype(np.int8)
+    rank = np.zeros(len(m), dtype=np.intp)
+    row_ids = np.arange(m.shape[1])
+    for c in range(m.shape[2]):
+        candidates = (m[:, :, c] != 0) & (row_ids >= rank[:, None])
+        sel = np.flatnonzero(candidates.any(axis=1))
+        top = rank[sel]
+        pivot_row = candidates[sel].argmax(axis=1)
+        pivot = m[sel, pivot_row]
+        m[sel, pivot_row] = m[sel, top]  # swap the pivot row up to `top`
+        pivot = inverse[pivot[:, c]][:, None] * pivot % p
+        m[sel, top] = pivot
+        block = m[sel]
+        factor = np.where(row_ids > top[:, None], block[:, :, c], 0)
+        m[sel] = (block - factor[:, :, None] * pivot[:, None, :]) % p
+        rank[sel] += 1
+    return rank
+
+
+def kernel_detzero_counts(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Det-zero points of the fibers over a batch of planes, given by their
+    basis rows as in action_matrices, via the rank of the determinant
+    action: the determinant is linear in the first column, so the det-zero
+    fiber points form the projectivization of (ker / K), of dimension
+    dim ker - 2.  Returns the counts and, per plane, whether K lies in the
+    kernel as it must; a count is meaningful only where it does."""
+    matrices, k_bases = action_matrices(p, rows)
+    factoring_ok = ~(matrices @ k_bases.transpose(0, 2, 1) % p).any(axis=(1, 2))
+    quotient_dim = 10 - _ranks_mod_p(matrices, p)
+    counts = (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
+    return counts, factoring_ok
+
+
 def kernel_detzero_count(plane: Plane) -> int:
-    """Det-zero points of the fiber via the rank of the determinant action:
-    the determinant is linear in the first column, so the det-zero fiber
-    points form the projectivization of (ker / K), of dimension
-    dim ker - 2.  Exact, and cross-checked against the enumeration route
-    for the small primes by the test suite."""
-    field = GF(plane.p)
-    f1, f2 = plane.basis()
-    matrix = det_action_matrix(f1, f2)
-    for k_vec in _k_rows(f1, f2):
-        image = matrix @ np.array(k_vec, dtype=np.int64)
-        if (image % plane.p).any():
-            raise VerificationError("factoring first-columns must have zero determinant")
-    rank = linalg.rank(field, [[int(c) for c in row] for row in matrix])
-    dim_ker = 12 - rank
-    return (plane.p ** (dim_ker - 2) - 1) // (plane.p - 1)
+    """Kernel-route count of one plane, as a batch of one.  Exact, and
+    cross-checked against the enumeration route by the test suite."""
+    counts, factoring_ok = kernel_detzero_counts(plane.p, [plane.rows])
+    if not factoring_ok[0]:
+        raise VerificationError("factoring first-columns must have zero determinant")
+    return int(counts[0])
 
 
 def raw_oracle_count(plane: Plane) -> int:
@@ -435,19 +501,44 @@ class LocusSweep:
         }
 
 
-def _plane_worker(args):
-    p, rows, method = args
-    plane = Plane(p, rows)
-    plane_type = classify_plane(plane)
-    if method == "enumerate":
-        count = fiber_detzero_count(plane)
-    else:
-        count = kernel_detzero_count(plane)
-    return plane_type, count
+def _classify(plane: Plane) -> PlaneType | VerificationError:
+    """classify_plane, returning its VerificationError instead of raising
+    it, so that the sweep records the failure against the plane."""
+    try:
+        return classify_plane(plane)
+    except VerificationError as exc:
+        return exc
+
+
+def _plane_worker(plane: Plane):
+    """Enumeration route for one plane, as run by the sweep's workers:
+    (classification, det-zero count)."""
+    return _classify(plane), fiber_detzero_count(plane)
 
 
 def sweep_method(p: int, full_oracle: bool) -> str:
     return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
+
+
+def _run_workers(worker, planes, workers: int):
+    """Map the per-plane worker over the planes in order, serially or in a
+    process pool.  Returns the results completed before any worker raised,
+    and that failure's message (None if every plane completed)."""
+    results = []
+    try:
+        if workers == 1:
+            for plane in planes:
+                results.append(worker(plane))
+        else:
+            chunksize = max(1, len(planes) // (workers * 4))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for result in pool.map(worker, planes, chunksize=chunksize):
+                    results.append(result)
+    except VerificationError:
+        raise
+    except Exception as exc:  # report and salvage partial work
+        return results, f"worker failed on plane {len(results)}: {exc}"
+    return results, None
 
 
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
@@ -457,42 +548,34 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
     planes at p = 2, one plane of each type at p = 3) and switch p = 5 to
     full fiber enumeration.
 
-    Raises WorkerFailure (carrying the partial sweep) if a worker dies;
-    mismatches never raise here, they are recorded in `failures`.
+    The kernel route runs in this process as one batched pass; `workers`
+    processes, and `worker_fn` in place of the per-plane worker, serve the
+    enumeration route only.  Raises WorkerFailure (carrying the partial
+    sweep) if a worker dies; mismatches never raise here, they are
+    recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    worker = worker_fn if worker_fn is not None else _plane_worker
     planes = list(enumerate_planes(p))
     method = sweep_method(p, full_oracle)
-    jobs = [(p, plane.rows, method) for plane in planes]
-
-    results: list[tuple[PlaneType, int]] = []
+    failures = []
     failure_message = None
-    if workers == 1:
-        for job in jobs:
-            try:
-                results.append(worker(job))
-            except VerificationError:
-                raise
-            except Exception as exc:  # report and salvage partial work
-                failure_message = f"worker failed on plane {len(results)}: {exc}"
-                break
+    if method == "kernel":
+        counts, factoring_ok = kernel_detzero_counts(p, [plane.rows for plane in planes])
+        results = [(_classify(plane), int(count)) for plane, count in zip(planes, counts)]
+        failures += [f"plane {index}: factoring first-columns must have zero determinant"
+                     for index in np.flatnonzero(~factoring_ok)]
     else:
-        chunksize = max(1, len(jobs) // (workers * 4))
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(worker, jobs, chunksize=chunksize):
-                    results.append(result)
-        except VerificationError:
-            raise
-        except Exception as exc:
-            failure_message = f"worker failed on plane {len(results)}: {exc}"
+        worker = worker_fn if worker_fn is not None else _plane_worker
+        results, failure_message = _run_workers(worker, planes, workers)
 
     fibers = []
     tallies = {GENERIC: 0, SHARED_RIGHT: 0, SHARED_LEFT: 0}
     for index, (plane, (plane_type, count)) in enumerate(zip(planes, results)):
+        if isinstance(plane_type, VerificationError):
+            failures.append(f"plane {index}: {plane_type}")
+            continue
         expected = plane_type.expected_detzero(p)
         tallies[plane_type.kind] += 1
         fibers.append(FiberReport(index, plane, plane_type, count, expected,
@@ -501,7 +584,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
     if failure_message is not None:
         partial = LocusSweep(p, method, fibers, sum(f.detzero_count for f in fibers),
                              expected_x_count(p), tallies,
-                             failures=[failure_message])
+                             failures=failures + [failure_message])
         raise WorkerFailure(failure_message, partial)
 
     if full_oracle and p in RAW_SWEEP_PRIMES:
@@ -514,7 +597,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
                                         report.expected, report.ok, raw, raw_ok)
 
     x_count = sum(f.detzero_count for f in fibers)
-    sweep = LocusSweep(p, method, fibers, x_count, expected_x_count(p), tallies)
+    sweep = LocusSweep(p, method, fibers, x_count, expected_x_count(p), tallies, failures)
     _collect_failures(sweep)
     return sweep
 

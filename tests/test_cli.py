@@ -254,3 +254,25 @@ def test_qm_workers_env(monkeypatch):
 def test_usage_error_exits_2():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
+
+
+def test_default_workers_honours_affinity(monkeypatch):
+    import os
+    monkeypatch.delenv("QM_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli.default_workers() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli.default_workers() == 64
+
+
+def test_verify_locus_off_by_one_golden_exits_1(tmp_path, capsys):
+    from quadric_moduli.report import load_golden
+    golden = load_golden()
+    golden["detzero_totals"]["values"]["2"] += 1
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    code = cli.main(["verify-locus", "--prime", "2", "--workers", "1", "--golden", str(path)])
+    assert code == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["failures"] == ["det-zero total 12 != golden 13"]

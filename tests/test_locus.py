@@ -350,3 +350,26 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
     monkeypatch.setattr(locus_module, "_plane_worker", wrong)
     with pytest.raises(VerificationError):
         total_X_count(2)
+
+
+def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
+    import itertools
+
+    import quadric_moduli.cli as cli
+    import quadric_moduli.locus as locus_module
+
+    # split the two basis forms of each rank-one plane into factors that
+    # match on neither side
+    splits = itertools.cycle([((1, 0), (1, 0)), ((0, 1), (0, 1))])
+
+    def mismatched(f):
+        v, w = next(splits)
+        return BiForm.linear_xy(f.field, *v), BiForm.linear_zw(f.field, *w)
+
+    monkeypatch.setattr(locus_module, "rank1_test", mismatched)
+    sweep = sweep_locus(2)
+    assert not sweep.ok
+    assert any("shares neither factor" in f for f in sweep.failures)
+    assert sum(sweep.tallies.values()) == len(sweep.fibers) < grass_count(2)
+    assert cli.main(["verify-locus", "--prime", "5", "--workers", "1"]) == 1
+    assert "shares neither factor" in capsys.readouterr().out
