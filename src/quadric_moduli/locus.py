@@ -10,15 +10,19 @@ classifies them by their rank-one structure, counts determinant-zero
 points in every fiber, and assembles the total point counts that must
 match the Betti-polynomial evaluation.
 
-Fibers are counted by two routes.  The enumeration route evaluates the
-determinant on every fiber point of one plane at a time; sweeps spread its
+Fibers are counted by two routes.  The enumeration route counts, one
+plane at a time, the vectors of a complement of K on which the
+determinant vanishes, by a meet-in-the-middle join: the 10 complement
+coordinates are split 5 + 5, the images of the p^5 vectors of each half
+are computed, and the coinciding images are counted.  Sweeps spread its
 planes over worker processes and merge the results in the fixed plane
 order, so outputs are identical for any worker count.  The kernel route
 counts from the rank of the determinant action: the action is linear in
 the plane basis, so an 8 x 12 x 12 tensor built once from the package's
 form arithmetic is contracted with all planes of a prime in one integer
 product, and the whole stack of matrices is row-reduced mod p together in
-the calling process.
+the calling process.  The raw oracle counts all p^12 first-column pairs
+with the same join, from maps built by form products alone.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -38,7 +42,8 @@ from .field import GF
 
 #: Primes accepted by the sweep machinery.
 SUPPORTED_PRIMES = (2, 3, 5, 7)
-#: Primes whose raw p^12 pair sweep is feasible.
+#: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
+#: reports carry raw counts at exactly these primes.
 RAW_SWEEP_PRIMES = (2, 3)
 #: Primes whose full 10-dimensional fiber enumeration runs by default;
 #: larger primes use the kernel-dimension count unless explicitly asked.
@@ -255,8 +260,9 @@ def classify_plane(plane: Plane) -> PlaneType:
 
 
 def _first_column_monomials(field):
-    """The 12 basis first-columns: 6 with phi11 a (1, 2)-monomial and
-    phi21 = 0, then 6 with phi11 = 0 and phi21 a (1, 2)-monomial."""
+    """The 6 (1, 2)-monomials in layout order.  det_action_matrix takes
+    them twice, as the 12 basis first-columns: 6 with phi11 a monomial and
+    phi21 = 0, then 6 with phi11 = 0 and phi21 a monomial."""
     return [BiForm.monomial(field, 1, 2, i, j) for i in range(2) for j in range(3)]
 
 
@@ -299,16 +305,10 @@ def _complement_columns(field, k_rows, reverse: bool = False) -> tuple[int, ...]
     return tuple(c for c in range(12) if c not in pivots)
 
 
-_VECTOR_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
 def _canonical_vectors(p: int, dim: int) -> np.ndarray:
     """All vectors of F_p^dim whose first nonzero coordinate is 1: one
-    representative per projective point, (p^dim - 1)/(p - 1) rows."""
-    key = (p, dim)
-    cached = _VECTOR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    representative per projective point, (p^dim - 1)/(p - 1) rows.  The
+    brute-force reference the fiber join is tested against."""
     blocks = []
     for lead in range(dim):
         tail = dim - lead - 1
@@ -322,17 +322,38 @@ def _canonical_vectors(p: int, dim: int) -> np.ndarray:
     table = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int8)
     if len(table) != projective_count(p, dim - 1):
         raise VerificationError("projective representative table has the wrong size")
-    _VECTOR_CACHE[key] = table
     return table
 
 
-def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool = False,
-                            chunk_size: int = 1 << 18) -> int:
-    """Enumerate the projectivization of a complement of K, exactly
-    (p^10 - 1)/(p - 1) points, and count those where the determinant
-    vanishes.  Works for any independent basis (f1, f2) of the plane; the
-    count is basis- and complement-independent because column operations
-    and scalings leave the determinant locus unchanged."""
+def _affine_vectors(p: int, dim: int) -> np.ndarray:
+    """All p^dim vectors of F_p^dim, one per row, as int64."""
+    return np.indices((p,) * dim, dtype=np.int64).reshape(dim, -1).T
+
+
+def _coinciding_pairs(p: int, left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs (i, j) with left[i] == right[j], for two int64
+    arrays of row vectors with entries in 0..p-1.  Each row is encoded as
+    one integer in base p, and the keys are joined by their multiplicities."""
+    width = left.shape[1]
+    assert p**width < 2**63, "base-p row keys must fit in int64"
+    weights = p ** np.arange(width, dtype=np.int64)
+    left_keys, left_counts = np.unique(left @ weights, return_counts=True)
+    right_keys, right_counts = np.unique(right @ weights, return_counts=True)
+    _, i, j = np.intersect1d(left_keys, right_keys, assume_unique=True,
+                             return_indices=True)
+    return int(left_counts[i] @ right_counts[j])
+
+
+def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool = False) -> int:
+    """Det-zero points of the projectivization of a complement of K, a P^9.
+    The determinant is linear on the complement, so they are the nonzero
+    solutions of A a + B b = 0 up to scaling, where A and B are the action
+    on the two halves of the 10 complement coordinates: the N affine
+    solutions are the coinciding pairs of A a and -B b over all p^5 + p^5
+    half-vectors, and the count is (N - 1)/(p - 1).  Works for any
+    independent basis (f1, f2) of the plane; the count is basis- and
+    complement-independent because column operations and scalings leave
+    the determinant locus unchanged."""
     field = f1.field
     p = field.char
     _check_prime(p)
@@ -345,23 +366,16 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
         if (image % p).any():
             raise VerificationError("factoring first-columns must have zero determinant")
     cols = _complement_columns(field, k_rows, reverse=reverse_complement)
-    # integer matmul does not go through BLAS, whose threads busy-wait in a
-    # serial run and oversubscribe the cores under the worker pool; ten
-    # products below (p - 1)**2 sum to under 360 for p <= 7
-    assert 10 * (p - 1) ** 2 < 2**31, "fiber products must fit in int32"
-    action = matrix[:, cols].astype(np.int32)
-    vectors = _canonical_vectors(p, 10)
-    count = 0
-    for start in range(0, len(vectors), chunk_size):
-        chunk = vectors[start:start + chunk_size].astype(np.int32)
-        values = chunk @ action.T % p
-        count += int((values == 0).all(axis=1).sum())
-    return count
+    action = matrix[:, cols]
+    half = _affine_vectors(p, 5)
+    solutions = _coinciding_pairs(p, half @ action[:, :5].T % p,
+                                  -(half @ action[:, 5:].T) % p)
+    return (solutions - 1) // (p - 1)
 
 
 def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> int:
-    """Det-zero points of the projective fiber over a plane, by exhaustive
-    enumeration of the (p^10 - 1)/(p - 1) fiber points."""
+    """Det-zero points of the projective fiber over a plane, by the exact
+    join over all (p^10 - 1)/(p - 1) fiber points."""
     f1, f2 = plane.basis()
     return detzero_count_for_basis(f1, f2, reverse_complement=reverse_complement)
 
@@ -443,10 +457,23 @@ def kernel_detzero_count(plane: Plane) -> int:
     return int(counts[0])
 
 
+def raw_oracle_maps(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
+    """The linear maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms, as
+    two 6 x 12 integer matrices whose row k is the product of the k-th
+    (1, 2)-monomial with f2, respectively f1.  Built from form products
+    alone, independently of det_action_matrix, K and any complement."""
+    f1, f2 = plane.basis()
+    monomials = _first_column_monomials(GF(plane.p))
+    return (np.array([(mono * f2).coeffs for mono in monomials], dtype=np.int64),
+            np.array([(mono * f1).coeffs for mono in monomials], dtype=np.int64))
+
+
 def raw_oracle_count(plane: Plane) -> int:
-    """Brute-force oracle: the number of ALL raw first-column pairs
-    (phi11, phi21) in F_p^12 with vanishing determinant, by full
-    enumeration of the p^6 x p^6 pair grid.  Feasible for p in {2, 3}.
+    """Oracle: the number of ALL raw first-column pairs (phi11, phi21) in
+    F_p^12 with vanishing determinant.  det2 = phi11*f2 - phi21*f1
+    vanishes iff the two products coincide, so the p^12 pairs are counted
+    exactly by joining the p^6 images phi11*f2 with the p^6 images
+    phi21*f1.  Refused outside RAW_SWEEP_PRIMES.
 
     Against the fiber count N it must satisfy
         raw = p^2 + N * (p - 1) * p^2
@@ -454,14 +481,10 @@ def raw_oracle_count(plane: Plane) -> int:
     nonzero scalings of each det-zero projective fiber point)."""
     p = plane.p
     if p not in RAW_SWEEP_PRIMES:
-        raise ValueError(f"raw p^12 sweep is infeasible for p = {p}")
-    field = GF(p)
-    f1, f2 = plane.basis()
-    vectors = list(itertools.product(range(p), repeat=6))
-    against_f2 = [(BiForm(field, 1, 2, v) * f2).coeffs for v in vectors]
-    against_f1 = [(BiForm(field, 1, 2, v) * f1).coeffs for v in vectors]
-    # det2 = phi11*f2 - phi21*f1 vanishes iff the two products coincide
-    return sum(1 for a in against_f2 for b in against_f1 if a == b)
+        raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
+    against_f2, against_f1 = raw_oracle_maps(plane)
+    vectors = _affine_vectors(p, 6)
+    return _coinciding_pairs(p, vectors @ against_f2 % p, vectors @ against_f1 % p)
 
 
 def raw_identity_holds(plane: Plane, fiber_count: int) -> tuple[int, bool]:

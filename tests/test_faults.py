@@ -1,0 +1,56 @@
+"""Injected defects, one per layer: each must flip the CLI verdict to exit
+code 1 and name the check that caught it."""
+
+import quadric_moduli.cli as cli
+import quadric_moduli.locus as locus_module
+from quadric_moduli.locus import GENERIC, SHARED_LEFT
+
+
+def run_verify(capsys, *flags) -> tuple[int, str]:
+    code = cli.main(["verify", "--primes", "2", "--workers", "1", *flags])
+    return code, capsys.readouterr().out
+
+
+def test_corrupted_raw_oracle_map(monkeypatch, capsys):
+    real = locus_module.raw_oracle_maps
+
+    def corrupted(plane):
+        against_f2, against_f1 = real(plane)
+        against_f2 = against_f2.copy()
+        against_f2[0, 0] = (against_f2[0, 0] + 1) % plane.p
+        return against_f2, against_f1
+
+    monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
+    code, out = run_verify(capsys, "--full-oracle")
+    assert code == 1
+    assert "breaks the coset identity" in out
+    assert "verdict: FAIL" in out
+
+
+def test_wrong_expected_detzero(monkeypatch, capsys):
+    real = locus_module.PlaneType.expected_detzero
+
+    def wrong(self, p):
+        return real(self, p) + (self.kind == SHARED_LEFT)
+
+    monkeypatch.setattr(locus_module.PlaneType, "expected_detzero", wrong)
+    code, out = run_verify(capsys)
+    assert code == 1
+    assert "(shared-left): det-zero count 3, expected 4" in out
+    assert "verdict: FAIL" in out
+
+
+def test_dropped_plane(monkeypatch, capsys):
+    real = locus_module.enumerate_planes
+
+    def dropping(p):
+        planes = list(real(p))
+        dropped = next(plane for plane in planes
+                       if locus_module.classify_plane(plane).kind == GENERIC)
+        return (plane for plane in planes if plane != dropped)
+
+    monkeypatch.setattr(locus_module, "enumerate_planes", dropping)
+    code, out = run_verify(capsys)
+    assert code == 1
+    assert "34 planes enumerated, expected 35" in out
+    assert "verdict: FAIL" in out

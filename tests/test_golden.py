@@ -1,0 +1,12 @@
+"""The golden moduli point counts against the Poincare polynomial."""
+
+from quadric_moduli.betti import eval_at, poincare_moduli
+from quadric_moduli.report import load_golden
+
+
+def test_golden_moduli_counts_equal_polynomial():
+    golden = load_golden()["moduli_point_counts"]
+    assert golden["origin"] == "derived"
+    assert set(golden["values"]) == {"2", "3", "5", "7"}
+    for p, count in golden["values"].items():
+        assert count == eval_at(poincare_moduli(), int(p))
