@@ -13,7 +13,7 @@ module in the package.  Linear forms on the two factors are the bidegree
 ordinary form multiplication.
 
 All values are immutable after construction and every operation is a pure
-function, so they are safe to share across parallel workers.
+function.
 """
 
 from __future__ import annotations

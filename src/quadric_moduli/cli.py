@@ -4,14 +4,13 @@ Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
 input or environment, 3 worker failure (a partial report is still
 written).  Machine output is canonical JSON (sorted keys); identical
-configurations produce byte-identical reports, also under parallelism.
+configurations produce byte-identical reports, for any --workers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
@@ -25,23 +24,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INVALID = 2
 EXIT_WORKER = 3
-
-
-def default_workers() -> int:
-    """QM_WORKERS environment variable, else the CPUs this process may run
-    on (its affinity mask where the platform has one)."""
-    env = os.environ.get("QM_WORKERS")
-    if env:
-        try:
-            value = int(env)
-            if value >= 1:
-                return value
-        except ValueError:
-            pass
-        print(f"ignoring invalid QM_WORKERS={env!r}", file=sys.stderr)
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _status(ok: bool) -> str:
@@ -81,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--full-oracle", action="store_true",
                          help="also run the raw pair sweeps (p = 2, 3) and full "
                               "fiber enumeration at p = 5")
-    p_locus.add_argument("--workers", type=int, metavar="N",
-                         help="processes for fiber enumeration")
+    p_locus.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="accepted for compatibility; has no effect "
+                              "(every sweep runs in one process)")
     p_locus.add_argument("--out", metavar="PATH", help="write the JSON here instead of stdout")
     p_locus.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
 
@@ -90,8 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--primes", default="2,3", metavar="LIST",
                        help="comma-separated primes (default: 2,3)")
         p.add_argument("--full-oracle", action="store_true")
-        p.add_argument("--workers", type=int, metavar="N",
-                       help="processes for fiber enumeration")
+        p.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="accepted for compatibility; has no effect "
+                            "(every sweep runs in one process)")
         p.add_argument("--out", metavar="PATH", help="write the JSON report here")
         p.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
 
@@ -113,14 +97,6 @@ def _parse_primes(text: str) -> tuple[int, ...]:
     if not primes:
         raise ValueError("at least one prime is required")
     return primes
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError("workers must be >= 1")
-        return args.workers
-    return default_workers()
 
 
 def cmd_betti(args) -> int:
@@ -173,9 +149,8 @@ def cmd_verify_locus(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     golden = load_golden(args.golden)
-    workers = _workers(args)
     try:
-        sweep = sweep_locus(args.prime, workers=workers, full_oracle=args.full_oracle)
+        sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
     except WorkerFailure as failure:
         doc = {"prime": args.prime, "fibers": [], "summary": None,
                "worker_failure": str(failure)}
@@ -213,7 +188,7 @@ def _human_report(report: dict) -> str:
 
 
 def _run_report(args, as_json: bool) -> int:
-    config = RunConfig(primes=_parse_primes(args.primes), workers=_workers(args),
+    config = RunConfig(primes=_parse_primes(args.primes), workers=args.workers,
                        full_oracle=args.full_oracle, output_path=args.out)
     golden = load_golden(args.golden)
     report = build_report(config, golden)

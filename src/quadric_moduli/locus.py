@@ -14,15 +14,14 @@ Fibers are counted by two routes.  The enumeration route counts, one
 plane at a time, the vectors of a complement of K on which the
 determinant vanishes, by a meet-in-the-middle join: the 10 complement
 coordinates are split 5 + 5, the images of the p^5 vectors of each half
-are computed, and the coinciding images are counted.  Sweeps spread its
-planes over worker processes and merge the results in the fixed plane
-order, so outputs are identical for any worker count.  The kernel route
+are computed, and the coinciding images are counted.  The kernel route
 counts from the rank of the determinant action: the action is linear in
 the plane basis, so an 8 x 12 x 12 tensor built once from the package's
 form arithmetic is contracted with all planes of a prime in one integer
-product, and the whole stack of matrices is row-reduced mod p together in
-the calling process.  The raw oracle counts all p^12 first-column pairs
-with the same join, from maps built by form products alone.
+product, and the whole stack of matrices is row-reduced mod p together.
+The raw oracle counts all p^12 first-column pairs with the same join,
+from maps built by form products alone.  Every sweep runs in one process,
+over the planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -31,7 +30,6 @@ point enters a count.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -59,7 +57,7 @@ class VerificationError(Exception):
 
 
 class WorkerFailure(Exception):
-    """A sweep worker raised; carries whatever was completed before."""
+    """The per-plane worker raised; carries whatever was completed before."""
 
     def __init__(self, message: str, partial: "LocusSweep | None" = None):
         super().__init__(message)
@@ -534,8 +532,7 @@ def _classify(plane: Plane) -> PlaneType | VerificationError:
 
 
 def _plane_worker(plane: Plane):
-    """Enumeration route for one plane, as run by the sweep's workers:
-    (classification, det-zero count)."""
+    """Enumeration route for one plane: (classification, det-zero count)."""
     return _classify(plane), fiber_detzero_count(plane)
 
 
@@ -543,39 +540,17 @@ def sweep_method(p: int, full_oracle: bool) -> str:
     return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
 
 
-def _run_workers(worker, planes, workers: int):
-    """Map the per-plane worker over the planes in order, serially or in a
-    process pool.  Returns the results completed before any worker raised,
-    and that failure's message (None if every plane completed)."""
-    results = []
-    try:
-        if workers == 1:
-            for plane in planes:
-                results.append(worker(plane))
-        else:
-            chunksize = max(1, len(planes) // (workers * 4))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for result in pool.map(worker, planes, chunksize=chunksize):
-                    results.append(result)
-    except VerificationError:
-        raise
-    except Exception as exc:  # report and salvage partial work
-        return results, f"worker failed on plane {len(results)}: {exc}"
-    return results, None
-
-
-def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
-                worker_fn=None) -> LocusSweep:
+def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
     totals.  With full_oracle, additionally run the raw p^12 sweep (all
     planes at p = 2, one plane of each type at p = 3) and switch p = 5 to
     full fiber enumeration.
 
-    The kernel route runs in this process as one batched pass; `workers`
-    processes, and `worker_fn` in place of the per-plane worker, serve the
-    enumeration route only.  Raises WorkerFailure (carrying the partial
-    sweep) if a worker dies; mismatches never raise here, they are
-    recorded in `failures`.
+    The kernel route is one batched pass; the enumeration route runs the
+    per-plane worker over the planes in order.  `workers` must be >= 1 and
+    selects nothing: every sweep runs in this process.  Raises
+    WorkerFailure (carrying the partial sweep) if the worker raises;
+    mismatches never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -590,8 +565,14 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False,
         failures += [f"plane {index}: factoring first-columns must have zero determinant"
                      for index in np.flatnonzero(~factoring_ok)]
     else:
-        worker = worker_fn if worker_fn is not None else _plane_worker
-        results, failure_message = _run_workers(worker, planes, workers)
+        results = []
+        try:
+            for plane in planes:
+                results.append(_plane_worker(plane))
+        except VerificationError:
+            raise
+        except Exception as exc:  # report and salvage partial work
+            failure_message = f"worker failed on plane {len(results)}: {exc}"
 
     fibers = []
     tallies = {GENERIC: 0, SHARED_RIGHT: 0, SHARED_LEFT: 0}
@@ -658,10 +639,10 @@ def _collect_failures(sweep: LocusSweep):
             f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
 
 
-def total_X_count(p: int, *, workers: int = 1, full_oracle: bool = False) -> int:
+def total_X_count(p: int, *, full_oracle: bool = False) -> int:
     """Total det-zero points over all planes; raises VerificationError on
     any mismatch with the predicted locus structure."""
-    sweep = sweep_locus(p, workers=workers, full_oracle=full_oracle)
+    sweep = sweep_locus(p, full_oracle=full_oracle)
     if not sweep.ok:
         raise VerificationError("; ".join(sweep.failures))
     return sweep.x_count
@@ -677,7 +658,7 @@ def stratified_moduli_count(p: int, x_count: int) -> int:
             + projective_count(p, 11))
 
 
-def moduli_point_count(p: int, *, workers: int = 1) -> int:
+def moduli_point_count(p: int) -> int:
     """Stratified F_p point count of the moduli space.  Must agree with the
     Betti-polynomial evaluation at p; the test suite asserts that equality."""
-    return stratified_moduli_count(p, total_X_count(p, workers=workers))
+    return stratified_moduli_count(p, total_X_count(p))

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 
@@ -162,6 +164,7 @@ def test_verify_bad_primes_list():
     assert run_cli("verify", "--primes", "two").returncode == 2
     assert run_cli("verify", "--primes", "").returncode == 2
     assert run_cli("verify", "--primes", "2", "--workers", "0").returncode == 2
+    assert run_cli("verify-locus", "--prime", "2", "--workers", "0").returncode == 2
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
@@ -184,6 +187,15 @@ def test_report_json_document():
     assert len(doc["locus"]) == 1
     assert doc["locus"][0]["X_count"] == 12
     assert doc["config"] == {"primes": [2], "workers": 1, "full_oracle": False}
+
+
+def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
+    monkeypatch.delenv("QM_WORKERS", raising=False)
+    unset = run_cli("report", "--primes", "2")
+    monkeypatch.setenv("QM_WORKERS", "3")
+    with_env = run_cli("report", "--primes", "2")
+    assert unset.returncode == with_env.returncode == 0
+    assert unset.stdout == with_env.stdout
 
 
 def test_report_includes_golden_origins():
@@ -211,7 +223,8 @@ def test_worker_failure_exit_3(monkeypatch, capsys, tmp_path):
     assert "worker failure" in human
 
 
-def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     calls = {"n": 0}
     real = locus_module._plane_worker
 
@@ -222,7 +235,7 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys):
         return real(args)
 
     monkeypatch.setattr(locus_module, "_plane_worker", flaky)
-    code = cli.main(["verify-locus", "--prime", "2", "--workers", "1"])
+    code = cli.main(["verify-locus", "--prime", "2", "--workers", workers])
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["worker_failure"]
@@ -242,28 +255,9 @@ def test_verification_mismatch_exit_1(monkeypatch, capsys):
     assert "verdict: FAIL" in capsys.readouterr().out
 
 
-def test_qm_workers_env(monkeypatch):
-    monkeypatch.setenv("QM_WORKERS", "3")
-    assert cli.default_workers() == 3
-    monkeypatch.setenv("QM_WORKERS", "junk")
-    assert cli.default_workers() >= 1
-    monkeypatch.delenv("QM_WORKERS")
-    assert cli.default_workers() >= 1
-
-
 def test_usage_error_exits_2():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
-
-
-def test_default_workers_honours_affinity(monkeypatch):
-    import os
-    monkeypatch.delenv("QM_WORKERS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert cli.default_workers() == 1
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert cli.default_workers() == 64
 
 
 def test_verify_locus_off_by_one_golden_exits_1(tmp_path, capsys):

@@ -307,18 +307,21 @@ def test_sweep_full_oracle_p3_covers_each_type(sweep3):
     assert sweep.x_count == sweep3.x_count
 
 
-def test_worker_failure_carries_partial_results():
+def test_worker_failure_carries_partial_results(monkeypatch):
+    import quadric_moduli.locus as locus_module
+
     calls = {"n": 0}
+    real_worker = locus_module._plane_worker
 
     def flaky(args):
-        from quadric_moduli.locus import _plane_worker
         calls["n"] += 1
         if calls["n"] > 10:
             raise RuntimeError("injected failure")
-        return _plane_worker(args)
+        return real_worker(args)
 
+    monkeypatch.setattr(locus_module, "_plane_worker", flaky)
     with pytest.raises(WorkerFailure) as excinfo:
-        sweep_locus(2, worker_fn=flaky)
+        sweep_locus(2)
     partial = excinfo.value.partial
     assert partial is not None
     assert len(partial.fibers) == 10
@@ -343,11 +346,11 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
         ptype, count = real_worker(args)
         return ptype, count + 1
 
-    sweep = sweep_locus(2, worker_fn=wrong)
+    monkeypatch.setattr(locus_module, "_plane_worker", wrong)
+    sweep = sweep_locus(2)
     assert not sweep.ok
     assert any("det-zero count" in f for f in sweep.failures)
 
-    monkeypatch.setattr(locus_module, "_plane_worker", wrong)
     with pytest.raises(VerificationError):
         total_X_count(2)
 
