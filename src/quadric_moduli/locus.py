@@ -5,23 +5,23 @@ bundle over the Grassmannian of 2-planes in the 4-dimensional space of
 (1, 1)-forms: over a plane spanned by the second-column entries, the fiber
 is the projectivization of the 12-dimensional coefficient space of first
 columns modulo the 2-dimensional subspace K of columns that factor through
-the second column.  This module enumerates the planes over a prime field,
-classifies them by their rank-one structure, counts determinant-zero
-points in every fiber, and assembles the total point counts that must
-match the Betti-polynomial evaluation.
+the second column.  This module enumerates the planes over a prime field
+into one table of bases, classifies them all at once by their rank-one
+structure, counts determinant-zero points in every fiber, and assembles
+the total point counts that must match the Betti-polynomial evaluation.
 
-Fibers are counted by two routes.  The enumeration route counts, one
-plane at a time, the vectors of a complement of K on which the
-determinant vanishes, by a meet-in-the-middle join: the 10 complement
-coordinates are split 5 + 5, the images of the p^5 vectors of each half
-are computed, and the coinciding images are counted.  The kernel route
-counts from the rank of the determinant action: the action is linear in
-the plane basis, so an 8 x 12 x 12 tensor built once from the package's
-form arithmetic is contracted with all planes of a prime in one integer
-product, and the whole stack of matrices is row-reduced mod p together.
-The raw oracle counts all p^12 first-column pairs with the same join,
-from maps built by form products alone.  Every sweep runs in one process,
-over the planes in their fixed order.
+The determinant action is linear in the plane basis, so an 8 x 12 x 12
+tensor built once from the package's form arithmetic is contracted with
+all planes of a prime in one integer product; that one contraction feeds
+both count routes.  The kernel route counts from the rank of the action,
+row-reducing the whole stack of matrices mod p together.  The enumeration
+route counts, one plane at a time, the vectors of a complement of K on
+which the determinant vanishes, by a meet-in-the-middle join: the 10
+complement coordinates are split 5 + 5, the images of the p^5 vectors of
+each half are computed, and the coinciding images are counted.  The raw
+oracle counts all p^12 first-column pairs with the same join, from maps
+built by form products alone.  Every sweep runs in one process, over the
+planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -96,13 +96,18 @@ class Plane:
     def __post_init__(self):
         _check_prime(self.p)
         field = GF(self.p)
-        rows = tuple(tuple(field.canon(c) for c in row) for row in self.rows)
+        if len(self.rows) != 2 or any(len(row) != 4 for row in self.rows):
+            raise ValueError("plane basis must be two rows of length 4")
+        row0, row1 = rows = tuple(tuple(map(field.canon, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        reduced, pivots = linalg.rref(field, rows)
-        if len(pivots) != 2:
+        # reduced row echelon form: leading ones at c1 < c2, cleared above
+        c1 = row0.index(1) if 1 in row0 else 4
+        c2 = row1.index(1) if 1 in row1 else 4
+        if c1 < c2 < 4 and not any(row0[:c1] + row1[:c2]) and row0[c2] == 0:
+            return
+        if linalg.rank(field, rows) != 2:
             raise ValueError("plane basis must be linearly independent")
-        if tuple(tuple(r) for r in reduced) != rows:
-            raise ValueError("plane basis must be in reduced row echelon form")
+        raise ValueError("plane basis must be in reduced row echelon form")
 
     @classmethod
     def from_forms(cls, f1: BiForm, f2: BiForm) -> "Plane":
@@ -190,23 +195,29 @@ class FiberReport:
 # -- plane enumeration and classification ----------------------------------
 
 
-def enumerate_planes(p: int):
-    """Yield every 2-plane of the (1, 1)-forms over F_p exactly once, as
-    reduced-row-echelon bases in a fixed deterministic order."""
+def plane_bases(p: int) -> np.ndarray:
+    """The reduced-row-echelon bases of every 2-plane of the (1, 1)-forms
+    over F_p, exactly once each, as an (N, 2, 4) int64 table in a fixed
+    deterministic order: by pivot columns c1 < c2, then by the free
+    coefficients, the first varying slowest."""
     _check_prime(p)
+    blocks = []
     for c1, c2 in itertools.combinations(range(4), 2):
-        free0 = [c for c in range(c1 + 1, 4) if c != c2]
-        free1 = list(range(c2 + 1, 4))
-        for values in itertools.product(range(p), repeat=len(free0) + len(free1)):
-            row0 = [0, 0, 0, 0]
-            row1 = [0, 0, 0, 0]
-            row0[c1] = 1
-            row1[c2] = 1
-            for pos, v in zip(free0, values[: len(free0)]):
-                row0[pos] = v
-            for pos, v in zip(free1, values[len(free0):]):
-                row1[pos] = v
-            yield Plane(p, (tuple(row0), tuple(row1)))
+        free = ([(0, c) for c in range(c1 + 1, 4) if c != c2]
+                + [(1, c) for c in range(c2 + 1, 4)])
+        values = _affine_vectors(p, len(free))
+        block = np.zeros((len(values), 2, 4), dtype=np.int64)
+        block[:, 0, c1] = block[:, 1, c2] = 1
+        for k, (row, col) in enumerate(free):
+            block[:, row, col] = values[:, k]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def enumerate_planes(p: int):
+    """Yield the planes of plane_bases(p) as Plane objects, in its order."""
+    for row0, row1 in plane_bases(p).tolist():
+        yield Plane(p, (tuple(row0), tuple(row1)))
 
 
 def _normalize_projective(field, point):
@@ -217,29 +228,34 @@ def _normalize_projective(field, point):
     raise ValueError("zero vector is not a projective point")
 
 
-def classify_plane(plane: Plane) -> PlaneType:
-    """Classify by the binary quadratic q(s, t) = det of the coefficient
-    matrix of s*B1 + t*B2: nonzero q means a generic plane; identically
-    zero q means every element is a pure tensor and the plane shares
-    either the right or the left tensor factor."""
-    field = GF(plane.p)
-    b1, b2 = plane.basis()
+def classify_planes(p: int, bases) -> list[PlaneType | VerificationError]:
+    """Classify N planes, given by their basis rows (f1, f2) of shape
+    (N, 2, 4), by the binary quadratic q(s, t) = det of the coefficient
+    matrix of s*B1 + t*B2, computed for all planes at once.  Nonzero q
+    means a generic plane, whose rank1_lines are the projective roots of
+    q; identically zero q means every element is a pure tensor, and
+    rank1_test decides whether the plane shares the right or the left
+    tensor factor.  A rank-one plane that shares neither gets its
+    VerificationError in place of a PlaneType, so that a sweep can record
+    it against the plane."""
+    bases = np.asarray(bases, dtype=np.int64)
+    (xz1, xw1, yz1, yw1), (xz2, xw2, yz2, yw2) = bases.transpose(1, 2, 0)
+    qa = (xz1 * yw1 - xw1 * yz1) % p
+    qb = (xz1 * yw2 + xz2 * yw1 - xw1 * yz2 - xw2 * yz1) % p
+    qc = (xz2 * yw2 - xw2 * yz2) % p
+    # roots (s, t) = (1, t) of qa*s^2 + qb*s*t + qc*t^2, plus (0, 1) where qc = 0
+    t = np.arange(p)
+    values = (qa[:, None] + qb[:, None] * t + qc[:, None] * t * t) % p
+    roots = (values == 0).sum(axis=1) + (qc == 0)
+    types = [PlaneType(GENERIC, rank1_lines=r) for r in roots.tolist()]
+    for index in np.flatnonzero((qa == 0) & (qb == 0) & (qc == 0)):
+        types[index] = _classify_rank_one(p, bases[index].tolist())
+    return types
 
-    def coeff_det(f: BiForm):
-        c_xz, c_xw, c_yz, c_yw = f.coeffs
-        return field.sub(field.mul(c_xz, c_yw), field.mul(c_xw, c_yz))
 
-    qa = coeff_det(b1)
-    qc = coeff_det(b2)
-    qb = field.sub(field.sub(coeff_det(b1 + b2), qa), qc)
-    if (qa, qb, qc) != (field.zero,) * 3:
-        # projective roots of qa*s^2 + qb*s*t + qc*t^2 over F_p
-        roots = 1 if qc == field.zero else 0  # the point (s, t) = (0, 1)
-        for t in field.elements():
-            value = field.add(qa, field.add(field.mul(qb, t), field.mul(qc, field.mul(t, t))))
-            if value == field.zero:
-                roots += 1
-        return PlaneType(GENERIC, rank1_lines=roots)
+def _classify_rank_one(p: int, rows) -> PlaneType | VerificationError:
+    field = GF(p)
+    b1, b2 = (BiForm(field, 1, 1, row) for row in rows)
     v1, w1 = rank1_test(b1)
     v2, w2 = rank1_test(b2)
 
@@ -251,7 +267,16 @@ def classify_plane(plane: Plane) -> PlaneType:
         return PlaneType(SHARED_RIGHT, shared_point=_normalize_projective(field, w1.coeffs))
     if proportional(v1, v2):
         return PlaneType(SHARED_LEFT, shared_point=_normalize_projective(field, v1.coeffs))
-    raise VerificationError(f"rank-one plane {plane} shares neither factor")
+    plane = Plane(p, (tuple(rows[0]), tuple(rows[1])))
+    return VerificationError(f"rank-one plane {plane} shares neither factor")
+
+
+def classify_plane(plane: Plane) -> PlaneType:
+    """classify_planes on one plane, raising its VerificationError."""
+    (plane_type,) = classify_planes(plane.p, [plane.rows])
+    if isinstance(plane_type, VerificationError):
+        raise plane_type
+    return plane_type
 
 
 # -- the det2 action on first columns and the fiber model -------------------
@@ -325,7 +350,7 @@ def _canonical_vectors(p: int, dim: int) -> np.ndarray:
 
 def _affine_vectors(p: int, dim: int) -> np.ndarray:
     """All p^dim vectors of F_p^dim, one per row, as int64."""
-    return np.indices((p,) * dim, dtype=np.int64).reshape(dim, -1).T
+    return np.indices((p,) * dim, dtype=np.int64).reshape(dim, p**dim).T
 
 
 def _coinciding_pairs(p: int, left: np.ndarray, right: np.ndarray) -> int:
@@ -352,8 +377,7 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
     independent basis (f1, f2) of the plane; the count is basis- and
     complement-independent because column operations and scalings leave
     the determinant locus unchanged."""
-    field = f1.field
-    p = field.char
+    p = f1.field.char
     _check_prime(p)
     if not linearly_independent(f1, f2):
         raise ValueError("fiber counting needs an independent plane basis")
@@ -363,7 +387,13 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
         image = matrix @ np.array(k_vec, dtype=np.int64)
         if (image % p).any():
             raise VerificationError("factoring first-columns must have zero determinant")
-    cols = _complement_columns(field, k_rows, reverse=reverse_complement)
+    return _join_count(p, matrix, k_rows, reverse_complement)
+
+
+def _join_count(p: int, matrix: np.ndarray, k_rows, reverse_complement: bool = False) -> int:
+    """The join of detzero_count_for_basis on a 12 x 12 action matrix whose
+    kernel holds the two K rows."""
+    cols = _complement_columns(GF(p), k_rows, reverse=reverse_complement)
     action = matrix[:, cols]
     half = _affine_vectors(p, 5)
     solutions = _coinciding_pairs(p, half @ action[:, :5].T % p,
@@ -440,10 +470,17 @@ def kernel_detzero_counts(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     dim ker - 2.  Returns the counts and, per plane, whether K lies in the
     kernel as it must; a count is meaningful only where it does."""
     matrices, k_bases = action_matrices(p, rows)
-    factoring_ok = ~(matrices @ k_bases.transpose(0, 2, 1) % p).any(axis=(1, 2))
+    return _kernel_counts(p, matrices), _factoring_ok(p, matrices, k_bases)
+
+
+def _factoring_ok(p: int, matrices: np.ndarray, k_bases: np.ndarray) -> np.ndarray:
+    """Per plane, whether both K rows lie in the kernel of the action."""
+    return ~(matrices @ k_bases.transpose(0, 2, 1) % p).any(axis=(1, 2))
+
+
+def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     quotient_dim = 10 - _ranks_mod_p(matrices, p)
-    counts = (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
-    return counts, factoring_ok
+    return (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
 
 
 def kernel_detzero_count(plane: Plane) -> int:
@@ -522,18 +559,11 @@ class LocusSweep:
         }
 
 
-def _classify(plane: Plane) -> PlaneType | VerificationError:
-    """classify_plane, returning its VerificationError instead of raising
-    it, so that the sweep records the failure against the plane."""
-    try:
-        return classify_plane(plane)
-    except VerificationError as exc:
-        return exc
-
-
-def _plane_worker(plane: Plane):
-    """Enumeration route for one plane: (classification, det-zero count)."""
-    return _classify(plane), fiber_detzero_count(plane)
+def _plane_worker(item):
+    """Enumeration route for one plane, given as (p, classification, action
+    matrix, K basis): (classification, det-zero count by the join)."""
+    p, plane_type, matrix, k_basis = item
+    return plane_type, _join_count(p, matrix, k_basis.tolist())
 
 
 def sweep_method(p: int, full_oracle: bool) -> str:
@@ -546,29 +576,34 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     planes at p = 2, one plane of each type at p = 3) and switch p = 5 to
     full fiber enumeration.
 
-    The kernel route is one batched pass; the enumeration route runs the
-    per-plane worker over the planes in order.  `workers` must be >= 1 and
-    selects nothing: every sweep runs in this process.  Raises
-    WorkerFailure (carrying the partial sweep) if the worker raises;
-    mismatches never raise here, they are recorded in `failures`.
+    Both routes start from one pass over the plane table: plane_bases,
+    classify_planes, and one contraction of the action tensors with every
+    plane, whose K bases are checked against the kernel.  The kernel route
+    then row-reduces the whole stack; the enumeration route runs the
+    per-plane worker (the join) on each contracted matrix, in order.
+    `workers` must be >= 1 and selects nothing: every sweep runs in this
+    process.  Raises WorkerFailure (carrying the partial sweep) if the
+    worker raises; mismatches never raise here, they are recorded in
+    `failures`.
     """
     _check_prime(p)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    planes = list(enumerate_planes(p))
+    bases = plane_bases(p)
+    planes = [Plane(p, (tuple(row0), tuple(row1))) for row0, row1 in bases.tolist()]
+    types = classify_planes(p, bases)
+    matrices, k_bases = action_matrices(p, bases)
     method = sweep_method(p, full_oracle)
-    failures = []
+    failures = [f"plane {index}: factoring first-columns must have zero determinant"
+                for index in np.flatnonzero(~_factoring_ok(p, matrices, k_bases))]
     failure_message = None
     if method == "kernel":
-        counts, factoring_ok = kernel_detzero_counts(p, [plane.rows for plane in planes])
-        results = [(_classify(plane), int(count)) for plane, count in zip(planes, counts)]
-        failures += [f"plane {index}: factoring first-columns must have zero determinant"
-                     for index in np.flatnonzero(~factoring_ok)]
+        results = list(zip(types, _kernel_counts(p, matrices).tolist()))
     else:
         results = []
         try:
-            for plane in planes:
-                results.append(_plane_worker(plane))
+            for plane_type, matrix, k_basis in zip(types, matrices, k_bases):
+                results.append(_plane_worker((p, plane_type, matrix, k_basis)))
         except VerificationError:
             raise
         except Exception as exc:  # report and salvage partial work

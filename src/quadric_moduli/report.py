@@ -44,6 +44,8 @@ class RunConfig:
             raise ValueError(f"unsupported primes {bad}; supported: {SUPPORTED_PRIMES}")
         if not self.primes:
             raise ValueError("at least one prime is required")
+        if len(set(self.primes)) != len(self.primes):
+            raise ValueError(f"repeated primes in {list(self.primes)}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 

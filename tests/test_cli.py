@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -163,6 +166,7 @@ def test_verify_unsupported_prime():
 def test_verify_bad_primes_list():
     assert run_cli("verify", "--primes", "two").returncode == 2
     assert run_cli("verify", "--primes", "").returncode == 2
+    assert run_cli("verify", "--primes", "2,3,2").returncode == 2
     assert run_cli("verify", "--primes", "2", "--workers", "0").returncode == 2
     assert run_cli("verify-locus", "--prime", "2", "--workers", "0").returncode == 2
 
@@ -196,6 +200,26 @@ def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
     with_env = run_cli("report", "--primes", "2")
     assert unset.returncode == with_env.returncode == 0
     assert unset.stdout == with_env.stdout
+
+
+#: SHA-256 of the stdout of three headline runs, as pinned by the benchmark.
+REPORT_DIGESTS = {
+    ("verify", "--primes", "2,3,5,7"):
+        "da4b2b13034c19cf8bb2f5e1436b07d0acd288a935b802c119b5aa0ad6fd2369",
+    ("verify", "--primes", "2,3", "--full-oracle"):
+        "84029a58be1e8d9a9910947165ee0e0b762eeca45a87a5a5f6838f98b62a1e0a",
+    ("verify-locus", "--prime", "7"):
+        "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
+                         ids=["verify", "verify-full-oracle", "verify-locus"])
+def test_report_bytes_are_pinned(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_report_includes_golden_origins():

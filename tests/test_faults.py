@@ -1,6 +1,8 @@
 """Injected defects, one per layer: each must flip the CLI verdict to exit
 code 1 and name the check that caught it."""
 
+import numpy as np
+
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 from quadric_moduli.locus import GENERIC, SHARED_LEFT
@@ -41,15 +43,15 @@ def test_wrong_expected_detzero(monkeypatch, capsys):
 
 
 def test_dropped_plane(monkeypatch, capsys):
-    real = locus_module.enumerate_planes
+    real = locus_module.plane_bases
 
     def dropping(p):
-        planes = list(real(p))
-        dropped = next(plane for plane in planes
-                       if locus_module.classify_plane(plane).kind == GENERIC)
-        return (plane for plane in planes if plane != dropped)
+        bases = real(p)
+        types = locus_module.classify_planes(p, bases)
+        dropped = next(index for index, ptype in enumerate(types) if ptype.kind == GENERIC)
+        return np.delete(bases, dropped, axis=0)
 
-    monkeypatch.setattr(locus_module, "enumerate_planes", dropping)
+    monkeypatch.setattr(locus_module, "plane_bases", dropping)
     code, out = run_verify(capsys)
     assert code == 1
     assert "34 planes enumerated, expected 35" in out

@@ -13,9 +13,9 @@ import quadric_moduli.cli as cli
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, SHARED_LEFT, SHARED_RIGHT, _canonical_vectors, _coinciding_pairs,
-    _complement_columns, _k_rows, classify_plane, det_action_matrix, enumerate_planes, fiber_detzero_count,
-    kernel_detzero_counts, raw_oracle_count,
+    GENERIC, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _canonical_vectors,
+    _coinciding_pairs, _complement_columns, _k_rows, classify_plane, det_action_matrix,
+    enumerate_planes, fiber_detzero_count, kernel_detzero_counts, raw_oracle_count,
 )
 
 
@@ -47,6 +47,12 @@ def test_coinciding_pairs_counts_repeated_rows(p):
     right = rng.integers(0, p, size=(50, 3))
     expected = sum(1 for a in left.tolist() for b in right.tolist() if a == b)
     assert _coinciding_pairs(p, left, right) == expected
+
+
+@pytest.mark.parametrize("p,dim", [(2, 0), (3, 0), (2, 3), (5, 2)])
+def test_affine_vectors_lists_every_vector_once(p, dim):
+    expected = [list(v) for v in itertools.product(range(p), repeat=dim)]
+    assert _affine_vectors(p, dim).tolist() == expected
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -43,7 +43,8 @@ def test_contracted_matrices_equal_det_action_matrix(p, sample):
         assert k_basis.tolist() == [list(row) for row in _k_rows(f1, f2)]
 
 
-def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys):
+@pytest.mark.parametrize("primes", ["2", "5"])
+def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys, primes):
     real = locus_module.action_tensors
 
     def perturbed(p):
@@ -53,7 +54,7 @@ def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys):
         return det, k
 
     monkeypatch.setattr(locus_module, "action_tensors", perturbed)
-    code = cli.main(["verify", "--primes", "5", "--workers", "1"])
+    code = cli.main(["verify", "--primes", primes, "--workers", "1"])
     assert code == 1
     out = capsys.readouterr().out
     assert "factoring first-columns must have zero determinant" in out

@@ -7,10 +7,10 @@ from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
     GENERIC, SHARED_LEFT, SHARED_RIGHT, FiberReport, Plane, PlaneType, VerificationError,
-    WorkerFailure, classify_plane, detzero_count_for_basis, enumerate_planes,
+    WorkerFailure, classify_plane, classify_planes, detzero_count_for_basis, enumerate_planes,
     expected_x_count, fiber_detzero_count, grass_count, kernel_detzero_count,
-    moduli_point_count, projective_count, raw_oracle_count, stratified_moduli_count,
-    sweep_locus, total_X_count,
+    moduli_point_count, plane_bases, projective_count, raw_oracle_count,
+    stratified_moduli_count, sweep_locus, total_X_count,
 )
 from quadric_moduli.locus import _canonical_vectors
 
@@ -21,7 +21,7 @@ def plane_of(p, *rows):
 
 # -- plane enumeration --------------------------------------------------------
 
-@pytest.mark.parametrize("p,expected", [(2, 35), (3, 130)])
+@pytest.mark.parametrize("p,expected", [(2, 35), (3, 130), (5, 806), (7, 2850)])
 def test_enumerate_planes_count(p, expected):
     planes = list(enumerate_planes(p))
     assert len(planes) == expected
@@ -47,7 +47,15 @@ def test_plane_validation():
     with pytest.raises(ValueError):
         plane_of(2, (0, 1, 0, 0), (1, 0, 0, 0))  # not echelon-ordered
     with pytest.raises(ValueError):
+        plane_of(2, (1, 1, 0, 0), (0, 1, 0, 0))  # pivot column not cleared above
+    with pytest.raises(ValueError):
+        plane_of(3, (2, 1, 0, 0), (0, 0, 1, 0))  # leading coefficient 2, not 1
+    with pytest.raises(ValueError):
         plane_of(11, (1, 0, 0, 0), (0, 1, 0, 0))  # unsupported prime
+    with pytest.raises(ValueError):
+        plane_of(2, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0))  # three rows
+    with pytest.raises(ValueError):
+        plane_of(2, (1, 0, 0), (0, 1, 0))  # rows of length 3
     with pytest.raises(ValueError):
         list(enumerate_planes(4))
 
@@ -105,10 +113,11 @@ def rank1_lines_by_sweep(plane: Plane) -> int:
     return lines
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_classification_matches_rank1_sweep(p):
-    for plane in enumerate_planes(p):
-        ptype = classify_plane(plane)
+    types = classify_planes(p, plane_bases(p))
+    assert len(types) == grass_count(p)
+    for plane, ptype in zip(enumerate_planes(p), types):
         lines = rank1_lines_by_sweep(plane)
         if ptype.kind == GENERIC:
             assert ptype.rank1_lines == lines
