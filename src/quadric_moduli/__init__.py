@@ -20,7 +20,7 @@ from .hilbert import (
     twist,
 )
 from .locus import (
-    FiberReport, Plane, PlaneType, SUPPORTED_PRIMES, VerificationError, WorkerFailure,
+    Plane, PlaneType, SUPPORTED_PRIMES, VerificationError, WorkerFailure,
     classify_plane, enumerate_planes, fiber_detzero_count, kernel_detzero_count,
     moduli_point_count, raw_oracle_count, sweep_locus, total_X_count,
 )

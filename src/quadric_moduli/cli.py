@@ -149,20 +149,18 @@ def cmd_verify_locus(args) -> int:
               file=sys.stderr)
         return EXIT_INVALID
     golden = load_golden(args.golden)
+    worker_failure = None
     try:
         sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
     except WorkerFailure as failure:
-        doc = {"prime": args.prime, "fibers": [], "summary": None,
-               "worker_failure": str(failure)}
-        if failure.partial is not None:
-            doc["fibers"] = [f.to_json() for f in failure.partial.fibers]
-            doc["summary"] = locus_summary(failure.partial, golden)
-        _emit(to_json_text(doc), args.out)
-        return EXIT_WORKER
+        sweep, worker_failure = failure.partial, str(failure)
     summary = locus_summary(sweep, golden)
-    doc = {"prime": args.prime, "fibers": [f.to_json() for f in sweep.fibers],
-           "summary": summary}
+    doc = {"prime": args.prime, "fibers": sweep.fibers_json(), "summary": summary}
+    if worker_failure is not None:
+        doc["worker_failure"] = worker_failure
     _emit(to_json_text(doc), args.out)
+    if worker_failure is not None:
+        return EXIT_WORKER
     return EXIT_OK if summary["ok"] else EXIT_MISMATCH
 
 

@@ -213,7 +213,7 @@ class ResolutionSpec:
         for pos in positions:
             for label in pos:
                 if not (isinstance(label, list) and len(label) == 2
-                        and all(isinstance(c, int) for c in label)):
+                        and all(type(c) is int for c in label)):  # rejects bools
                     raise ValueError(f"bad line-bundle label {label!r}; expected [a, b]")
         return cls(tuple(tuple(tuple(label) for label in pos) for pos in positions))
 

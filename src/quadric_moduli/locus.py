@@ -9,6 +9,8 @@ the second column.  This module enumerates the planes over a prime field
 into one table of bases, classifies them all at once by their rank-one
 structure, counts determinant-zero points in every fiber, and assembles
 the total point counts that must match the Betti-polynomial evaluation.
+A sweep's result stays in columns, one row per plane, from the table to
+the rendered fiber reports; Plane is the single-plane API.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -50,6 +52,9 @@ ENUMERATION_PRIMES = (2, 3)
 GENERIC = "generic"
 SHARED_RIGHT = "shared-right"
 SHARED_LEFT = "shared-left"
+#: Plane kinds, indexed by the kind codes of classify_planes; code -1 marks
+#: a rank-one plane that shares neither tensor factor.
+KINDS = (GENERIC, SHARED_RIGHT, SHARED_LEFT)
 
 
 class VerificationError(Exception):
@@ -57,9 +62,9 @@ class VerificationError(Exception):
 
 
 class WorkerFailure(Exception):
-    """The per-plane worker raised; carries whatever was completed before."""
+    """The per-plane worker raised; carries the sweep of the planes before."""
 
-    def __init__(self, message: str, partial: "LocusSweep | None" = None):
+    def __init__(self, message: str, partial: "LocusSweep"):
         super().__init__(message)
         self.partial = partial
 
@@ -126,19 +131,16 @@ class Plane:
         field = GF(self.p)
         return (BiForm(field, 1, 1, self.rows[0]), BiForm(field, 1, 1, self.rows[1]))
 
-    def to_json(self) -> dict:
-        return {"p": self.p, "basis": [list(r) for r in self.rows]}
-
 
 @dataclass(frozen=True)
 class PlaneType:
     """Classification of a plane by the rank-one structure of its elements.
 
-    generic: some element has rank 2 (rank1_lines counts the projective
-    roots of the associated binary quadratic, informational only);
-    shared-right: every element is v1 tensor v for one point v of the
-    second factor; shared-left: every element is v tensor v2 for one point
-    v of the first factor.
+    generic: some element has rank 2 (rank1_lines counts the rank-one
+    lines of the plane, the projective roots of the associated binary
+    quadratic); shared-right: every element is v1 tensor v for one point v
+    of the second factor; shared-left: every element is v tensor v2 for one
+    point v of the first factor.
     """
 
     kind: str
@@ -154,42 +156,14 @@ class PlaneType:
             return p + 1
         raise ValueError(f"unknown plane kind {self.kind!r}")
 
-    def to_json(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.rank1_lines is not None:
-            data["rank1_lines"] = self.rank1_lines
-        if self.shared_point is not None:
-            data["shared_point"] = list(self.shared_point)
-        return data
 
-
-@dataclass(frozen=True)
-class FiberReport:
-    """Det-zero count over one plane, with the count the classification
-    predicts and the verdict of the comparison."""
-
-    plane_index: int
-    plane: Plane
-    plane_type: PlaneType
-    detzero_count: int
-    expected: int
-    ok: bool
-    raw_count: int | None = None
-    raw_ok: bool | None = None
-
-    def to_json(self) -> dict:
-        data = {
-            "plane_index": self.plane_index,
-            "plane": self.plane.to_json(),
-            "plane_type": self.plane_type.to_json(),
-            "detzero_count": self.detzero_count,
-            "expected": self.expected,
-            "ok": self.ok,
-        }
-        if self.raw_count is not None:
-            data["raw_count"] = self.raw_count
-            data["raw_ok"] = self.raw_ok
-        return data
+def generic_orbit_sizes(p: int) -> dict[int, int]:
+    """Number of generic planes with 2, 1 and 0 rank-one lines: the three
+    generic GL2 x GL2 orbits, whose lines of P^3 are secant to, tangent to
+    and disjoint from the quadric P^1 x P^1."""
+    return {2: p * p * (p + 1) ** 2 // 2,
+            1: (p - 1) * (p + 1) ** 2,
+            0: p * p * (p - 1) ** 2 // 2}
 
 
 # -- plane enumeration and classification ----------------------------------
@@ -228,16 +202,16 @@ def _normalize_projective(field, point):
     raise ValueError("zero vector is not a projective point")
 
 
-def classify_planes(p: int, bases) -> list[PlaneType | VerificationError]:
+def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify N planes, given by their basis rows (f1, f2) of shape
     (N, 2, 4), by the binary quadratic q(s, t) = det of the coefficient
-    matrix of s*B1 + t*B2, computed for all planes at once.  Nonzero q
-    means a generic plane, whose rank1_lines are the projective roots of
-    q; identically zero q means every element is a pure tensor, and
-    rank1_test decides whether the plane shares the right or the left
-    tensor factor.  A rank-one plane that shares neither gets its
-    VerificationError in place of a PlaneType, so that a sweep can record
-    it against the plane."""
+    matrix of s*B1 + t*B2, computed for all planes at once.  Returns kind
+    codes indexing KINDS, rank1_lines and (N, 2) shared points (zero where
+    there is none).  Nonzero q means a generic plane, whose rank1_lines are
+    the projective roots of q; identically zero q means all p + 1 lines are
+    rank one, and rank1_test decides whether the plane shares the right or
+    the left tensor factor, and at which point.  A rank-one plane that
+    shares neither gets code -1, so that a sweep can record it."""
     bases = np.asarray(bases, dtype=np.int64)
     (xz1, xw1, yz1, yw1), (xz2, xw2, yz2, yw2) = bases.transpose(1, 2, 0)
     qa = (xz1 * yw1 - xw1 * yz1) % p
@@ -246,14 +220,15 @@ def classify_planes(p: int, bases) -> list[PlaneType | VerificationError]:
     # roots (s, t) = (1, t) of qa*s^2 + qb*s*t + qc*t^2, plus (0, 1) where qc = 0
     t = np.arange(p)
     values = (qa[:, None] + qb[:, None] * t + qc[:, None] * t * t) % p
-    roots = (values == 0).sum(axis=1) + (qc == 0)
-    types = [PlaneType(GENERIC, rank1_lines=r) for r in roots.tolist()]
+    rank1_lines = (values == 0).sum(axis=1) + (qc == 0)
+    kinds = np.full(len(bases), KINDS.index(GENERIC), dtype=np.int64)
+    shared_points = np.zeros((len(bases), 2), dtype=np.int64)
     for index in np.flatnonzero((qa == 0) & (qb == 0) & (qc == 0)):
-        types[index] = _classify_rank_one(p, bases[index].tolist())
-    return types
+        kinds[index], shared_points[index] = _classify_rank_one(p, bases[index].tolist())
+    return kinds, rank1_lines, shared_points
 
 
-def _classify_rank_one(p: int, rows) -> PlaneType | VerificationError:
+def _classify_rank_one(p: int, rows) -> tuple[int, tuple[int, int]]:
     field = GF(p)
     b1, b2 = (BiForm(field, 1, 1, row) for row in rows)
     v1, w1 = rank1_test(b1)
@@ -264,19 +239,21 @@ def _classify_rank_one(p: int, rows) -> PlaneType | VerificationError:
                          field.mul(u.coeffs[1], v.coeffs[0])) == field.zero
 
     if proportional(w1, w2):
-        return PlaneType(SHARED_RIGHT, shared_point=_normalize_projective(field, w1.coeffs))
+        return KINDS.index(SHARED_RIGHT), _normalize_projective(field, w1.coeffs)
     if proportional(v1, v2):
-        return PlaneType(SHARED_LEFT, shared_point=_normalize_projective(field, v1.coeffs))
-    plane = Plane(p, (tuple(rows[0]), tuple(rows[1])))
-    return VerificationError(f"rank-one plane {plane} shares neither factor")
+        return KINDS.index(SHARED_LEFT), _normalize_projective(field, v1.coeffs)
+    return -1, (0, 0)
 
 
 def classify_plane(plane: Plane) -> PlaneType:
-    """classify_planes on one plane, raising its VerificationError."""
-    (plane_type,) = classify_planes(plane.p, [plane.rows])
-    if isinstance(plane_type, VerificationError):
-        raise plane_type
-    return plane_type
+    """classify_planes on one plane, as a PlaneType; raises the
+    VerificationError of a rank-one plane that shares neither factor."""
+    (code,), (rank1_lines,), (shared_point,) = classify_planes(plane.p, [plane.rows])
+    if code < 0:
+        raise VerificationError(f"rank-one plane {plane} shares neither factor")
+    if KINDS[code] == GENERIC:
+        return PlaneType(GENERIC, rank1_lines=int(rank1_lines))
+    return PlaneType(KINDS[code], shared_point=tuple(shared_point.tolist()))
 
 
 # -- the det2 action on first columns and the fiber model -------------------
@@ -522,48 +499,84 @@ def raw_oracle_count(plane: Plane) -> int:
     return _coinciding_pairs(p, vectors @ against_f2 % p, vectors @ against_f1 % p)
 
 
-def raw_identity_holds(plane: Plane, fiber_count: int) -> tuple[int, bool]:
-    p = plane.p
-    raw = raw_oracle_count(plane)
-    return raw, raw == p * p + fiber_count * (p - 1) * p * p
-
-
 # -- whole-Grassmannian sweeps ----------------------------------------------
 
 
 @dataclass
 class LocusSweep:
-    """Outcome of sweeping every plane over F_p."""
+    """Outcome of sweeping every plane over F_p: one row per classified
+    plane, in plane_bases order, holding its index in plane_bases(p), basis,
+    kind code, rank1_lines, shared point and det-zero count.  raw_counts
+    maps the rows the raw oracle ran on to their raw counts; everything
+    else is derived from these columns."""
 
     p: int
     method: str
-    fibers: list[FiberReport]
-    x_count: int
-    expected_x: int
-    tallies: dict[str, int]
+    plane_index: np.ndarray
+    bases: np.ndarray
+    kinds: np.ndarray
+    rank1_lines: np.ndarray
+    shared_points: np.ndarray
+    detzero_counts: np.ndarray
+    raw_counts: dict[int, int] = dataclass_field(default_factory=dict)
     failures: list[str] = dataclass_field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
-    def summary_json(self) -> dict:
-        return {
-            "p": self.p,
-            "method": self.method,
-            "plane_tallies": dict(sorted(self.tallies.items())),
-            "X_count": self.x_count,
-            "expected": self.expected_x,
-            "failures": list(self.failures),
-            "ok": self.ok,
-        }
+    @property
+    def x_count(self) -> int:
+        return int(self.detzero_counts.sum())
+
+    @property
+    def expected_x(self) -> int:
+        return expected_x_count(self.p)
+
+    @property
+    def tallies(self) -> dict[str, int]:
+        return dict(zip(KINDS, np.bincount(self.kinds, minlength=len(KINDS)).tolist()))
+
+    @property
+    def expected_counts(self) -> np.ndarray:
+        """Per row, the det-zero count that the plane's kind predicts."""
+        by_kind = [PlaneType(kind).expected_detzero(self.p) for kind in KINDS]
+        return np.array(by_kind, dtype=np.int64)[self.kinds]
+
+    def raw_ok(self) -> dict[int, bool]:
+        """Per raw-oracle row, whether its raw count meets the coset
+        identity of raw_oracle_count against the row's det-zero count."""
+        p = self.p
+        return {row: raw == p * p + int(self.detzero_counts[row]) * (p - 1) * p * p
+                for row, raw in self.raw_counts.items()}
+
+    def plane(self, row: int) -> Plane:
+        return Plane(self.p, self.bases[row].tolist())
+
+    def fibers_json(self) -> list[dict]:
+        """The per-plane reports of verify-locus, one per row."""
+        raw_ok = self.raw_ok()
+        columns = zip(self.plane_index.tolist(), self.bases.tolist(), self.kinds.tolist(),
+                      self.rank1_lines.tolist(), self.shared_points.tolist(),
+                      self.detzero_counts.tolist(), self.expected_counts.tolist())
+        fibers = []
+        for row, (index, basis, kind, rank1_lines, point, count, expected) in enumerate(columns):
+            plane_type = ({"kind": GENERIC, "rank1_lines": rank1_lines} if KINDS[kind] == GENERIC
+                          else {"kind": KINDS[kind], "shared_point": point})
+            fiber = {"plane_index": index, "plane": {"p": self.p, "basis": basis},
+                     "plane_type": plane_type, "detzero_count": count,
+                     "expected": expected, "ok": count == expected}
+            if row in raw_ok:
+                fiber.update(raw_count=self.raw_counts[row], raw_ok=raw_ok[row])
+            fibers.append(fiber)
+        return fibers
 
 
 def _plane_worker(item):
-    """Enumeration route for one plane, given as (p, classification, action
-    matrix, K basis): (classification, det-zero count by the join)."""
-    p, plane_type, matrix, k_basis = item
-    return plane_type, _join_count(p, matrix, k_basis.tolist())
+    """Enumeration route for one plane, given as (p, action matrix, K
+    basis): its det-zero count by the join."""
+    p, matrix, k_basis = item
+    return _join_count(p, matrix, k_basis.tolist())
 
 
 def sweep_method(p: int, full_oracle: bool) -> str:
@@ -572,15 +585,16 @@ def sweep_method(p: int, full_oracle: bool) -> str:
 
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
-    totals.  With full_oracle, additionally run the raw p^12 sweep (all
-    planes at p = 2, one plane of each type at p = 3) and switch p = 5 to
-    full fiber enumeration.
+    totals.  With full_oracle, additionally run the raw p^12 oracle (all
+    planes at p = 2, the first plane of each kind at p = 3) and switch
+    p = 5 to full fiber enumeration.
 
     Both routes start from one pass over the plane table: plane_bases,
     classify_planes, and one contraction of the action tensors with every
     plane, whose K bases are checked against the kernel.  The kernel route
     then row-reduces the whole stack; the enumeration route runs the
-    per-plane worker (the join) on each contracted matrix, in order.
+    per-plane worker (the join) on each contracted matrix, in order.  Only
+    raw-oracle targets and unclassifiable planes are built as Plane objects.
     `workers` must be >= 1 and selects nothing: every sweep runs in this
     process.  Raises WorkerFailure (carrying the partial sweep) if the
     worker raises; mismatches never raise here, they are recorded in
@@ -590,81 +604,65 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     if workers < 1:
         raise ValueError("workers must be >= 1")
     bases = plane_bases(p)
-    planes = [Plane(p, (tuple(row0), tuple(row1))) for row0, row1 in bases.tolist()]
-    types = classify_planes(p, bases)
+    kinds, rank1_lines, shared_points = classify_planes(p, bases)
     matrices, k_bases = action_matrices(p, bases)
     method = sweep_method(p, full_oracle)
     failures = [f"plane {index}: factoring first-columns must have zero determinant"
                 for index in np.flatnonzero(~_factoring_ok(p, matrices, k_bases))]
     failure_message = None
     if method == "kernel":
-        results = list(zip(types, _kernel_counts(p, matrices).tolist()))
+        counts = _kernel_counts(p, matrices)
     else:
-        results = []
+        counts = []
         try:
-            for plane_type, matrix, k_basis in zip(types, matrices, k_bases):
-                results.append(_plane_worker((p, plane_type, matrix, k_basis)))
+            for matrix, k_basis in zip(matrices, k_bases):
+                counts.append(_plane_worker((p, matrix, k_basis)))
         except VerificationError:
             raise
         except Exception as exc:  # report and salvage partial work
-            failure_message = f"worker failed on plane {len(results)}: {exc}"
+            failure_message = f"worker failed on plane {len(counts)}: {exc}"
+        counts = np.array(counts, dtype=np.int64)
 
-    fibers = []
-    tallies = {GENERIC: 0, SHARED_RIGHT: 0, SHARED_LEFT: 0}
-    for index, (plane, (plane_type, count)) in enumerate(zip(planes, results)):
-        if isinstance(plane_type, VerificationError):
-            failures.append(f"plane {index}: {plane_type}")
-            continue
-        expected = plane_type.expected_detzero(p)
-        tallies[plane_type.kind] += 1
-        fibers.append(FiberReport(index, plane, plane_type, count, expected,
-                                  count == expected))
-
+    done = kinds[:len(counts)]
+    failures += [f"plane {index}: rank-one plane {Plane(p, bases[index].tolist())} "
+                 f"shares neither factor" for index in np.flatnonzero(done < 0)]
+    rows = np.flatnonzero(done >= 0)
+    sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
+                       shared_points[rows], counts[rows], failures=failures)
     if failure_message is not None:
-        partial = LocusSweep(p, method, fibers, sum(f.detzero_count for f in fibers),
-                             expected_x_count(p), tallies,
-                             failures=failures + [failure_message])
-        raise WorkerFailure(failure_message, partial)
+        sweep.failures.append(failure_message)
+        raise WorkerFailure(failure_message, sweep)
 
     if full_oracle and p in RAW_SWEEP_PRIMES:
-        targets = range(len(fibers)) if p == 2 else _first_of_each_kind(fibers)
-        for index in targets:
-            report = fibers[index]
-            raw, raw_ok = raw_identity_holds(report.plane, report.detzero_count)
-            fibers[index] = FiberReport(report.plane_index, report.plane,
-                                        report.plane_type, report.detzero_count,
-                                        report.expected, report.ok, raw, raw_ok)
-
-    x_count = sum(f.detzero_count for f in fibers)
-    sweep = LocusSweep(p, method, fibers, x_count, expected_x_count(p), tallies, failures)
+        first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]
+        targets = range(len(rows)) if p == 2 else sorted(first_of_each_kind.tolist())
+        sweep.raw_counts = {row: raw_oracle_count(sweep.plane(row)) for row in targets}
     _collect_failures(sweep)
     return sweep
 
 
-def _first_of_each_kind(fibers) -> list[int]:
-    seen: dict[str, int] = {}
-    for index, report in enumerate(fibers):
-        seen.setdefault(report.plane_type.kind, index)
-    return sorted(seen.values())
-
-
 def _collect_failures(sweep: LocusSweep):
     p = sweep.p
-    for report in sweep.fibers:
-        if not report.ok:
+    raw_ok = sweep.raw_ok()
+    columns = zip(sweep.plane_index.tolist(), sweep.kinds.tolist(),
+                  sweep.detzero_counts.tolist(), sweep.expected_counts.tolist())
+    for row, (index, kind, count, expected) in enumerate(columns):
+        if count != expected:
             sweep.failures.append(
-                f"plane {report.plane_index} ({report.plane_type.kind}): "
-                f"det-zero count {report.detzero_count}, expected {report.expected}")
-        if report.raw_ok is False:
+                f"plane {index} ({KINDS[kind]}): det-zero count {count}, expected {expected}")
+        if not raw_ok.get(row, True):
             sweep.failures.append(
-                f"plane {report.plane_index}: raw sweep count {report.raw_count} "
+                f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
                 f"breaks the coset identity")
-    if sweep.tallies[SHARED_RIGHT] != p + 1:
-        sweep.failures.append(
-            f"{sweep.tallies[SHARED_RIGHT]} shared-right planes, expected {p + 1}")
-    if sweep.tallies[SHARED_LEFT] != p + 1:
-        sweep.failures.append(
-            f"{sweep.tallies[SHARED_LEFT]} shared-left planes, expected {p + 1}")
+    # the five GL2 x GL2 orbits of planes
+    generic = np.bincount(sweep.rank1_lines[sweep.kinds == KINDS.index(GENERIC)], minlength=3)
+    orbits = [(f"generic planes with rank1_lines = {lines}", generic[lines], size)
+              for lines, size in generic_orbit_sizes(p).items()]
+    orbits += [(f"{kind} planes", sweep.tallies[kind], p + 1)
+               for kind in (SHARED_RIGHT, SHARED_LEFT)]
+    for label, count, size in orbits:
+        if count != size:
+            sweep.failures.append(f"{count} {label}, expected {size}")
     total_planes = sum(sweep.tallies.values())
     if total_planes != grass_count(p):
         sweep.failures.append(

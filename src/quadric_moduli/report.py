@@ -66,14 +66,18 @@ def load_golden(path: str | None = None) -> dict:
         raise GoldenError(f"golden file is not valid JSON: {exc}") from exc
     try:
         betti = data["betti"]
+        # `type(...) is int` rejects JSON booleans, which isinstance accepts
         if (not isinstance(betti["coeffs_desc"], list)
-                or not all(isinstance(c, int) for c in betti["coeffs_desc"])
-                or not isinstance(betti["euler"], int)
-                or not isinstance(betti["degree"], int)):
+                or not all(type(c) is int for c in betti["coeffs_desc"])
+                or type(betti["euler"]) is not int
+                or type(betti["degree"]) is not int):
             raise GoldenError("golden betti section has the wrong shape")
         data["hilbert"]["resolutions"]
-        data["moduli_point_counts"]["values"]
-        data["detzero_totals"]["values"]
+        for section in ("moduli_point_counts", "detzero_totals"):
+            values = data[section]["values"]
+            if not (isinstance(values, dict)
+                    and all(key.isdecimal() and type(v) is int for key, v in values.items())):
+                raise GoldenError(f"golden {section} values must map primes to integers")
     except (KeyError, TypeError) as exc:
         raise GoldenError(f"golden file is missing required entries: {exc}") from exc
     return data
@@ -195,10 +199,9 @@ def build_report(config: RunConfig, golden: dict) -> dict:
             sweep = sweep_locus(p, workers=config.workers, full_oracle=config.full_oracle)
         except WorkerFailure as failure:
             worker_failure = str(failure)
-            if failure.partial is not None:
-                summary = locus_summary(failure.partial, golden)
-                summary["worker_failure"] = worker_failure
-                report["locus"].append(summary)
+            summary = locus_summary(failure.partial, golden)
+            summary["worker_failure"] = worker_failure
+            report["locus"].append(summary)
             break
         report["locus"].append(locus_summary(sweep, golden))
     sections_ok = (report["betti"]["ok"] and report["hilbert"]["ok"]

@@ -20,8 +20,8 @@ from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
-    GENERIC, SHARED_LEFT, SHARED_RIGHT, classify_plane, enumerate_planes, fiber_detzero_count,
-    moduli_point_count, raw_oracle_count, sweep_locus,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_plane, enumerate_planes,
+    fiber_detzero_count, moduli_point_count, raw_oracle_count, sweep_locus,
 )
 from quadric_moduli.locus import _canonical_vectors
 
@@ -92,17 +92,18 @@ def test_criterion_3_detlocus_sweep_p2():
         start = time.perf_counter()
         sweep = sweep_locus(2, workers=1)
         elapsed = time.perf_counter() - start
-        assert len(sweep.fibers) == 35
+        assert len(sweep.plane_index) == 35
         counts = {GENERIC: set(), SHARED_RIGHT: set(), SHARED_LEFT: set()}
-        for report in sweep.fibers:
-            counts[report.plane_type.kind].add(report.detzero_count)
+        kinds = [KINDS[kind] for kind in sweep.kinds.tolist()]
+        for kind, count in zip(kinds, sweep.detzero_counts.tolist()):
+            counts[kind].add(count)
         assert counts[GENERIC] == {0}
         assert counts[SHARED_RIGHT] == {1}
         assert counts[SHARED_LEFT] == {3}
         assert sweep.x_count == 12 == (2 + 1) + (2 + 1) ** 2
-        detzero_planes = [r for r in sweep.fibers if r.detzero_count > 0]
-        assert sum(1 for r in detzero_planes if r.plane_type.kind == SHARED_RIGHT) == 3
-        assert sum(1 for r in detzero_planes if r.plane_type.kind == SHARED_LEFT) == 3
+        detzero_planes = [kind for kind, count in zip(kinds, sweep.detzero_counts) if count > 0]
+        assert detzero_planes.count(SHARED_RIGHT) == 3
+        assert detzero_planes.count(SHARED_LEFT) == 3
         assert len(detzero_planes) == 6
         assert sweep.ok
         assert elapsed < 1.0
@@ -113,7 +114,7 @@ def test_criterion_4_detlocus_sweep_p3():
         start = time.perf_counter()
         sweep = sweep_locus(3, workers=1)
         elapsed = time.perf_counter() - start
-        assert len(sweep.fibers) == 130
+        assert len(sweep.plane_index) == 130
         assert sweep.method == "enumerate"
         assert len(_canonical_vectors(3, 10)) == 29524
         assert sweep.x_count == 20 == (3 + 1) + (3 + 1) ** 2

@@ -70,6 +70,24 @@ def test_verify_corrupt_golden_exits_2(tmp_path):
     assert run_cli("verify", "--primes", "2", "--golden", str(bad)).returncode == 2
 
 
+@pytest.mark.parametrize("keys,value", [
+    (("detzero_totals", "values", "2"), "12"),
+    (("moduli_point_counts", "values"), [58311]),
+    (("betti", "euler"), True),
+], ids=["string-total", "list-of-counts", "boolean-euler"])
+def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
+    from quadric_moduli.report import load_golden
+    golden = load_golden()
+    section = golden
+    for key in keys[:-1]:
+        section = section[key]
+    section[keys[-1]] = value
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
+    assert "golden data error" in capsys.readouterr().err
+
+
 def test_hilbert_inline():
     result = run_cli("hilbert", RES_OPEN_JSON)
     assert result.returncode == 0
@@ -110,6 +128,7 @@ def test_hilbert_malformed_shapes_exit_2():
     assert run_cli("hilbert", '{"positions": [[[0]]]}').returncode == 2
     assert run_cli("hilbert", '{"positions": [[[0, "b"]]]}').returncode == 2
     assert run_cli("hilbert", '[1, 2]').returncode == 2
+    assert run_cli("hilbert", '{"positions": [[[true, 0]], [[false, -1]]]}').returncode == 2
 
 
 def test_hilbert_missing_file_exit_2(tmp_path):
@@ -210,11 +229,21 @@ REPORT_DIGESTS = {
         "84029a58be1e8d9a9910947165ee0e0b762eeca45a87a5a5f6838f98b62a1e0a",
     ("verify-locus", "--prime", "7"):
         "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
+    # raw_count/raw_ok on every plane
+    ("verify-locus", "--prime", "2", "--full-oracle"):
+        "7fa40fe4c5ad3bd7db06aa2acdf126f718f2610431a35a75b6ecca955d60204f",
+    # one raw-oracle target per plane kind
+    ("verify-locus", "--prime", "3", "--full-oracle"):
+        "c30b733daa2e3b0652c1ef611cf22da45a42982b9c40a3865d2bd784a83f0ca4",
 }
+#: SHA-256 of the partial verify-locus --prime 2 document of a worker that
+#: fails on its sixth plane.
+PARTIAL_LOCUS_DIGEST = "19ac1661cbab156ae157c0f21f9c240b4aa3e7f670893e4718b90a9d04fdc068"
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
-                         ids=["verify", "verify-full-oracle", "verify-locus"])
+                         ids=["verify", "verify-full-oracle", "verify-locus",
+                              "verify-locus-full-oracle-2", "verify-locus-full-oracle-3"])
 def test_report_bytes_are_pinned(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -261,17 +290,18 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     monkeypatch.setattr(locus_module, "_plane_worker", flaky)
     code = cli.main(["verify-locus", "--prime", "2", "--workers", workers])
     assert code == 3
-    doc = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    doc = json.loads(out)
     assert doc["worker_failure"]
     assert len(doc["fibers"]) == 5
+    assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_LOCUS_DIGEST
 
 
 def test_verification_mismatch_exit_1(monkeypatch, capsys):
     real = locus_module._plane_worker
 
     def wrong(args):
-        ptype, count = real(args)
-        return ptype, count + 1
+        return real(args) + 1
 
     monkeypatch.setattr(locus_module, "_plane_worker", wrong)
     code = cli.main(["verify", "--primes", "2", "--workers", "1"])

@@ -5,7 +5,7 @@ import numpy as np
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
-from quadric_moduli.locus import GENERIC, SHARED_LEFT
+from quadric_moduli.locus import GENERIC, KINDS, SHARED_LEFT
 
 
 def run_verify(capsys, *flags) -> tuple[int, str]:
@@ -47,12 +47,30 @@ def test_dropped_plane(monkeypatch, capsys):
 
     def dropping(p):
         bases = real(p)
-        types = locus_module.classify_planes(p, bases)
-        dropped = next(index for index, ptype in enumerate(types) if ptype.kind == GENERIC)
+        kinds, _, _ = locus_module.classify_planes(p, bases)
+        dropped = np.flatnonzero(kinds == KINDS.index(GENERIC))[0]
         return np.delete(bases, dropped, axis=0)
 
     monkeypatch.setattr(locus_module, "plane_bases", dropping)
     code, out = run_verify(capsys)
     assert code == 1
     assert "34 planes enumerated, expected 35" in out
+    assert "verdict: FAIL" in out
+
+
+def test_wrong_rank1_lines(monkeypatch, capsys):
+    real = locus_module.classify_planes
+
+    def miscounted(p, bases):
+        kinds, rank1_lines, shared_points = real(p, bases)
+        tallied = np.flatnonzero((kinds == KINDS.index(GENERIC)) & (rank1_lines == 2))[0]
+        rank1_lines = rank1_lines.copy()
+        rank1_lines[tallied] = 1
+        return kinds, rank1_lines, shared_points
+
+    monkeypatch.setattr(locus_module, "classify_planes", miscounted)
+    code, out = run_verify(capsys)
+    assert code == 1
+    assert "17 generic planes with rank1_lines = 2, expected 18" in out
+    assert "10 generic planes with rank1_lines = 1, expected 9" in out
     assert "verdict: FAIL" in out

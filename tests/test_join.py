@@ -87,5 +87,4 @@ def test_full_oracle_p5_enumerates_every_fiber(sweep5, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["summary"]["method"] == "enumerate"
     assert doc["summary"]["X_count"] == 42
-    assert [f["detzero_count"] for f in doc["fibers"]] == [
-        f.detzero_count for f in sweep5.fibers]
+    assert [f["detzero_count"] for f in doc["fibers"]] == sweep5.detzero_counts.tolist()

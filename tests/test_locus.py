@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
 from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli
 from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, SHARED_LEFT, SHARED_RIGHT, FiberReport, Plane, PlaneType, VerificationError,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, PlaneType, VerificationError,
     WorkerFailure, classify_plane, classify_planes, detzero_count_for_basis, enumerate_planes,
     expected_x_count, fiber_detzero_count, grass_count, kernel_detzero_count,
     moduli_point_count, plane_bases, projective_count, raw_oracle_count,
@@ -115,12 +116,13 @@ def rank1_lines_by_sweep(plane: Plane) -> int:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_classification_matches_rank1_sweep(p):
-    types = classify_planes(p, plane_bases(p))
-    assert len(types) == grass_count(p)
-    for plane, ptype in zip(enumerate_planes(p), types):
+    kinds, rank1_lines, _ = classify_planes(p, plane_bases(p))
+    assert len(kinds) == grass_count(p)
+    assert kinds.min() >= 0
+    for plane, kind, rank1 in zip(enumerate_planes(p), kinds.tolist(), rank1_lines.tolist()):
         lines = rank1_lines_by_sweep(plane)
-        if ptype.kind == GENERIC:
-            assert ptype.rank1_lines == lines
+        if KINDS[kind] == GENERIC:
+            assert rank1 == lines
             assert lines <= 2
         else:
             assert lines == p + 1  # every line of the plane is rank one
@@ -142,7 +144,8 @@ def test_shared_right_planes_at_p2_by_construction(sweep2):
         xv = BiForm.from_terms(field, 1, 1, {(0, 0): v[0], (0, 1): v[1]})
         yv = BiForm.from_terms(field, 1, 1, {(1, 0): v[0], (1, 1): v[1]})
         expected.add(Plane.from_forms(xv, yv))
-    found = {f.plane for f in sweep2.fibers if f.plane_type.kind == SHARED_RIGHT}
+    found = {sweep2.plane(row)
+             for row in np.flatnonzero(sweep2.kinds == KINDS.index(SHARED_RIGHT))}
     assert found == expected
     assert len(found) == 3
 
@@ -153,12 +156,12 @@ def test_fiber_counts_by_type(sweep2, sweep3):
     for sweep in (sweep2, sweep3):
         p = sweep.p
         by_kind = {}
-        for report in sweep.fibers:
-            by_kind.setdefault(report.plane_type.kind, set()).add(report.detzero_count)
+        for kind, count in zip(sweep.kinds.tolist(), sweep.detzero_counts.tolist()):
+            by_kind.setdefault(KINDS[kind], set()).add(count)
         assert by_kind[GENERIC] == {0}
         assert by_kind[SHARED_RIGHT] == {1}
         assert by_kind[SHARED_LEFT] == {p + 1}
-        assert all(report.ok for report in sweep.fibers)
+        assert (sweep.detzero_counts == sweep.expected_counts).all()
 
 
 def test_fiber_count_canonical_examples():
@@ -213,20 +216,21 @@ RAW_BY_KIND_P2 = {GENERIC: 4, SHARED_RIGHT: 8, SHARED_LEFT: 16}
 
 
 def test_raw_oracle_identity_every_plane_p2(sweep2):
-    for report in sweep2.fibers:
-        raw = raw_oracle_count(report.plane)
-        assert raw == 4 + report.detzero_count * 4
-        assert raw == RAW_BY_KIND_P2[report.plane_type.kind]
+    for row, (kind, count) in enumerate(zip(sweep2.kinds.tolist(),
+                                            sweep2.detzero_counts.tolist())):
+        raw = raw_oracle_count(sweep2.plane(row))
+        assert raw == 4 + count * 4
+        assert raw == RAW_BY_KIND_P2[KINDS[kind]]
 
 
 def test_raw_oracle_identity_one_plane_each_type_p3(sweep3):
     seen = {}
-    for report in sweep3.fibers:
-        seen.setdefault(report.plane_type.kind, report)
+    for row, kind in enumerate(sweep3.kinds.tolist()):
+        seen.setdefault(KINDS[kind], row)
     assert set(seen) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-    for report in seen.values():
-        raw = raw_oracle_count(report.plane)
-        assert raw == 9 + report.detzero_count * 18
+    for row in seen.values():
+        raw = raw_oracle_count(sweep3.plane(row))
+        assert raw == 9 + int(sweep3.detzero_counts[row]) * 18
 
 
 def test_raw_oracle_rejects_large_primes():
@@ -261,10 +265,10 @@ def test_total_x_count_p5_kernel_route(sweep5):
 
 def test_p5_enumeration_spot_checks(sweep5):
     seen = {}
-    for report in sweep5.fibers:
-        seen.setdefault(report.plane_type.kind, report)
-    for kind, report in sorted(seen.items()):
-        assert fiber_detzero_count(report.plane) == report.detzero_count
+    for row, kind in enumerate(sweep5.kinds.tolist()):
+        seen.setdefault(KINDS[kind], row)
+    for kind, row in sorted(seen.items()):
+        assert fiber_detzero_count(sweep5.plane(row)) == sweep5.detzero_counts[row]
 
 
 def test_moduli_point_count_p2():
@@ -295,24 +299,31 @@ def test_moduli_point_count_p7_kernel_route():
 
 # -- sweep orchestration -------------------------------------------------------------
 
-def test_sweep_deterministic_and_parallel_equal(sweep2):
-    serial = sweep_locus(2)
-    parallel = sweep_locus(2, workers=2)
-    assert serial.fibers == sweep2.fibers == parallel.fibers
-    assert serial.summary_json() == parallel.summary_json()
+COLUMNS = ("plane_index", "bases", "kinds", "rank1_lines", "shared_points", "detzero_counts")
+
+
+def test_sweep_is_deterministic(sweep2):
+    # `workers` selects nothing; the keyword stays accepted
+    again = sweep_locus(2, workers=2)
+    for column in COLUMNS:
+        assert np.array_equal(getattr(again, column), getattr(sweep2, column)), column
+    assert (again.failures, again.raw_counts) == (sweep2.failures, sweep2.raw_counts) == ([], {})
+    assert again.fibers_json() == sweep2.fibers_json()
+    assert len(sweep2.fibers_json()) == grass_count(2)
 
 
 def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
-    assert all(f.raw_count is not None and f.raw_ok for f in sweep.fibers)
+    assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
+    assert all(sweep.raw_ok().values())
     assert sweep.ok
 
 
 def test_sweep_full_oracle_p3_covers_each_type(sweep3):
     sweep = sweep_locus(3, full_oracle=True)
-    checked = [f for f in sweep.fibers if f.raw_count is not None]
-    assert {f.plane_type.kind for f in checked} == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-    assert all(f.raw_ok for f in checked)
+    checked = sorted(sweep.raw_counts)
+    assert {KINDS[sweep.kinds[row]] for row in checked} == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
+    assert all(sweep.raw_ok().values())
     assert sweep.x_count == sweep3.x_count
 
 
@@ -333,15 +344,17 @@ def test_worker_failure_carries_partial_results(monkeypatch):
         sweep_locus(2)
     partial = excinfo.value.partial
     assert partial is not None
-    assert len(partial.fibers) == 10
+    assert len(partial.plane_index) == 10
     assert not partial.ok
 
 
-def test_fiber_report_json():
+def test_fiber_report_json(sweep2):
     plane = plane_of(2, (1, 0, 0, 0), (0, 0, 1, 0))
-    report = FiberReport(0, plane, classify_plane(plane), 1, 1, True)
-    data = report.to_json()
+    (row,) = [row for row in range(len(sweep2.plane_index)) if sweep2.plane(row) == plane]
+    data = sweep2.fibers_json()[row]
     assert data["ok"] is True
+    assert data["detzero_count"] == data["expected"] == 1
+    assert "raw_count" not in data
     assert data["plane"] == {"p": 2, "basis": [[1, 0, 0, 0], [0, 0, 1, 0]]}
     assert data["plane_type"] == {"kind": SHARED_RIGHT, "shared_point": [1, 0]}
 
@@ -352,8 +365,7 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
     real_worker = locus_module._plane_worker
 
     def wrong(args):
-        ptype, count = real_worker(args)
-        return ptype, count + 1
+        return real_worker(args) + 1
 
     monkeypatch.setattr(locus_module, "_plane_worker", wrong)
     sweep = sweep_locus(2)
@@ -382,6 +394,6 @@ def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
     sweep = sweep_locus(2)
     assert not sweep.ok
     assert any("shares neither factor" in f for f in sweep.failures)
-    assert sum(sweep.tallies.values()) == len(sweep.fibers) < grass_count(2)
+    assert sum(sweep.tallies.values()) == len(sweep.plane_index) < grass_count(2)
     assert cli.main(["verify-locus", "--prime", "5", "--workers", "1"]) == 1
     assert "shares neither factor" in capsys.readouterr().out
