@@ -20,9 +20,8 @@ from .hilbert import (
     twist,
 )
 from .locus import (
-    Plane, PlaneType, SUPPORTED_PRIMES, VerificationError, WorkerFailure,
-    classify_plane, enumerate_planes, fiber_detzero_count, kernel_detzero_count,
-    moduli_point_count, raw_oracle_count, sweep_locus, total_X_count,
+    Plane, SUPPORTED_PRIMES, VerificationError, WorkerFailure, enumerate_planes,
+    fiber_detzero_count, moduli_point_count, raw_oracle_count, sweep_locus,
 )
 from .report import RunConfig, build_report, load_golden
 

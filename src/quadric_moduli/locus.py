@@ -10,7 +10,12 @@ into one table of bases, classifies them all at once by their rank-one
 structure, counts determinant-zero points in every fiber, and assembles
 the total point counts that must match the Betti-polynomial evaluation.
 A sweep's result stays in columns, one row per plane, from the table to
-the rendered fiber reports; Plane is the single-plane API.
+the rendered fiber reports.  Each decision of the plane layer (the kind
+of a plane, the count its kind predicts, the kernel-route count and the
+check of K) has one implementation, which works on arrays of planes.
+Plane is the single-plane input type: it validates a basis and feeds the
+fiber join and the raw oracle, and a sweep builds one only for a raw-oracle
+target or to name an unclassifiable plane.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -52,8 +57,10 @@ ENUMERATION_PRIMES = (2, 3)
 GENERIC = "generic"
 SHARED_RIGHT = "shared-right"
 SHARED_LEFT = "shared-left"
-#: Plane kinds, indexed by the kind codes of classify_planes; code -1 marks
-#: a rank-one plane that shares neither tensor factor.
+#: Plane kinds, indexed by the kind codes of classify_planes: some element
+#: has rank 2; every element is v1 tensor v for one point v of the second
+#: factor; every element is v tensor v2 for one point v of the first factor.
+#: Code -1 marks a rank-one plane that shares neither tensor factor.
 KINDS = (GENERIC, SHARED_RIGHT, SHARED_LEFT)
 
 
@@ -132,29 +139,11 @@ class Plane:
         return (BiForm(field, 1, 1, self.rows[0]), BiForm(field, 1, 1, self.rows[1]))
 
 
-@dataclass(frozen=True)
-class PlaneType:
-    """Classification of a plane by the rank-one structure of its elements.
-
-    generic: some element has rank 2 (rank1_lines counts the rank-one
-    lines of the plane, the projective roots of the associated binary
-    quadratic); shared-right: every element is v1 tensor v for one point v
-    of the second factor; shared-left: every element is v tensor v2 for one
-    point v of the first factor.
-    """
-
-    kind: str
-    rank1_lines: int | None = None
-    shared_point: tuple[int, int] | None = None
-
-    def expected_detzero(self, p: int) -> int:
-        if self.kind == GENERIC:
-            return 0
-        if self.kind == SHARED_RIGHT:
-            return 1
-        if self.kind == SHARED_LEFT:
-            return p + 1
-        raise ValueError(f"unknown plane kind {self.kind!r}")
+def expected_detzero(p: int) -> np.ndarray:
+    """The det-zero count of a fiber that each plane kind predicts, indexed
+    by kind code: no point over a generic plane, one over a shared-right
+    plane and p + 1 over a shared-left plane."""
+    return np.array([0, 1, p + 1], dtype=np.int64)
 
 
 def generic_orbit_sizes(p: int) -> dict[int, int]:
@@ -243,17 +232,6 @@ def _classify_rank_one(p: int, rows) -> tuple[int, tuple[int, int]]:
     if proportional(v1, v2):
         return KINDS.index(SHARED_LEFT), _normalize_projective(field, v1.coeffs)
     return -1, (0, 0)
-
-
-def classify_plane(plane: Plane) -> PlaneType:
-    """classify_planes on one plane, as a PlaneType; raises the
-    VerificationError of a rank-one plane that shares neither factor."""
-    (code,), (rank1_lines,), (shared_point,) = classify_planes(plane.p, [plane.rows])
-    if code < 0:
-        raise VerificationError(f"rank-one plane {plane} shares neither factor")
-    if KINDS[code] == GENERIC:
-        return PlaneType(GENERIC, rank1_lines=int(rank1_lines))
-    return PlaneType(KINDS[code], shared_point=tuple(shared_point.tolist()))
 
 
 # -- the det2 action on first columns and the fiber model -------------------
@@ -360,10 +338,8 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
         raise ValueError("fiber counting needs an independent plane basis")
     matrix = det_action_matrix(f1, f2)
     k_rows = _k_rows(f1, f2)
-    for k_vec in k_rows:
-        image = matrix @ np.array(k_vec, dtype=np.int64)
-        if (image % p).any():
-            raise VerificationError("factoring first-columns must have zero determinant")
+    if not _factoring_ok(p, matrix[None], np.array([k_rows], dtype=np.int64))[0]:
+        raise VerificationError("factoring first-columns must have zero determinant")
     return _join_count(p, matrix, k_rows, reverse_complement)
 
 
@@ -439,34 +415,19 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def kernel_detzero_counts(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Det-zero points of the fibers over a batch of planes, given by their
-    basis rows as in action_matrices, via the rank of the determinant
-    action: the determinant is linear in the first column, so the det-zero
-    fiber points form the projectivization of (ker / K), of dimension
-    dim ker - 2.  Returns the counts and, per plane, whether K lies in the
-    kernel as it must; a count is meaningful only where it does."""
-    matrices, k_bases = action_matrices(p, rows)
-    return _kernel_counts(p, matrices), _factoring_ok(p, matrices, k_bases)
-
-
 def _factoring_ok(p: int, matrices: np.ndarray, k_bases: np.ndarray) -> np.ndarray:
-    """Per plane, whether both K rows lie in the kernel of the action."""
+    """Per plane, whether both K rows lie in the kernel of the action, as
+    they must: a count of either route is meaningful only where they do."""
     return ~(matrices @ k_bases.transpose(0, 2, 1) % p).any(axis=(1, 2))
 
 
 def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
+    """Det-zero points of the fibers over a stack of action matrices, via
+    their ranks: the determinant is linear in the first column, so the
+    det-zero fiber points form the projectivization of (ker / K), of
+    dimension dim ker - 2."""
     quotient_dim = 10 - _ranks_mod_p(matrices, p)
     return (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
-
-
-def kernel_detzero_count(plane: Plane) -> int:
-    """Kernel-route count of one plane, as a batch of one.  Exact, and
-    cross-checked against the enumeration route by the test suite."""
-    counts, factoring_ok = kernel_detzero_counts(plane.p, [plane.rows])
-    if not factoring_ok[0]:
-        raise VerificationError("factoring first-columns must have zero determinant")
-    return int(counts[0])
 
 
 def raw_oracle_maps(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
@@ -540,8 +501,7 @@ class LocusSweep:
     @property
     def expected_counts(self) -> np.ndarray:
         """Per row, the det-zero count that the plane's kind predicts."""
-        by_kind = [PlaneType(kind).expected_detzero(self.p) for kind in KINDS]
-        return np.array(by_kind, dtype=np.int64)[self.kinds]
+        return expected_detzero(self.p)[self.kinds]
 
     def raw_ok(self) -> dict[int, bool]:
         """Per raw-oracle row, whether its raw count meets the coset
@@ -672,15 +632,6 @@ def _collect_failures(sweep: LocusSweep):
             f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
 
 
-def total_X_count(p: int, *, full_oracle: bool = False) -> int:
-    """Total det-zero points over all planes; raises VerificationError on
-    any mismatch with the predicted locus structure."""
-    sweep = sweep_locus(p, full_oracle=full_oracle)
-    if not sweep.ok:
-        raise VerificationError("; ".join(sweep.failures))
-    return sweep.x_count
-
-
 def stratified_moduli_count(p: int, x_count: int) -> int:
     """Point count of the moduli space from its strata: the fiber-bundle
     count minus the det-zero locus, plus the universal-curve stratum, plus
@@ -692,6 +643,11 @@ def stratified_moduli_count(p: int, x_count: int) -> int:
 
 
 def moduli_point_count(p: int) -> int:
-    """Stratified F_p point count of the moduli space.  Must agree with the
-    Betti-polynomial evaluation at p; the test suite asserts that equality."""
-    return stratified_moduli_count(p, total_X_count(p))
+    """Stratified F_p point count of the moduli space, from a sweep of the
+    det-zero locus at p.  Raises VerificationError, naming every failure,
+    if the sweep records any.  Must agree with the Betti-polynomial
+    evaluation at p; the test suite asserts that equality."""
+    sweep = sweep_locus(p)
+    if not sweep.ok:
+        raise VerificationError("; ".join(sweep.failures))
+    return stratified_moduli_count(p, sweep.x_count)

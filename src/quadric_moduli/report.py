@@ -70,13 +70,18 @@ def load_golden(path: str | None = None) -> dict:
         if (not isinstance(betti["coeffs_desc"], list)
                 or not all(type(c) is int for c in betti["coeffs_desc"])
                 or type(betti["euler"]) is not int
-                or type(betti["degree"]) is not int):
+                or type(betti["degree"]) is not int
+                or not isinstance(betti["origin"], str)):
             raise GoldenError("golden betti section has the wrong shape")
-        data["hilbert"]["resolutions"]
+        for key in ("resolutions", "combinations", "twists"):
+            if not isinstance(data["hilbert"][key], list):
+                raise GoldenError(f"golden hilbert {key} must be a list")
         for section in ("moduli_point_counts", "detzero_totals"):
             values = data[section]["values"]
+            # a key such as "02" would never match the str(p) lookup
             if not (isinstance(values, dict)
-                    and all(key.isdecimal() and type(v) is int for key, v in values.items())):
+                    and all(key.isdecimal() and str(int(key)) == key and type(v) is int
+                            for key, v in values.items())):
                 raise GoldenError(f"golden {section} values must map primes to integers")
     except (KeyError, TypeError) as exc:
         raise GoldenError(f"golden file is missing required entries: {exc}") from exc

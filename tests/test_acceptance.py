@@ -20,7 +20,7 @@ from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_plane, enumerate_planes,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, enumerate_planes,
     fiber_detzero_count, moduli_point_count, raw_oracle_count, sweep_locus,
 )
 from quadric_moduli.locus import _canonical_vectors
@@ -138,8 +138,10 @@ def test_criterion_6_raw_oracle_identity():
             fiber = fiber_detzero_count(plane)
             assert raw_oracle_count(plane) == 4 + 4 * fiber
         seen = {}
-        for plane in enumerate_planes(3):
-            kind = classify_plane(plane).kind
+        planes3 = list(enumerate_planes(3))
+        kinds, _, _ = classify_planes(3, [plane.rows for plane in planes3])
+        for plane, code in zip(planes3, kinds.tolist()):
+            kind = KINDS[code]
             if kind not in seen:
                 seen[kind] = plane
             if len(seen) == 3:

@@ -70,18 +70,31 @@ def test_verify_corrupt_golden_exits_2(tmp_path):
     assert run_cli("verify", "--primes", "2", "--golden", str(bad)).returncode == 2
 
 
+#: Stands for a key deleted from the golden file.
+DELETED = object()
+
+
 @pytest.mark.parametrize("keys,value", [
     (("detzero_totals", "values", "2"), "12"),
     (("moduli_point_counts", "values"), [58311]),
     (("betti", "euler"), True),
-], ids=["string-total", "list-of-counts", "boolean-euler"])
+    (("hilbert", "resolutions"), 5),
+    (("betti", "origin"), DELETED),
+    (("hilbert", "combinations"), DELETED),
+    (("moduli_point_counts", "values"),
+     {"02": 58311, "3": 5520988, "5": 2468261466, "7": 157574109176}),
+], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
+        "no-betti-origin", "no-combinations", "zero-padded-prime"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
     section = golden
     for key in keys[:-1]:
         section = section[key]
-    section[keys[-1]] = value
+    if value is DELETED:
+        del section[keys[-1]]
+    else:
+        section[keys[-1]] = value
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(golden), encoding="utf-8")
     assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
@@ -295,6 +308,16 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     assert doc["worker_failure"]
     assert len(doc["fibers"]) == 5
     assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_LOCUS_DIGEST
+
+
+@pytest.mark.parametrize("argv", [["verify", "--primes", "2"], ["verify-locus", "--prime", "2"]],
+                         ids=["verify", "verify-locus"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing-dir" / "r.json"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output file" in err
+    assert "internal error" not in err
 
 
 def test_verification_mismatch_exit_1(monkeypatch, capsys):

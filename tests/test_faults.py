@@ -30,12 +30,14 @@ def test_corrupted_raw_oracle_map(monkeypatch, capsys):
 
 
 def test_wrong_expected_detzero(monkeypatch, capsys):
-    real = locus_module.PlaneType.expected_detzero
+    real = locus_module.expected_detzero
 
-    def wrong(self, p):
-        return real(self, p) + (self.kind == SHARED_LEFT)
+    def wrong(p):
+        by_kind = real(p).copy()
+        by_kind[KINDS.index(SHARED_LEFT)] += 1
+        return by_kind
 
-    monkeypatch.setattr(locus_module.PlaneType, "expected_detzero", wrong)
+    monkeypatch.setattr(locus_module, "expected_detzero", wrong)
     code, out = run_verify(capsys)
     assert code == 1
     assert "(shared-left): det-zero count 3, expected 4" in out

@@ -13,9 +13,10 @@ import quadric_moduli.cli as cli
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _canonical_vectors,
-    _coinciding_pairs, _complement_columns, _k_rows, classify_plane, det_action_matrix,
-    enumerate_planes, fiber_detzero_count, kernel_detzero_counts, raw_oracle_count,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _canonical_vectors,
+    _coinciding_pairs, _complement_columns, _factoring_ok, _k_rows, _kernel_counts,
+    action_matrices, classify_planes, det_action_matrix, enumerate_planes, fiber_detzero_count,
+    raw_oracle_count,
 )
 
 
@@ -66,16 +67,19 @@ def test_fiber_join_equals_kernel_route(p, sample):
     planes = list(enumerate_planes(p))
     if sample is not None:
         planes = random.Random(p).sample(planes, sample)
-    counts, factoring_ok = kernel_detzero_counts(p, [plane.rows for plane in planes])
-    assert factoring_ok.all()
+    matrices, k_bases = action_matrices(p, [plane.rows for plane in planes])
+    assert _factoring_ok(p, matrices, k_bases).all()
+    counts = _kernel_counts(p, matrices)
     assert [fiber_detzero_count(plane) for plane in planes] == counts.tolist()
 
 
 def test_raw_join_equals_pairwise_comparison():
     planes = list(enumerate_planes(2))
     first_of_kind = {}
-    for plane in enumerate_planes(3):
-        first_of_kind.setdefault(classify_plane(plane).kind, plane)
+    planes3 = list(enumerate_planes(3))
+    kinds, _, _ = classify_planes(3, [plane.rows for plane in planes3])
+    for plane, kind in zip(planes3, kinds.tolist()):
+        first_of_kind.setdefault(KINDS[kind], plane)
     assert set(first_of_kind) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
     for plane in planes + list(first_of_kind.values()):
         assert raw_oracle_count(plane) == paired_raw_count(plane)

@@ -12,7 +12,7 @@ import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _k_rows, action_matrices, det_action_matrix, enumerate_planes, kernel_detzero_counts,
+    _factoring_ok, _k_rows, _kernel_counts, action_matrices, det_action_matrix, enumerate_planes,
 )
 
 
@@ -26,8 +26,9 @@ def reference_count(plane) -> int:
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_batched_counts_equal_per_plane_rank(p):
     planes = list(enumerate_planes(p))
-    counts, factoring_ok = kernel_detzero_counts(p, [plane.rows for plane in planes])
-    assert factoring_ok.all()
+    matrices, k_bases = action_matrices(p, [plane.rows for plane in planes])
+    assert _factoring_ok(p, matrices, k_bases).all()
+    counts = _kernel_counts(p, matrices)
     assert counts.tolist() == [reference_count(plane) for plane in planes]
 
 

@@ -7,17 +7,23 @@ from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli
 from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, PlaneType, VerificationError,
-    WorkerFailure, classify_plane, classify_planes, detzero_count_for_basis, enumerate_planes,
-    expected_x_count, fiber_detzero_count, grass_count, kernel_detzero_count,
-    moduli_point_count, plane_bases, projective_count, raw_oracle_count,
-    stratified_moduli_count, sweep_locus, total_X_count,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError, WorkerFailure,
+    action_matrices, classify_planes, detzero_count_for_basis, enumerate_planes,
+    expected_detzero, expected_x_count, fiber_detzero_count, grass_count, moduli_point_count,
+    plane_bases, projective_count, raw_oracle_count, stratified_moduli_count, sweep_locus,
 )
-from quadric_moduli.locus import _canonical_vectors
+from quadric_moduli.locus import _canonical_vectors, _factoring_ok, _kernel_counts
 
 
 def plane_of(p, *rows):
     return Plane(p, tuple(tuple(r) for r in rows))
+
+
+def classify_one(plane: Plane) -> tuple[str, int, tuple[int, int]]:
+    """classify_planes on a batch of one: kind, rank1_lines, shared point."""
+    (code,), (rank1_lines,), (point,) = classify_planes(plane.p, [plane.rows])
+    assert code >= 0
+    return KINDS[code], int(rank1_lines), tuple(point.tolist())
 
 
 # -- plane enumeration --------------------------------------------------------
@@ -76,26 +82,26 @@ def test_plane_from_forms_canonicalizes():
 def test_classify_shared_right_canonical():
     # span{x z, y z}: every element is (ax + by) tensor z
     plane = plane_of(2, (1, 0, 0, 0), (0, 0, 1, 0))
-    ptype = classify_plane(plane)
-    assert ptype == PlaneType(SHARED_RIGHT, shared_point=(1, 0))
-    assert ptype.expected_detzero(2) == 1
+    kind, _, point = classify_one(plane)
+    assert (kind, point) == (SHARED_RIGHT, (1, 0))
+    assert expected_detzero(2)[KINDS.index(kind)] == 1
 
 
 def test_classify_shared_left_canonical():
     # span{x z, x w}: every element is x tensor (cz + dw)
     plane = plane_of(2, (1, 0, 0, 0), (0, 1, 0, 0))
-    ptype = classify_plane(plane)
-    assert ptype == PlaneType(SHARED_LEFT, shared_point=(1, 0))
-    assert ptype.expected_detzero(2) == 3
-    assert ptype.expected_detzero(3) == 4
+    kind, _, point = classify_one(plane)
+    assert (kind, point) == (SHARED_LEFT, (1, 0))
+    assert expected_detzero(2)[KINDS.index(kind)] == 3
+    assert expected_detzero(3)[KINDS.index(kind)] == 4
 
 
 def test_classify_generic_with_double_root():
     # span{x z + y w, x w}: q(s, t) = s^2, one projective root
     plane = plane_of(2, (1, 0, 0, 1), (0, 1, 0, 0))
-    ptype = classify_plane(plane)
-    assert ptype == PlaneType(GENERIC, rank1_lines=1)
-    assert ptype.expected_detzero(2) == 0
+    kind, rank1_lines, _ = classify_one(plane)
+    assert (kind, rank1_lines) == (GENERIC, 1)
+    assert expected_detzero(2)[KINDS.index(kind)] == 0
 
 
 def rank1_lines_by_sweep(plane: Plane) -> int:
@@ -178,8 +184,11 @@ def test_canonical_vector_tables():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_agrees_with_kernel_route(p):
-    for plane in enumerate_planes(p):
-        assert fiber_detzero_count(plane) == kernel_detzero_count(plane)
+    matrices, k_bases = action_matrices(p, plane_bases(p))
+    assert _factoring_ok(p, matrices, k_bases).all()
+    kernel_counts = _kernel_counts(p, matrices).tolist()
+    for plane, kernel_count in zip(enumerate_planes(p), kernel_counts, strict=True):
+        assert fiber_detzero_count(plane) == kernel_count
 
 
 def test_detzero_count_guards():
@@ -241,9 +250,10 @@ def test_raw_oracle_rejects_large_primes():
 
 # -- totals and the stratified count ---------------------------------------------
 
-def test_total_x_counts():
-    assert total_X_count(2) == 12 == expected_x_count(2)
-    assert total_X_count(3) == 20 == expected_x_count(3)
+def test_total_x_counts(sweep2, sweep3):
+    assert sweep2.ok and sweep3.ok
+    assert sweep2.x_count == 12 == expected_x_count(2)
+    assert sweep3.x_count == 20 == expected_x_count(3)
 
 
 def test_sweep_method_gating():
@@ -312,6 +322,24 @@ def test_sweep_is_deterministic(sweep2):
     assert len(sweep2.fibers_json()) == grass_count(2)
 
 
+@pytest.mark.parametrize("p,full_oracle,built", [
+    (7, False, 0), (5, False, 0), (2, True, 35), (3, True, 3),
+])
+def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, built):
+    # the sweep stays in columns: a Plane is built only per raw-oracle target
+    real = Plane.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(self.rows)
+        real(self)
+
+    monkeypatch.setattr(Plane, "__post_init__", counting)
+    sweep = sweep_locus(p, full_oracle=full_oracle)
+    assert sweep.ok
+    assert len(calls) == built == len(sweep.raw_counts)
+
+
 def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
     assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
@@ -373,7 +401,7 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
     assert any("det-zero count" in f for f in sweep.failures)
 
     with pytest.raises(VerificationError):
-        total_X_count(2)
+        moduli_point_count(2)
 
 
 def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
