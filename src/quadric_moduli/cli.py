@@ -3,8 +3,10 @@
 Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
 input or environment, 3 worker failure (a partial report is still
-written).  Machine output is canonical JSON (sorted keys); identical
-configurations produce byte-identical reports, for any --workers.
+written).  Machine output is canonical JSON (sorted keys, indent 2);
+identical configurations produce byte-identical reports, for any
+--workers.  The verify-locus fiber list is written directly from the
+sweep's columns, in that same canonical form.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
 from .locus import SUPPORTED_PRIMES, VerificationError, WorkerFailure, sweep_locus
 from .report import (
-    GoldenError, RunConfig, betti_section, build_report, load_golden, locus_summary,
-    to_json_text,
+    GoldenError, RunConfig, betti_section, build_report, load_golden, locus_document_text,
+    locus_summary, to_json_text,
 )
 
 EXIT_OK = 0
@@ -154,10 +156,7 @@ def cmd_verify_locus(args) -> int:
     except WorkerFailure as failure:
         sweep, worker_failure = failure.partial, str(failure)
     summary = locus_summary(sweep, golden)
-    doc = {"prime": args.prime, "fibers": sweep.fibers_json(), "summary": summary}
-    if worker_failure is not None:
-        doc["worker_failure"] = worker_failure
-    _emit(to_json_text(doc), args.out)
+    _emit(locus_document_text(sweep, summary, worker_failure), args.out)
     if worker_failure is not None:
         return EXIT_WORKER
     return EXIT_OK if summary["ok"] else EXIT_MISMATCH

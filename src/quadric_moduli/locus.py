@@ -513,24 +513,6 @@ class LocusSweep:
     def plane(self, row: int) -> Plane:
         return Plane(self.p, self.bases[row].tolist())
 
-    def fibers_json(self) -> list[dict]:
-        """The per-plane reports of verify-locus, one per row."""
-        raw_ok = self.raw_ok()
-        columns = zip(self.plane_index.tolist(), self.bases.tolist(), self.kinds.tolist(),
-                      self.rank1_lines.tolist(), self.shared_points.tolist(),
-                      self.detzero_counts.tolist(), self.expected_counts.tolist())
-        fibers = []
-        for row, (index, basis, kind, rank1_lines, point, count, expected) in enumerate(columns):
-            plane_type = ({"kind": GENERIC, "rank1_lines": rank1_lines} if KINDS[kind] == GENERIC
-                          else {"kind": KINDS[kind], "shared_point": point})
-            fiber = {"plane_index": index, "plane": {"p": self.p, "basis": basis},
-                     "plane_type": plane_type, "detzero_count": count,
-                     "expected": expected, "ok": count == expected}
-            if row in raw_ok:
-                fiber.update(raw_count=self.raw_counts[row], raw_ok=raw_ok[row])
-            fibers.append(fiber)
-        return fibers
-
 
 def _plane_worker(item):
     """Enumeration route for one plane, given as (p, action matrix, K

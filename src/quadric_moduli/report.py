@@ -21,7 +21,8 @@ from .hilbert import (
     twist,
 )
 from .locus import (
-    SUPPORTED_PRIMES, LocusSweep, WorkerFailure, stratified_moduli_count, sweep_locus,
+    GENERIC, KINDS, SUPPORTED_PRIMES, LocusSweep, WorkerFailure, stratified_moduli_count,
+    sweep_locus,
 )
 
 
@@ -50,6 +51,19 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
+#: The keys of an entry of each golden hilbert list, with their JSON types.
+_HILBERT_ENTRY_TYPES = {
+    "resolutions": {"id": str, "origin": str, "positions": list, "expected_coeffs": list,
+                    "chi": int, "genus": int},
+    "combinations": {"id": str, "origin": str, "coeffs": list, "twists": list,
+                     "extra_coeffs": list, "expected_coeffs": list, "equals_line_bundle": list},
+    "twists": {"id": str, "origin": str, "start_coeffs": list, "shift": list,
+               "expected_coeffs": list},
+}
+#: Hilbert entry keys that may be absent.
+_OPTIONAL_HILBERT_KEYS = ("genus", "equals_line_bundle")
+
+
 def load_golden(path: str | None = None) -> dict:
     """Load and minimally validate the golden-value file."""
     try:
@@ -73,9 +87,16 @@ def load_golden(path: str | None = None) -> dict:
                 or type(betti["degree"]) is not int
                 or not isinstance(betti["origin"], str)):
             raise GoldenError("golden betti section has the wrong shape")
-        for key in ("resolutions", "combinations", "twists"):
-            if not isinstance(data["hilbert"][key], list):
+        for key, types in _HILBERT_ENTRY_TYPES.items():
+            entries = data["hilbert"][key]
+            if not isinstance(entries, list):
                 raise GoldenError(f"golden hilbert {key} must be a list")
+            for index, entry in enumerate(entries):
+                # a missing required key raises KeyError, reported below
+                if not (isinstance(entry, dict)
+                        and all(type(entry[name]) is kind for name, kind in types.items()
+                                if name in entry or name not in _OPTIONAL_HILBERT_KEYS)):
+                    raise GoldenError(f"golden hilbert {key}[{index}] has the wrong shape")
         for section in ("moduli_point_counts", "detzero_totals"):
             values = data[section]["values"]
             # a key such as "02" would never match the str(p) lookup
@@ -89,8 +110,42 @@ def load_golden(path: str | None = None) -> dict:
 
 
 def to_json_text(obj) -> str:
-    """Canonical JSON rendering used for all machine output."""
+    """Canonical JSON rendering used for all machine output (the verify-locus
+    fiber list is written in the same form by locus_document_text)."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# A fiber as to_json_text renders it in the verify-locus document, by kind.
+_BASIS_ROW = '          [\n' + ',\n'.join(['            {}'] * 4) + '\n          ]'
+_FIBER_HEAD = ('    {{\n      "detzero_count": {},\n      "expected": {},\n      "ok": {},\n'
+               '      "plane": {{\n        "basis": [\n' + _BASIS_ROW + ',\n' + _BASIS_ROW
+               + '\n        ],\n        "p": {}\n      }},\n      "plane_index": {},\n'
+               '      "plane_type": {{\n        "kind": "{}",\n')
+_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": {}\n      }}'
+_SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          {},\n          {}\n'
+                 '        ]\n      }}')
+_RAW_TAIL = ',\n      "raw_count": {},\n      "raw_ok": {}'
+
+
+def locus_document_text(sweep: LocusSweep, summary: dict,
+                        worker_failure: str | None = None) -> str:
+    """to_json_text of a verify-locus document, its fibers written from the sweep's columns."""
+    raw_tails = {row: _RAW_TAIL.format(sweep.raw_counts[row], str(ok).lower())
+                 for row, ok in sweep.raw_ok().items()}
+    fibers = []
+    for row, (index, basis, kind, lines, point, count, expected) in enumerate(zip(
+            sweep.plane_index.tolist(), sweep.bases.reshape(-1, 8).tolist(), sweep.kinds.tolist(),
+            sweep.rank1_lines.tolist(), sweep.shared_points.tolist(),
+            sweep.detzero_counts.tolist(), sweep.expected_counts.tolist())):
+        head = (count, expected, str(count == expected).lower(), *basis, sweep.p, index,
+                KINDS[kind])
+        fiber = (_GENERIC_FIBER.format(*head, lines) if KINDS[kind] == GENERIC
+                 else _SHARED_FIBER.format(*head, *point))
+        fibers.append(fiber + raw_tails.get(row, "") + "\n    }")
+    doc = {"fibers": [], "prime": sweep.p, "summary": summary, "worker_failure": worker_failure}
+    text = to_json_text({key: value for key, value in doc.items() if value is not None})
+    # "fibers" sorts first, so its [] is the first in the text
+    return text.replace("[]", "[\n" + ",\n".join(fibers) + "\n  ]", 1) if fibers else text
 
 
 # -- sections ---------------------------------------------------------------
@@ -101,9 +156,14 @@ def betti_section(golden: dict) -> dict:
     coeffs_desc = [computed.coeff(k) for k in range(computed.degree, -1, -1)]
     euler = eval_at(computed, 1)
     expected = golden["betti"]
+    # Poincare duality and hard Lefschetz on a smooth projective variety: the
+    # Betti list reads the same both ways and does not fall up to the middle
+    rising = coeffs_desc[:len(coeffs_desc) // 2 + 1]
     ok = (coeffs_desc == expected["coeffs_desc"]
           and euler == expected["euler"]
-          and computed.degree == expected["degree"])
+          and computed.degree == expected["degree"]
+          and coeffs_desc == coeffs_desc[::-1]
+          and all(a <= b for a, b in zip(rising, rising[1:])))
     return {
         "coeffs": coeffs_desc,
         "degree": computed.degree,

@@ -83,8 +83,12 @@ DELETED = object()
     (("hilbert", "combinations"), DELETED),
     (("moduli_point_counts", "values"),
      {"02": 58311, "3": 5520988, "5": 2468261466, "7": 157574109176}),
+    (("hilbert", "resolutions", 0, "positions"), DELETED),
+    (("hilbert", "twists", 0), 7),
+    (("hilbert", "combinations", 0, "coeffs"), DELETED),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
-        "no-betti-origin", "no-combinations", "zero-padded-prime"])
+        "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
+        "number-as-twist", "combination-without-coeffs"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -234,7 +238,8 @@ def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
     assert unset.stdout == with_env.stdout
 
 
-#: SHA-256 of the stdout of three headline runs, as pinned by the benchmark.
+#: SHA-256 of the stdout of the three headline runs pinned by the benchmark and
+#: of verify-locus at every supported prime.
 REPORT_DIGESTS = {
     ("verify", "--primes", "2,3,5,7"):
         "da4b2b13034c19cf8bb2f5e1436b07d0acd288a935b802c119b5aa0ad6fd2369",
@@ -242,12 +247,21 @@ REPORT_DIGESTS = {
         "84029a58be1e8d9a9910947165ee0e0b762eeca45a87a5a5f6838f98b62a1e0a",
     ("verify-locus", "--prime", "7"):
         "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
+    ("verify-locus", "--prime", "2"):
+        "8f6431004632c2a3e0fff6456620593523c95900f00e2aab9949b9be00c1964d",
+    ("verify-locus", "--prime", "3"):
+        "e1941d18976891197b5d69dd5f1430950ad716842890fe94c0dcdd6d5984a7a7",
+    ("verify-locus", "--prime", "5"):
+        "ca37664afc4a741afddb6ed469860d02b44ea39380f27f373ccd4e13d70d65cd",
     # raw_count/raw_ok on every plane
     ("verify-locus", "--prime", "2", "--full-oracle"):
         "7fa40fe4c5ad3bd7db06aa2acdf126f718f2610431a35a75b6ecca955d60204f",
     # one raw-oracle target per plane kind
     ("verify-locus", "--prime", "3", "--full-oracle"):
         "c30b733daa2e3b0652c1ef611cf22da45a42982b9c40a3865d2bd784a83f0ca4",
+    # full fiber enumeration at p = 5
+    ("verify-locus", "--prime", "5", "--full-oracle"):
+        "4e4d6f3b718b6a91945078731943f870efbd185a779d696baef33e15021f8033",
 }
 #: SHA-256 of the partial verify-locus --prime 2 document of a worker that
 #: fails on its sixth plane.
@@ -255,8 +269,7 @@ PARTIAL_LOCUS_DIGEST = "19ac1661cbab156ae157c0f21f9c240b4aa3e7f670893e4718b90a9d
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
-                         ids=["verify", "verify-full-oracle", "verify-locus",
-                              "verify-locus-full-oracle-2", "verify-locus-full-oracle-3"])
+                         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
 def test_report_bytes_are_pinned(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

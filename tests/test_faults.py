@@ -1,10 +1,15 @@
 """Injected defects, one per layer: each must flip the CLI verdict to exit
 code 1 and name the check that caught it."""
 
+import json
+
 import numpy as np
+import pytest
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
+import quadric_moduli.report as report_module
+from quadric_moduli.betti import XiPoly
 from quadric_moduli.locus import GENERIC, KINDS, SHARED_LEFT
 
 
@@ -76,3 +81,20 @@ def test_wrong_rank1_lines(monkeypatch, capsys):
     assert "17 generic planes with rank1_lines = 2, expected 18" in out
     assert "10 generic planes with rank1_lines = 1, expected 9" in out
     assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("coeffs_desc", [
+    [1, 3, 8, 10, 11, 11, 11, 11, 11, 11, 10, 8, 3, 2],
+    [1, 3, 8, 10, 11, 9, 11, 11, 9, 11, 10, 8, 3, 1],
+], ids=["not-palindromic", "falls-before-the-middle"])
+def test_betti_list_without_the_shape_of_a_smooth_projective_variety(
+        monkeypatch, capsys, tmp_path, coeffs_desc):
+    # the computed polynomial and the golden list agree, so only the shape
+    # check (Poincare duality, hard Lefschetz) can catch the defect
+    golden = report_module.load_golden()
+    golden["betti"].update(coeffs_desc=coeffs_desc, euler=sum(coeffs_desc))
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    monkeypatch.setattr(report_module, "poincare_moduli", lambda: XiPoly(coeffs_desc[::-1]))
+    assert cli.main(["betti", "--golden", str(path)]) == 1
+    assert "golden match: FAIL" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -13,10 +14,16 @@ from quadric_moduli.locus import (
     plane_bases, projective_count, raw_oracle_count, stratified_moduli_count, sweep_locus,
 )
 from quadric_moduli.locus import _canonical_vectors, _factoring_ok, _kernel_counts
+from quadric_moduli.report import load_golden, locus_document_text, locus_summary
 
 
 def plane_of(p, *rows):
     return Plane(p, tuple(tuple(r) for r in rows))
+
+
+def fibers_of(sweep) -> list[dict]:
+    """The parsed fiber list of the sweep's verify-locus document."""
+    return json.loads(locus_document_text(sweep, locus_summary(sweep, load_golden())))["fibers"]
 
 
 def classify_one(plane: Plane) -> tuple[str, int, tuple[int, int]]:
@@ -318,8 +325,8 @@ def test_sweep_is_deterministic(sweep2):
     for column in COLUMNS:
         assert np.array_equal(getattr(again, column), getattr(sweep2, column)), column
     assert (again.failures, again.raw_counts) == (sweep2.failures, sweep2.raw_counts) == ([], {})
-    assert again.fibers_json() == sweep2.fibers_json()
-    assert len(sweep2.fibers_json()) == grass_count(2)
+    assert fibers_of(again) == fibers_of(sweep2)
+    assert len(fibers_of(sweep2)) == grass_count(2)
 
 
 @pytest.mark.parametrize("p,full_oracle,built", [
@@ -379,7 +386,7 @@ def test_worker_failure_carries_partial_results(monkeypatch):
 def test_fiber_report_json(sweep2):
     plane = plane_of(2, (1, 0, 0, 0), (0, 0, 1, 0))
     (row,) = [row for row in range(len(sweep2.plane_index)) if sweep2.plane(row) == plane]
-    data = sweep2.fibers_json()[row]
+    data = fibers_of(sweep2)[row]
     assert data["ok"] is True
     assert data["detzero_count"] == data["expected"] == 1
     assert "raw_count" not in data

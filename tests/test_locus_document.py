@@ -1,0 +1,88 @@
+"""The verify-locus document writer against the canonical JSON encoder.
+
+report.locus_document_text writes the fiber list from fixed text templates.
+The reference here builds the same document as dicts, one fiber per row of
+the sweep, and renders it with json.dumps(indent=2, sort_keys=True)."""
+
+import json
+
+import pytest
+
+import quadric_moduli.cli as cli
+import quadric_moduli.locus as locus_module
+from quadric_moduli.locus import GENERIC, KINDS, WorkerFailure, expected_detzero, sweep_locus
+from quadric_moduli.report import load_golden, locus_summary, to_json_text
+
+
+def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
+    p = sweep.p
+    fibers = []
+    for row, index in enumerate(sweep.plane_index.tolist()):
+        kind = KINDS[sweep.kinds[row]]
+        count = int(sweep.detzero_counts[row])
+        expected = int(expected_detzero(p)[sweep.kinds[row]])
+        plane_type = ({"kind": kind, "rank1_lines": int(sweep.rank1_lines[row])}
+                      if kind == GENERIC
+                      else {"kind": kind, "shared_point": sweep.shared_points[row].tolist()})
+        fiber = {"plane_index": index, "plane": {"p": p, "basis": sweep.bases[row].tolist()},
+                 "plane_type": plane_type, "detzero_count": count, "expected": expected,
+                 "ok": count == expected}
+        if row in sweep.raw_counts:
+            raw = sweep.raw_counts[row]
+            # the coset identity of raw_oracle_count
+            fiber.update(raw_count=raw, raw_ok=raw == p * p + count * (p - 1) * p * p)
+        fibers.append(fiber)
+    doc = {"prime": p, "fibers": fibers, "summary": summary}
+    if worker_failure is not None:
+        doc["worker_failure"] = worker_failure
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def count_one_too_many(monkeypatch):
+    real = locus_module._plane_worker
+    monkeypatch.setattr(locus_module, "_plane_worker", lambda item: real(item) + 1)
+
+
+def corrupt_raw_oracle_map(monkeypatch):
+    real = locus_module.raw_oracle_maps
+
+    def corrupted(plane):
+        against_f2, against_f1 = real(plane)
+        against_f2 = against_f2.copy()
+        against_f2[0, 0] = (against_f2[0, 0] + 1) % plane.p
+        return against_f2, against_f1
+
+    monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
+
+
+def fail_on_plane_0(monkeypatch):
+    def boom(item):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(locus_module, "_plane_worker", boom)
+
+
+@pytest.mark.parametrize("p,flags,fault,code,marker", [
+    (2, (), None, 0, '"kind": "shared-left"'),
+    (3, (), None, 0, '"rank1_lines": 0'),
+    (5, (), None, 0, '"ok": true'),
+    (7, (), None, 0, '"shared_point": ['),
+    (2, ("--full-oracle",), None, 0, '"raw_ok": true'),
+    (3, ("--full-oracle",), None, 0, '"raw_ok": true'),
+    (2, (), count_one_too_many, 1, '"ok": false'),
+    (2, ("--full-oracle",), corrupt_raw_oracle_map, 1, '"raw_ok": false'),
+    (2, (), fail_on_plane_0, 3, '"fibers": [],'),
+], ids=["2", "3", "5", "7", "2-full-oracle", "3-full-oracle", "count-one-too-many",
+        "corrupt-raw-oracle-map", "fail-on-plane-0"])
+def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, code, marker):
+    if fault is not None:
+        fault(monkeypatch)
+    assert cli.main(["verify-locus", "--prime", str(p), *flags]) == code
+    text = capsys.readouterr().out
+    try:
+        sweep, worker_failure = sweep_locus(p, full_oracle=bool(flags)), None
+    except WorkerFailure as failure:
+        sweep, worker_failure = failure.partial, str(failure)
+    assert text == reference_document(sweep, locus_summary(sweep, load_golden()), worker_failure)
+    assert to_json_text(json.loads(text)) == text
+    assert marker in text
