@@ -20,8 +20,8 @@ from .hilbert import (
     twist,
 )
 from .locus import (
-    Plane, SUPPORTED_PRIMES, VerificationError, WorkerFailure, enumerate_planes,
-    fiber_detzero_count, moduli_point_count, raw_oracle_count, sweep_locus,
+    Plane, SUPPORTED_PRIMES, VerificationError, enumerate_planes, fiber_detzero_count,
+    moduli_point_count, raw_oracle_count, sweep_locus,
 )
 from .report import RunConfig, build_report, load_golden
 

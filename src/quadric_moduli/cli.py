@@ -2,11 +2,12 @@
 
 Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
-input or environment, 3 worker failure (a partial report is still
-written).  Machine output is canonical JSON (sorted keys, indent 2);
-identical configurations produce byte-identical reports, for any
---workers.  The verify-locus fiber list is written directly from the
-sweep's columns, in that same canonical form.
+input or environment, 3 a per-plane count raised (the sweep stopped
+there; the report of the partial sweep is still written).  Machine
+output is canonical JSON (sorted keys, indent 2); identical
+configurations produce byte-identical reports, for any --workers.  The
+verify-locus fiber list is written directly from the sweep's columns, in
+that same canonical form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import sys
 
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
-from .locus import SUPPORTED_PRIMES, VerificationError, WorkerFailure, sweep_locus
+from .locus import SUPPORTED_PRIMES, VerificationError, sweep_locus
 from .report import (
     GoldenError, RunConfig, betti_section, build_report, load_golden, locus_document_text,
     locus_summary, to_json_text,
@@ -61,35 +62,29 @@ def build_parser() -> argparse.ArgumentParser:
                              "inline or a file path")
     p_hilb.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
+    def add_sweep_args(p):
+        p.add_argument("--full-oracle", action="store_true",
+                       help="also run the raw pair sweeps (p = 2, 3) and full "
+                            "fiber enumeration at p = 5")
+        p.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="accepted for compatibility; has no effect "
+                            "(every sweep runs in one process)")
+        p.add_argument("--out", metavar="PATH", help="write the JSON document here")
+        p.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
+
     p_locus = sub.add_parser("verify-locus",
                              help="determinant-locus sweep over one prime (JSON output)")
     p_locus.add_argument("--prime", type=int, required=True, metavar="P",
                          help=f"one of {SUPPORTED_PRIMES}")
-    p_locus.add_argument("--full-oracle", action="store_true",
-                         help="also run the raw pair sweeps (p = 2, 3) and full "
-                              "fiber enumeration at p = 5")
-    p_locus.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="accepted for compatibility; has no effect "
-                              "(every sweep runs in one process)")
-    p_locus.add_argument("--out", metavar="PATH", help="write the JSON here instead of stdout")
-    p_locus.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
-
-    def add_verify_args(p):
-        p.add_argument("--primes", default="2,3", metavar="LIST",
-                       help="comma-separated primes (default: 2,3)")
-        p.add_argument("--full-oracle", action="store_true")
-        p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="accepted for compatibility; has no effect "
-                            "(every sweep runs in one process)")
-        p.add_argument("--out", metavar="PATH", help="write the JSON report here")
-        p.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
+    add_sweep_args(p_locus)
 
     p_verify = sub.add_parser("verify", help="run every check and print a summary")
-    add_verify_args(p_verify)
-    p_verify.add_argument("--json", action="store_true", help="print the JSON report")
-
     p_report = sub.add_parser("report", help="run every check and emit the JSON report")
-    add_verify_args(p_report)
+    for p in (p_verify, p_report):
+        p.add_argument("--primes", default="2,3", metavar="LIST",
+                       help="comma-separated primes (default: 2,3)")
+        add_sweep_args(p)
+    p_verify.add_argument("--json", action="store_true", help="print the JSON report")
 
     return parser
 
@@ -150,14 +145,10 @@ def cmd_hilbert(args) -> int:
 
 def cmd_verify_locus(args) -> int:
     golden = load_golden(args.golden)
-    worker_failure = None
-    try:
-        sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
-    except WorkerFailure as failure:
-        sweep, worker_failure = failure.partial, str(failure)
+    sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
     summary = locus_summary(sweep, golden)
-    _emit(locus_document_text(sweep, summary, worker_failure), args.out)
-    if worker_failure is not None:
+    _emit(locus_document_text(sweep, summary), args.out)
+    if sweep.worker_failure is not None:
         return EXIT_WORKER
     return EXIT_OK if summary["ok"] else EXIT_MISMATCH
 
@@ -185,16 +176,14 @@ def _human_report(report: dict) -> str:
 
 def _run_report(args, as_json: bool) -> int:
     config = RunConfig(primes=_parse_primes(args.primes), workers=args.workers,
-                       full_oracle=args.full_oracle, output_path=args.out)
+                       full_oracle=args.full_oracle)
     golden = load_golden(args.golden)
     report = build_report(config, golden)
     text = to_json_text(report)
-    if config.output_path:
-        _emit(text, config.output_path)
-        if not as_json:
-            sys.stdout.write(_human_report(report))
-    else:
-        sys.stdout.write(text if as_json else _human_report(report))
+    if args.out or as_json:
+        _emit(text, args.out)
+    if not as_json:
+        sys.stdout.write(_human_report(report))
     if "worker_failure" in report:
         return EXIT_WORKER
     return EXIT_OK if report["verdict"] else EXIT_MISMATCH

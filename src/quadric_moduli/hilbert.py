@@ -217,9 +217,6 @@ class ResolutionSpec:
                     raise ValueError(f"bad line-bundle label {label!r}; expected [a, b]")
         return cls(tuple(tuple(tuple(label) for label in pos) for pos in positions))
 
-    def to_json(self) -> dict:
-        return {"positions": [[[a, b] for a, b in pos] for pos in self.positions]}
-
 
 def _line_grid(a: int, b: int) -> tuple[int, int, int, int]:
     """Integer coefficients (1, n, m, mn) of (m + a + 1)(n + b + 1)."""

@@ -68,14 +68,6 @@ class VerificationError(Exception):
     """An expected-versus-computed mismatch in a verification sweep."""
 
 
-class WorkerFailure(Exception):
-    """The per-plane worker raised; carries the sweep of the planes before."""
-
-    def __init__(self, message: str, partial: "LocusSweep"):
-        super().__init__(message)
-        self.partial = partial
-
-
 def _check_prime(p: int):
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
@@ -469,7 +461,9 @@ class LocusSweep:
     plane, in plane_bases order, holding its index in plane_bases(p), basis,
     kind code, rank1_lines, shared point and det-zero count.  raw_counts
     maps the rows the raw oracle ran on to their raw counts; everything
-    else is derived from these columns."""
+    else is derived from these columns.  worker_failure names the per-plane
+    count that raised, if one did: the sweep then stops there and holds the
+    planes counted before it."""
 
     p: int
     method: str
@@ -481,6 +475,7 @@ class LocusSweep:
     detzero_counts: np.ndarray
     raw_counts: dict[int, int] = dataclass_field(default_factory=dict)
     failures: list[str] = dataclass_field(default_factory=list)
+    worker_failure: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -514,13 +509,6 @@ class LocusSweep:
         return Plane(self.p, self.bases[row].tolist())
 
 
-def _plane_worker(item):
-    """Enumeration route for one plane, given as (p, action matrix, K
-    basis): its det-zero count by the join."""
-    p, matrix, k_basis = item
-    return _join_count(p, matrix, k_basis.tolist())
-
-
 def sweep_method(p: int, full_oracle: bool) -> str:
     return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
 
@@ -534,13 +522,14 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     Both routes start from one pass over the plane table: plane_bases,
     classify_planes, and one contraction of the action tensors with every
     plane, whose K bases are checked against the kernel.  The kernel route
-    then row-reduces the whole stack; the enumeration route runs the
-    per-plane worker (the join) on each contracted matrix, in order.  Only
-    raw-oracle targets and unclassifiable planes are built as Plane objects.
-    `workers` must be >= 1 and selects nothing: every sweep runs in this
-    process.  Raises WorkerFailure (carrying the partial sweep) if the
-    worker raises; mismatches never raise here, they are recorded in
-    `failures`.
+    then row-reduces the whole stack; the enumeration route runs the join
+    on each contracted matrix, in order.  Only raw-oracle targets and
+    unclassifiable planes are built as Plane objects.  `workers` must be
+    >= 1 and selects nothing: every sweep runs in this process.  If a
+    per-plane count raises anything but VerificationError, the sweep stops
+    there and is returned partial, with the message in `worker_failure`
+    and in `failures` and no raw oracle run; mismatches never raise here,
+    they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -551,18 +540,18 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     method = sweep_method(p, full_oracle)
     failures = [f"plane {index}: factoring first-columns must have zero determinant"
                 for index in np.flatnonzero(~_factoring_ok(p, matrices, k_bases))]
-    failure_message = None
+    worker_failure = None
     if method == "kernel":
         counts = _kernel_counts(p, matrices)
     else:
         counts = []
         try:
             for matrix, k_basis in zip(matrices, k_bases):
-                counts.append(_plane_worker((p, matrix, k_basis)))
+                counts.append(_join_count(p, matrix, k_basis.tolist()))
         except VerificationError:
             raise
-        except Exception as exc:  # report and salvage partial work
-            failure_message = f"worker failed on plane {len(counts)}: {exc}"
+        except Exception as exc:  # keep the planes counted so far
+            worker_failure = f"worker failed on plane {len(counts)}: {exc}"
         counts = np.array(counts, dtype=np.int64)
 
     done = kinds[:len(counts)]
@@ -570,10 +559,11 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
                  f"shares neither factor" for index in np.flatnonzero(done < 0)]
     rows = np.flatnonzero(done >= 0)
     sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
-                       shared_points[rows], counts[rows], failures=failures)
-    if failure_message is not None:
-        sweep.failures.append(failure_message)
-        raise WorkerFailure(failure_message, sweep)
+                       shared_points[rows], counts[rows], failures=failures,
+                       worker_failure=worker_failure)
+    if worker_failure is not None:
+        sweep.failures.append(worker_failure)
+        return sweep
 
     if full_oracle and p in RAW_SWEEP_PRIMES:
         first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]

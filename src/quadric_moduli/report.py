@@ -12,6 +12,7 @@ so identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -21,8 +22,7 @@ from .hilbert import (
     twist,
 )
 from .locus import (
-    GENERIC, KINDS, SUPPORTED_PRIMES, LocusSweep, WorkerFailure, stratified_moduli_count,
-    sweep_locus,
+    GENERIC, KINDS, SUPPORTED_PRIMES, LocusSweep, stratified_moduli_count, sweep_locus,
 )
 
 
@@ -37,7 +37,6 @@ class RunConfig:
     primes: tuple[int, ...]
     workers: int = 1
     full_oracle: bool = False
-    output_path: str | None = None
 
     def __post_init__(self):
         bad = [p for p in self.primes if p not in SUPPORTED_PRIMES]
@@ -51,21 +50,45 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
 
 
-#: The keys of an entry of each golden hilbert list, with their JSON types.
-_HILBERT_ENTRY_TYPES = {
-    "resolutions": {"id": str, "origin": str, "positions": list, "expected_coeffs": list,
-                    "chi": int, "genus": int},
-    "combinations": {"id": str, "origin": str, "coeffs": list, "twists": list,
-                     "extra_coeffs": list, "expected_coeffs": list, "equals_line_bundle": list},
-    "twists": {"id": str, "origin": str, "start_coeffs": list, "shift": list,
-               "expected_coeffs": list},
+def _is_int(value) -> bool:
+    return type(value) is int  # rejects JSON booleans, which isinstance accepts
+
+
+def _is_coefficient(value) -> bool:
+    """An exact coefficient as BiPoly.to_json writes it: an int or a "num/den" string."""
+    return _is_int(value) or (isinstance(value, str)
+                              and re.fullmatch(r"-?\d+/\d*[1-9]\d*", value) is not None)
+
+
+def _list_of(check, length=None):
+    return lambda value: (isinstance(value, list) and length in (None, len(value))
+                          and all(map(check, value)))
+
+
+def _is_resolution(value) -> bool:
+    try:
+        return bool(ResolutionSpec.from_json({"positions": value}))
+    except ValueError:
+        return False
+
+
+_COEFFS, _PAIR = _list_of(_is_coefficient), _list_of(_is_int, 2)
+_GRID = _list_of(_COEFFS)
+#: The keys of an entry of each golden hilbert list, besides the strings
+#: "id" and "origin", with a check of each value.
+_HILBERT_ENTRY_CHECKS = {
+    "resolutions": {"positions": _is_resolution, "expected_coeffs": _GRID, "chi": _is_int,
+                    "genus": _is_int},
+    "combinations": {"coeffs": _COEFFS, "twists": _list_of(_PAIR), "extra_coeffs": _GRID,
+                     "expected_coeffs": _GRID, "equals_line_bundle": _PAIR},
+    "twists": {"start_coeffs": _GRID, "shift": _PAIR, "expected_coeffs": _GRID},
 }
 #: Hilbert entry keys that may be absent.
 _OPTIONAL_HILBERT_KEYS = ("genus", "equals_line_bundle")
 
 
 def load_golden(path: str | None = None) -> dict:
-    """Load and minimally validate the golden-value file."""
+    """Load the golden-value file and check the shape of every entry it reads."""
     try:
         if path is None:
             text = resources.files("quadric_moduli.data").joinpath("golden.json").read_text()
@@ -80,21 +103,20 @@ def load_golden(path: str | None = None) -> dict:
         raise GoldenError(f"golden file is not valid JSON: {exc}") from exc
     try:
         betti = data["betti"]
-        # `type(...) is int` rejects JSON booleans, which isinstance accepts
-        if (not isinstance(betti["coeffs_desc"], list)
-                or not all(type(c) is int for c in betti["coeffs_desc"])
-                or type(betti["euler"]) is not int
-                or type(betti["degree"]) is not int
+        if (not _list_of(_is_int)(betti["coeffs_desc"])
+                or not _is_int(betti["euler"])
+                or not _is_int(betti["degree"])
                 or not isinstance(betti["origin"], str)):
             raise GoldenError("golden betti section has the wrong shape")
-        for key, types in _HILBERT_ENTRY_TYPES.items():
+        for key, checks in _HILBERT_ENTRY_CHECKS.items():
             entries = data["hilbert"][key]
             if not isinstance(entries, list):
                 raise GoldenError(f"golden hilbert {key} must be a list")
             for index, entry in enumerate(entries):
                 # a missing required key raises KeyError, reported below
                 if not (isinstance(entry, dict)
-                        and all(type(entry[name]) is kind for name, kind in types.items()
+                        and all(isinstance(entry[name], str) for name in ("id", "origin"))
+                        and all(check(entry[name]) for name, check in checks.items()
                                 if name in entry or name not in _OPTIONAL_HILBERT_KEYS)):
                     raise GoldenError(f"golden hilbert {key}[{index}] has the wrong shape")
         for section in ("moduli_point_counts", "detzero_totals"):
@@ -127,8 +149,7 @@ _SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          {},\n      
 _RAW_TAIL = ',\n      "raw_count": {},\n      "raw_ok": {}'
 
 
-def locus_document_text(sweep: LocusSweep, summary: dict,
-                        worker_failure: str | None = None) -> str:
+def locus_document_text(sweep: LocusSweep, summary: dict) -> str:
     """to_json_text of a verify-locus document, its fibers written from the sweep's columns."""
     raw_tails = {row: _RAW_TAIL.format(sweep.raw_counts[row], str(ok).lower())
                  for row, ok in sweep.raw_ok().items()}
@@ -142,7 +163,8 @@ def locus_document_text(sweep: LocusSweep, summary: dict,
         fiber = (_GENERIC_FIBER.format(*head, lines) if KINDS[kind] == GENERIC
                  else _SHARED_FIBER.format(*head, *point))
         fibers.append(fiber + raw_tails.get(row, "") + "\n    }")
-    doc = {"fibers": [], "prime": sweep.p, "summary": summary, "worker_failure": worker_failure}
+    doc = {"fibers": [], "prime": sweep.p, "summary": summary,
+           "worker_failure": sweep.worker_failure}
     text = to_json_text({key: value for key, value in doc.items() if value is not None})
     # "fibers" sorts first, so its [] is the first in the text
     return text.replace("[]", "[\n" + ",\n".join(fibers) + "\n  ]", 1) if fibers else text
@@ -244,9 +266,10 @@ def locus_summary(sweep: LocusSweep, golden: dict) -> dict:
 
 
 def build_report(config: RunConfig, golden: dict) -> dict:
-    """Full verification report.  A worker failure is recorded in the
-    report (key "worker_failure") together with everything completed up to
-    that point; mismatches only flip the verdict."""
+    """Full verification report.  Mismatches only flip the verdict.  A sweep
+    that stops partway (LocusSweep.worker_failure) ends the run: its partial
+    summary is the last locus entry, and its message is recorded there and
+    at the top level under "worker_failure"."""
     report = {
         "tool": "quadric-moduli",
         "config": {
@@ -258,22 +281,14 @@ def build_report(config: RunConfig, golden: dict) -> dict:
         "hilbert": hilbert_section(golden),
         "locus": [],
     }
-    worker_failure = None
     for p in config.primes:
-        try:
-            sweep = sweep_locus(p, workers=config.workers, full_oracle=config.full_oracle)
-        except WorkerFailure as failure:
-            worker_failure = str(failure)
-            summary = locus_summary(failure.partial, golden)
-            summary["worker_failure"] = worker_failure
-            report["locus"].append(summary)
+        sweep = sweep_locus(p, workers=config.workers, full_oracle=config.full_oracle)
+        summary = locus_summary(sweep, golden)
+        report["locus"].append(summary)
+        if sweep.worker_failure is not None:
+            summary["worker_failure"] = report["worker_failure"] = sweep.worker_failure
             break
-        report["locus"].append(locus_summary(sweep, golden))
-    sections_ok = (report["betti"]["ok"] and report["hilbert"]["ok"]
-                   and all(s["ok"] for s in report["locus"])
-                   and len(report["locus"]) == len(config.primes))
-    if worker_failure is not None:
-        report["worker_failure"] = worker_failure
-        sections_ok = False
-    report["verdict"] = sections_ok
+    # a partial sweep lists its worker_failure among its failures, so it fails here too
+    report["verdict"] = (report["betti"]["ok"] and report["hilbert"]["ok"]
+                         and all(s["ok"] for s in report["locus"]))
     return report

@@ -86,9 +86,18 @@ DELETED = object()
     (("hilbert", "resolutions", 0, "positions"), DELETED),
     (("hilbert", "twists", 0), 7),
     (("hilbert", "combinations", 0, "coeffs"), DELETED),
+    (("hilbert", "resolutions", 0, "expected_coeffs"), [[None]]),
+    (("hilbert", "combinations", 0, "twists", 0), [1]),
+    (("hilbert", "combinations", 0, "equals_line_bundle"), [1]),
+    (("hilbert", "twists", 0, "shift"), [1, True]),
+    (("hilbert", "twists", 0, "start_coeffs"), [["x"]]),
+    (("hilbert", "combinations", 0, "coeffs"), ["x", -2]),
+    (("hilbert", "resolutions", 0, "positions"), [[[0, True]]]),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
         "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
-        "number-as-twist", "combination-without-coeffs"])
+        "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
+        "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
+        "non-numeric-combination-coefficient", "boolean-label"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -103,6 +112,16 @@ def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     path.write_text(json.dumps(golden), encoding="utf-8")
     assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
     assert "golden data error" in capsys.readouterr().err
+
+
+def test_verify_accepts_fraction_golden_coefficients(tmp_path, capsys):
+    from quadric_moduli.report import load_golden
+    golden = load_golden()
+    golden["hilbert"]["twists"][0]["expected_coeffs"] = [["4/2", 2], ["6/2"]]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 0
+    assert "verdict: PASS" in capsys.readouterr().out
 
 
 def test_hilbert_inline():
@@ -266,6 +285,14 @@ REPORT_DIGESTS = {
 #: SHA-256 of the partial verify-locus --prime 2 document of a worker that
 #: fails on its sixth plane.
 PARTIAL_LOCUS_DIGEST = "19ac1661cbab156ae157c0f21f9c240b4aa3e7f670893e4718b90a9d04fdc068"
+#: SHA-256 of the partial verify --primes 2,3 outputs, JSON and human, of a
+#: join that fails on its sixth call.
+PARTIAL_REPORT_DIGESTS = {
+    ("verify", "--primes", "2,3", "--json"):
+        "4ae8ae4191992487084040c22309862f30c496c0f8d039cebb91ae305591e13e",
+    ("verify", "--primes", "2,3"):
+        "5eda3c60bb0bd25865376f673e912d907ebc2855e0948456e8cd739b360890c5",
+}
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
@@ -288,10 +315,10 @@ def test_report_includes_golden_origins():
 # -- worker failure and exit-code totality ----------------------------------------------
 
 def test_worker_failure_exit_3(monkeypatch, capsys, tmp_path):
-    def boom(args):
+    def boom(*args):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(locus_module, "_plane_worker", boom)
+    monkeypatch.setattr(locus_module, "_join_count", boom)
     out = tmp_path / "partial.json"
     code = cli.main(["verify", "--primes", "2", "--workers", "1", "--out", str(out)])
     assert code == 3
@@ -305,15 +332,15 @@ def test_worker_failure_exit_3(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     calls = {"n": 0}
-    real = locus_module._plane_worker
+    real = locus_module._join_count
 
-    def flaky(args):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] > 5:
             raise RuntimeError("injected")
-        return real(args)
+        return real(*args)
 
-    monkeypatch.setattr(locus_module, "_plane_worker", flaky)
+    monkeypatch.setattr(locus_module, "_join_count", flaky)
     code = cli.main(["verify-locus", "--prime", "2", "--workers", workers])
     assert code == 3
     out = capsys.readouterr().out
@@ -321,6 +348,24 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     assert doc["worker_failure"]
     assert len(doc["fibers"]) == 5
     assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_LOCUS_DIGEST
+
+
+@pytest.mark.parametrize("argv", list(PARTIAL_REPORT_DIGESTS),
+                         ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
+def test_partial_report_bytes_are_pinned(monkeypatch, capsys, argv):
+    calls = {"n": 0}
+    real = locus_module._join_count
+
+    def flaky(*args):
+        calls["n"] += 1
+        if calls["n"] == 6:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(locus_module, "_join_count", flaky)
+    assert cli.main(list(argv)) == 3
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_REPORT_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("argv", [["verify", "--primes", "2"], ["verify-locus", "--prime", "2"]],
@@ -334,12 +379,12 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
 
 
 def test_verification_mismatch_exit_1(monkeypatch, capsys):
-    real = locus_module._plane_worker
+    real = locus_module._join_count
 
-    def wrong(args):
-        return real(args) + 1
+    def wrong(*args):
+        return real(*args) + 1
 
-    monkeypatch.setattr(locus_module, "_plane_worker", wrong)
+    monkeypatch.setattr(locus_module, "_join_count", wrong)
     code = cli.main(["verify", "--primes", "2", "--workers", "1"])
     assert code == 1
     assert "verdict: FAIL" in capsys.readouterr().out

@@ -34,6 +34,24 @@ def test_corrupted_raw_oracle_map(monkeypatch, capsys):
     assert "verdict: FAIL" in out
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the --full-oracle raw oracle at p = 3 does not see a perturbed raw_oracle_maps entry: "
+    "it runs only on the first plane of each kind, and their raw counts stay 81, 9 and 27, "
+    "although 94 of the 130 planes would see the change"))
+def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):
+    real = locus_module.raw_oracle_maps
+
+    def corrupted(plane):
+        against_f2, against_f1 = real(plane)
+        against_f2 = against_f2.copy()
+        against_f2[0, 0] = (against_f2[0, 0] + 1) % plane.p
+        return against_f2, against_f1
+
+    monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
+    assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 1
+    assert '"raw_ok": false' in capsys.readouterr().out
+
+
 def test_wrong_expected_detzero(monkeypatch, capsys):
     real = locus_module.expected_detzero
 

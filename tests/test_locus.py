@@ -8,7 +8,7 @@ from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli
 from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError, WorkerFailure,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
     action_matrices, classify_planes, detzero_count_for_basis, enumerate_planes,
     expected_detzero, expected_x_count, fiber_detzero_count, grass_count, moduli_point_count,
     plane_bases, projective_count, raw_oracle_count, stratified_moduli_count, sweep_locus,
@@ -366,19 +366,19 @@ def test_worker_failure_carries_partial_results(monkeypatch):
     import quadric_moduli.locus as locus_module
 
     calls = {"n": 0}
-    real_worker = locus_module._plane_worker
+    real_join = locus_module._join_count
 
-    def flaky(args):
+    def flaky(*args):
         calls["n"] += 1
         if calls["n"] > 10:
             raise RuntimeError("injected failure")
-        return real_worker(args)
+        return real_join(*args)
 
-    monkeypatch.setattr(locus_module, "_plane_worker", flaky)
-    with pytest.raises(WorkerFailure) as excinfo:
-        sweep_locus(2)
-    partial = excinfo.value.partial
+    monkeypatch.setattr(locus_module, "_join_count", flaky)
+    partial = sweep_locus(2)
     assert partial is not None
+    assert partial.worker_failure == "worker failed on plane 10: injected failure"
+    assert partial.failures[-1] == partial.worker_failure
     assert len(partial.plane_index) == 10
     assert not partial.ok
 
@@ -397,12 +397,12 @@ def test_fiber_report_json(sweep2):
 def test_verification_error_on_forced_mismatch(monkeypatch):
     import quadric_moduli.locus as locus_module
 
-    real_worker = locus_module._plane_worker
+    real_join = locus_module._join_count
 
-    def wrong(args):
-        return real_worker(args) + 1
+    def wrong(*args):
+        return real_join(*args) + 1
 
-    monkeypatch.setattr(locus_module, "_plane_worker", wrong)
+    monkeypatch.setattr(locus_module, "_join_count", wrong)
     sweep = sweep_locus(2)
     assert not sweep.ok
     assert any("det-zero count" in f for f in sweep.failures)

@@ -10,7 +10,7 @@ import pytest
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
-from quadric_moduli.locus import GENERIC, KINDS, WorkerFailure, expected_detzero, sweep_locus
+from quadric_moduli.locus import GENERIC, KINDS, expected_detzero, sweep_locus
 from quadric_moduli.report import load_golden, locus_summary, to_json_text
 
 
@@ -39,8 +39,8 @@ def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
 
 
 def count_one_too_many(monkeypatch):
-    real = locus_module._plane_worker
-    monkeypatch.setattr(locus_module, "_plane_worker", lambda item: real(item) + 1)
+    real = locus_module._join_count
+    monkeypatch.setattr(locus_module, "_join_count", lambda *args: real(*args) + 1)
 
 
 def corrupt_raw_oracle_map(monkeypatch):
@@ -56,10 +56,10 @@ def corrupt_raw_oracle_map(monkeypatch):
 
 
 def fail_on_plane_0(monkeypatch):
-    def boom(item):
+    def boom(*args):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(locus_module, "_plane_worker", boom)
+    monkeypatch.setattr(locus_module, "_join_count", boom)
 
 
 @pytest.mark.parametrize("p,flags,fault,code,marker", [
@@ -79,10 +79,8 @@ def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, 
         fault(monkeypatch)
     assert cli.main(["verify-locus", "--prime", str(p), *flags]) == code
     text = capsys.readouterr().out
-    try:
-        sweep, worker_failure = sweep_locus(p, full_oracle=bool(flags)), None
-    except WorkerFailure as failure:
-        sweep, worker_failure = failure.partial, str(failure)
-    assert text == reference_document(sweep, locus_summary(sweep, load_golden()), worker_failure)
+    sweep = sweep_locus(p, full_oracle=bool(flags))
+    assert text == reference_document(sweep, locus_summary(sweep, load_golden()),
+                                      sweep.worker_failure)
     assert to_json_text(json.loads(text)) == text
     assert marker in text
