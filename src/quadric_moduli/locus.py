@@ -19,16 +19,17 @@ target or to name an unclassifiable plane.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
-all planes of a prime in one integer product; that one contraction feeds
+all planes of a prime in one int16 product; that one contraction feeds
 both count routes.  The kernel route counts from the rank of the action,
-row-reducing the whole stack of matrices mod p together.  The enumeration
-route counts, one plane at a time, the vectors of a complement of K on
-which the determinant vanishes, by a meet-in-the-middle join: the 10
-complement coordinates are split 5 + 5, the images of the p^5 vectors of
-each half are computed, and the coinciding images are counted.  The raw
-oracle counts all p^12 first-column pairs with the same join, from maps
-built by form products alone.  Every sweep runs in one process, over the
-planes in their fixed order.
+row-reducing the whole stack of matrices together in int16 and reducing
+mod p only each cleared column and its pivot row.  The enumeration route
+counts, one plane at a time, the vectors of a complement of K on which the
+determinant vanishes, by a meet-in-the-middle join: the 10 complement
+coordinates are split 5 + 5, the images of the p^5 vectors of each half
+are computed, and the coinciding images are counted.  The raw oracle
+counts all p^12 first-column pairs with the same join, from maps built by
+form products alone.  Every sweep runs in one process, over the planes in
+their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -369,12 +370,12 @@ def action_tensors(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """The det action matrices (N, 12, 12) and the K bases (N, 2, 12) of N
-    planes given by their basis rows (f1, f2), shape (N, 2, 4), as
+    planes given by their basis rows (f1, f2), shape (N, 2, 4), as int16
     canonical representatives mod p: both tensors contracted with all
-    planes in one integer matmul (8-term sums below 8 * (p - 1)**2)."""
+    planes in one int16 einsum (8-term sums below 8 * (p - 1)**2)."""
     det, k = action_tensors(p)
-    maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int32)
-    images = np.asarray(rows, dtype=np.int32).reshape(-1, 8) @ maps % p
+    maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int16)
+    images = np.einsum("nj,jk->nk", np.asarray(rows, dtype=np.int16).reshape(-1, 8), maps) % p
     n = len(images)
     return images[:, :144].reshape(n, 12, 12), images[:, 144:].reshape(n, 2, 12)
 
@@ -382,28 +383,28 @@ def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
 def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     """Rank over F_p of every matrix of an (N, rows, cols) stack of
     canonical representatives, by Gaussian elimination on the whole stack
-    one column at a time.  Runs in int8: every intermediate lies between
-    -(p - 1)**2 and p, so p <= 11."""
-    if (p - 1) ** 2 > 127:
-        raise ValueError(f"int8 elimination needs p <= 11, got {p}")
+    in int16, on a column-major (cols, rows, N) copy.  In each column, a row
+    with the largest residue is the pivot row, and each row's factor is its
+    residue over that largest one (0 throughout a zero column).
+    Subtracting the reduced pivot row times the factors from the later
+    columns clears the pivot row too, so no row is swapped.  Only that
+    column and that row are reduced mod p: an entry falls by at most
+    (p - 1)**2 per column, so int16 holds it while
+    p + cols * (p - 1)**2 < 2**15."""
+    n, _, cols = stack.shape
+    if p + cols * (p - 1) ** 2 >= 2**15:
+        raise ValueError(f"int16 elimination needs p + cols * (p - 1)**2 < 2**15, got p = {p}")
     field = GF(p)
-    inverse = np.array([0] + [field.inv(a) for a in range(1, p)], dtype=np.int8)
-    m = stack.astype(np.int8)
-    rank = np.zeros(len(m), dtype=np.intp)
-    row_ids = np.arange(m.shape[1])
-    for c in range(m.shape[2]):
-        candidates = (m[:, :, c] != 0) & (row_ids >= rank[:, None])
-        sel = np.flatnonzero(candidates.any(axis=1))
-        top = rank[sel]
-        pivot_row = candidates[sel].argmax(axis=1)
-        pivot = m[sel, pivot_row]
-        m[sel, pivot_row] = m[sel, top]  # swap the pivot row up to `top`
-        pivot = inverse[pivot[:, c]][:, None] * pivot % p
-        m[sel, top] = pivot
-        block = m[sel]
-        factor = np.where(row_ids > top[:, None], block[:, :, c], 0)
-        m[sel] = (block - factor[:, :, None] * pivot[:, None, :]) % p
-        rank[sel] += 1
+    inverse = np.array([0] + [field.inv(a) for a in range(1, p)], dtype=np.int16)
+    m = stack.transpose(2, 1, 0).astype(np.int16, order="C")
+    rank = np.zeros(n, dtype=np.intp)
+    for c in range(cols):
+        column = m[c] % p
+        factor = column * inverse[column.max(axis=0)] % p
+        rank += factor.any(axis=0)
+        pivot_row = column.argmax(axis=0)[None, None]
+        rest = m[c + 1:]
+        rest -= np.take_along_axis(rest, pivot_row, axis=1) % p * factor
     return rank
 
 
@@ -575,17 +576,16 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
 
 def _collect_failures(sweep: LocusSweep):
     p = sweep.p
-    raw_ok = sweep.raw_ok()
-    columns = zip(sweep.plane_index.tolist(), sweep.kinds.tolist(),
-                  sweep.detzero_counts.tolist(), sweep.expected_counts.tolist())
-    for row, (index, kind, count, expected) in enumerate(columns):
-        if count != expected:
-            sweep.failures.append(
-                f"plane {index} ({KINDS[kind]}): det-zero count {count}, expected {expected}")
-        if not raw_ok.get(row, True):
-            sweep.failures.append(
-                f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
-                f"breaks the coset identity")
+    counts, expected = sweep.detzero_counts, sweep.expected_counts
+    broken = [row for row, ok in sweep.raw_ok().items() if not ok]
+    for row in sorted({*np.flatnonzero(counts != expected).tolist(), *broken}):
+        index = sweep.plane_index[row]
+        if counts[row] != expected[row]:
+            sweep.failures.append(f"plane {index} ({KINDS[sweep.kinds[row]]}): "
+                                  f"det-zero count {counts[row]}, expected {expected[row]}")
+        if row in broken:
+            sweep.failures.append(f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
+                                  f"breaks the coset identity")
     # the five GL2 x GL2 orbits of planes
     generic = np.bincount(sweep.rank1_lines[sweep.kinds == KINDS.index(GENERIC)], minlength=3)
     orbits = [(f"generic planes with rank1_lines = {lines}", generic[lines], size)

@@ -119,6 +119,8 @@ def load_golden(path: str | None = None) -> dict:
                         and all(check(entry[name]) for name, check in checks.items()
                                 if name in entry or name not in _OPTIONAL_HILBERT_KEYS)):
                     raise GoldenError(f"golden hilbert {key}[{index}] has the wrong shape")
+                if key == "combinations" and len(entry["coeffs"]) != len(entry["twists"]):
+                    raise GoldenError(f"golden hilbert {key}[{index}] needs one coeff per twist")
         for section in ("moduli_point_counts", "detzero_totals"):
             values = data[section]["values"]
             # a key such as "02" would never match the str(p) lookup

@@ -93,11 +93,12 @@ DELETED = object()
     (("hilbert", "twists", 0, "start_coeffs"), [["x"]]),
     (("hilbert", "combinations", 0, "coeffs"), ["x", -2]),
     (("hilbert", "resolutions", 0, "positions"), [[[0, True]]]),
+    (("hilbert", "combinations", 0, "coeffs"), [3]),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
         "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
         "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
         "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
-        "non-numeric-combination-coefficient", "boolean-label"])
+        "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()

@@ -12,7 +12,8 @@ import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _factoring_ok, _k_rows, _kernel_counts, action_matrices, det_action_matrix, enumerate_planes,
+    _factoring_ok, _k_rows, _kernel_counts, _ranks_mod_p, action_matrices, det_action_matrix,
+    enumerate_planes,
 )
 
 
@@ -44,7 +45,26 @@ def test_contracted_matrices_equal_det_action_matrix(p, sample):
         assert k_basis.tolist() == [list(row) for row in _k_rows(f1, f2)]
 
 
-@pytest.mark.parametrize("primes", ["2", "5"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("shape", [(12, 12), (2, 12), (12, 2), (5, 9)])
+def test_ranks_mod_p_equal_linalg_rank_at_every_rank(p, shape):
+    # products a @ b with r inner columns, 40 per r, reach every rank up to r
+    rows, cols = shape
+    rng = np.random.default_rng(100 * p + rows)
+    stack = np.concatenate([
+        rng.integers(0, p, (40, rows, r)) @ rng.integers(0, p, (40, r, cols)) % p
+        for r in range(min(shape) + 1)])
+    reference = [linalg.rank(GF(p), matrix.tolist()) for matrix in stack]
+    assert set(reference) == set(range(min(shape) + 1))
+    assert _ranks_mod_p(stack, p).tolist() == reference
+
+
+def test_ranks_mod_p_refuses_primes_beyond_int16():
+    with pytest.raises(ValueError, match="int16"):
+        _ranks_mod_p(np.zeros((1, 12, 12), dtype=np.int64), 61)
+
+
+@pytest.mark.parametrize("primes", ["2", "5", "7"])
 def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys, primes):
     real = locus_module.action_tensors
 
@@ -59,4 +79,19 @@ def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys, primes):
     assert code == 1
     out = capsys.readouterr().out
     assert "factoring first-columns must have zero determinant" in out
+    assert "verdict: FAIL" in out
+
+
+def test_rank_one_short_flips_verdict(monkeypatch, capsys):
+    real = locus_module._ranks_mod_p
+
+    def one_short(stack, p):
+        ranks = real(stack, p)
+        ranks[100] -= 1
+        return ranks
+
+    monkeypatch.setattr(locus_module, "_ranks_mod_p", one_short)
+    assert cli.main(["verify", "--primes", "7", "--workers", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "plane 100 (generic): det-zero count 1, expected 0" in out
     assert "verdict: FAIL" in out
