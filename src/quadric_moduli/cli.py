@@ -2,17 +2,18 @@
 
 Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
-input or environment, 3 a per-plane count raised (the sweep stopped
-there; the report of the partial sweep is still written).  Machine
-output is canonical JSON (sorted keys, indent 2); identical
-configurations produce byte-identical reports, for any --workers.  The
-verify-locus fiber list is written directly from the sweep's columns, in
-that same canonical form.
+input or environment, 3 a count raised (the sweep stopped at that plane,
+the kernel route before its first; the partial report is still
+written).  Machine output is canonical JSON (sorted keys, indent 2);
+identical configurations produce byte-identical reports, for any
+--workers.  The verify-locus fiber list is written directly from the
+sweep's columns, in that same canonical form.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -220,6 +221,8 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    """The qmoduli console script, also run by python -m quadric_moduli.cli."""
+    gc.freeze()  # import-time objects live until exit: keep every collection off them
     sys.exit(main())
 
 

@@ -23,13 +23,13 @@ all planes of a prime in one int16 product; that one contraction feeds
 both count routes.  The kernel route counts from the rank of the action,
 row-reducing the whole stack of matrices together in int16 and reducing
 mod p only each cleared column and its pivot row.  The enumeration route
-counts, one plane at a time, the vectors of a complement of K on which the
-determinant vanishes, by a meet-in-the-middle join: the 10 complement
-coordinates are split 5 + 5, the images of the p^5 vectors of each half
-are computed, and the coinciding images are counted.  The raw oracle
-counts all p^12 first-column pairs with the same join, from maps built by
-form products alone.  Every sweep runs in one process, over the planes in
-their fixed order.
+counts the vectors of a complement of K on which the determinant vanishes,
+by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
+the images of the p^5 vectors of each half are keyed in base p for a block
+of planes at once, and the coinciding keys are counted plane by plane.  The
+raw oracle keys and joins all p^12 first-column pairs the same way, from
+maps built by form products alone.  Every sweep runs in one process, over
+the planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -54,6 +54,9 @@ RAW_SWEEP_PRIMES = (2, 3)
 #: Primes whose full 10-dimensional fiber enumeration runs by default;
 #: larger primes use the kernel-dimension count unless explicitly asked.
 ENUMERATION_PRIMES = (2, 3)
+#: Most half-vectors whose images the enumeration route keys at once: one
+#: block holds every plane at p = 2, 3 and 20 planes at p = 5.
+KEY_BLOCK = 2**16
 
 GENERIC = "generic"
 SHARED_RIGHT = "shared-right"
@@ -263,17 +266,19 @@ def _k_rows(f1: BiForm, f2: BiForm):
     ]
 
 
-def _complement_columns(field, k_rows, reverse: bool = False) -> tuple[int, ...]:
-    """Coordinates of a complement of K chosen by echelon pivoting on K's
-    basis; with reverse=True the pivots are sought from the last
-    coordinate backwards, giving a second, independent choice."""
-    rows = [list(r)[::-1] for r in k_rows] if reverse else k_rows
-    _, pivots = linalg.rref(field, rows)
-    if len(pivots) != 2:
+def _complement_columns(p: int, k_bases, reverse: bool = False) -> np.ndarray:
+    """Per K basis of an (N, 2, 12) stack, the coordinates of a complement: all
+    but its echelon pivots, the first coordinate where it is nonzero and the
+    first where its minor with that one is; sought backwards with reverse."""
+    k = np.asarray(k_bases, dtype=np.int64)[..., ::-1 if reverse else 1] % p
+    first = (k != 0).any(axis=1).argmax(axis=1)
+    lead = np.take_along_axis(k, first[:, None, None], axis=2)
+    minors = (lead[:, 0] * k[:, 1] - lead[:, 1] * k[:, 0]) % p
+    if not minors.any(axis=1).all():
         raise VerificationError("factoring subspace K must have dimension 2")
-    if reverse:
-        pivots = [11 - c for c in pivots]
-    return tuple(c for c in range(12) if c not in pivots)
+    keep = np.ones((len(k), 12), dtype=bool)
+    np.put_along_axis(keep, np.stack([first, (minors != 0).argmax(axis=1)], axis=1), False, 1)
+    return np.nonzero(keep[:, ::-1 if reverse else 1])[1].reshape(-1, 10)
 
 
 def _canonical_vectors(p: int, dim: int) -> np.ndarray:
@@ -301,18 +306,25 @@ def _affine_vectors(p: int, dim: int) -> np.ndarray:
     return np.indices((p,) * dim, dtype=np.int64).reshape(dim, p**dim).T
 
 
-def _coinciding_pairs(p: int, left: np.ndarray, right: np.ndarray) -> int:
-    """Number of pairs (i, j) with left[i] == right[j], for two int64
-    arrays of row vectors with entries in 0..p-1.  Each row is encoded as
-    one integer in base p, and the keys are joined by their multiplicities."""
-    width = left.shape[1]
-    assert p**width < 2**63, "base-p row keys must fit in int64"
-    weights = p ** np.arange(width, dtype=np.int64)
-    left_keys, left_counts = np.unique(left @ weights, return_counts=True)
-    right_keys, right_counts = np.unique(right @ weights, return_counts=True)
-    _, i, j = np.intersect1d(left_keys, right_keys, assume_unique=True,
-                             return_indices=True)
-    return int(left_counts[i] @ right_counts[j])
+def _image_keys(p: int, vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Base-p int64 keys, (..., V), of the images mod p of the rows of a (V, d)
+    array under a stack of (w, d) canonical matrices: one int16 einsum over
+    the stack per image coordinate (sums below d * (p - 1)**2), then Horner."""
+    width = maps.shape[-2]
+    assert p**width < 2**63, "base-p image keys must fit in int64"
+    vectors, maps = vectors.astype(np.int16), maps.astype(np.int16)
+    keys = np.zeros(maps.shape[:-2] + vectors.shape[:1], dtype=np.int64)
+    for w in reversed(range(width)):
+        coordinate = np.einsum("vd,...d->...v", vectors, maps[..., w, :])
+        keys *= p
+        keys += coordinate - coordinate // p * p  # mod p: numpy's // by a scalar outruns %
+    return keys
+
+
+def _coinciding_pairs(left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs (i, j) with left[i] == right[j] in two rows of keys."""
+    right = np.sort(right)
+    return int((np.searchsorted(right, left, "right") - np.searchsorted(right, left)).sum())
 
 
 def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool = False) -> int:
@@ -320,31 +332,38 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
     The determinant is linear on the complement, so they are the nonzero
     solutions of A a + B b = 0 up to scaling, where A and B are the action
     on the two halves of the 10 complement coordinates: the N affine
-    solutions are the coinciding pairs of A a and -B b over all p^5 + p^5
-    half-vectors, and the count is (N - 1)/(p - 1).  Works for any
-    independent basis (f1, f2) of the plane; the count is basis- and
+    solutions (a, -b) are the coinciding pairs of A a and B b over all
+    p^5 + p^5 half-vectors, and the count is (N - 1)/(p - 1).  Works for
+    any independent basis (f1, f2) of the plane; the count is basis- and
     complement-independent because column operations and scalings leave
     the determinant locus unchanged."""
     p = f1.field.char
     _check_prime(p)
     if not linearly_independent(f1, f2):
         raise ValueError("fiber counting needs an independent plane basis")
-    matrix = det_action_matrix(f1, f2)
-    k_rows = _k_rows(f1, f2)
-    if not _factoring_ok(p, matrix[None], np.array([k_rows], dtype=np.int64))[0]:
+    matrix = det_action_matrix(f1, f2)[None]
+    k_basis = np.array([_k_rows(f1, f2)], dtype=np.int64)
+    if not _factoring_ok(p, matrix, k_basis)[0]:
         raise VerificationError("factoring first-columns must have zero determinant")
-    return _join_count(p, matrix, k_rows, reverse_complement)
+    return next(_join_counts(p, matrix, k_basis, reverse_complement))
 
 
-def _join_count(p: int, matrix: np.ndarray, k_rows, reverse_complement: bool = False) -> int:
-    """The join of detzero_count_for_basis on a 12 x 12 action matrix whose
-    kernel holds the two K rows."""
-    cols = _complement_columns(GF(p), k_rows, reverse=reverse_complement)
-    action = matrix[:, cols]
+def _join_counts(p: int, matrices, k_bases, reverse_complement: bool = False):
+    """Yield per plane the join of detzero_count_for_basis on (N, 12, 12) action
+    matrices with their (N, 2, 12) K bases; only _join_count runs per plane."""
     half = _affine_vectors(p, 5)
-    solutions = _coinciding_pairs(p, half @ action[:, :5].T % p,
-                                  -(half @ action[:, 5:].T) % p)
-    return (solutions - 1) // (p - 1)
+    cols = _complement_columns(p, k_bases, reverse_complement)
+    actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
+    maps = np.stack([actions[..., :5], actions[..., 5:]], axis=1)  # a -> A a, b -> B b
+    step = max(1, KEY_BLOCK // len(half))
+    for start in range(0, len(maps), step):
+        for left, right in _image_keys(p, half, maps[start:start + step]):
+            yield _join_count(p, left, right)
+
+
+def _join_count(p: int, left: np.ndarray, right: np.ndarray) -> int:
+    """A fiber's det-zero count from its half-image keys, of A a and B b."""
+    return (_coinciding_pairs(left, right) - 1) // (p - 1)
 
 
 def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> int:
@@ -448,9 +467,8 @@ def raw_oracle_count(plane: Plane) -> int:
     p = plane.p
     if p not in RAW_SWEEP_PRIMES:
         raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
-    against_f2, against_f1 = raw_oracle_maps(plane)
-    vectors = _affine_vectors(p, 6)
-    return _coinciding_pairs(p, vectors @ against_f2 % p, vectors @ against_f1 % p)
+    maps = np.transpose(raw_oracle_maps(plane), (0, 2, 1))
+    return _coinciding_pairs(*_image_keys(p, _affine_vectors(p, 6), maps))
 
 
 # -- whole-Grassmannian sweeps ----------------------------------------------
@@ -523,14 +541,14 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     Both routes start from one pass over the plane table: plane_bases,
     classify_planes, and one contraction of the action tensors with every
     plane, whose K bases are checked against the kernel.  The kernel route
-    then row-reduces the whole stack; the enumeration route runs the join
-    on each contracted matrix, in order.  Only raw-oracle targets and
-    unclassifiable planes are built as Plane objects.  `workers` must be
-    >= 1 and selects nothing: every sweep runs in this process.  If a
-    per-plane count raises anything but VerificationError, the sweep stops
-    there and is returned partial, with the message in `worker_failure`
-    and in `failures` and no raw oracle run; mismatches never raise here,
-    they are recorded in `failures`.
+    then row-reduces the whole stack; the enumeration route keys the stack
+    by blocks and joins plane by plane, in order.  Only raw-oracle targets
+    and unclassifiable planes are built as Plane objects.  `workers` must
+    be >= 1 and selects nothing: every sweep runs in this process.  If a
+    count raises anything but VerificationError, the sweep stops at that
+    plane (the kernel route before its first) and is returned partial, with
+    the message in `worker_failure` and in `failures` and no raw oracle
+    run; mismatches never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -541,19 +559,18 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     method = sweep_method(p, full_oracle)
     failures = [f"plane {index}: factoring first-columns must have zero determinant"
                 for index in np.flatnonzero(~_factoring_ok(p, matrices, k_bases))]
-    worker_failure = None
-    if method == "kernel":
-        counts = _kernel_counts(p, matrices)
-    else:
-        counts = []
-        try:
-            for matrix, k_basis in zip(matrices, k_bases):
-                counts.append(_join_count(p, matrix, k_basis.tolist()))
-        except VerificationError:
-            raise
-        except Exception as exc:  # keep the planes counted so far
-            worker_failure = f"worker failed on plane {len(counts)}: {exc}"
-        counts = np.array(counts, dtype=np.int64)
+    counts, worker_failure = [], None
+    try:
+        if method == "kernel":
+            counts = _kernel_counts(p, matrices)
+        else:
+            for count in _join_counts(p, matrices, k_bases):
+                counts.append(count)
+    except VerificationError:
+        raise
+    except Exception as exc:  # keep the planes counted so far
+        worker_failure = f"worker failed on plane {len(counts)}: {exc}"
+    counts = np.asarray(counts, dtype=np.int64)
 
     done = kinds[:len(counts)]
     failures += [f"plane {index}: rank-one plane {Plane(p, bases[index].tolist())} "

@@ -351,6 +351,30 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
     assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_LOCUS_DIGEST
 
 
+def fail_kernel_route(monkeypatch):
+    def boom(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(locus_module, "_ranks_mod_p", boom)
+
+
+def test_kernel_route_failure_keeps_earlier_primes_exit_3(monkeypatch, capsys):
+    fail_kernel_route(monkeypatch)
+    assert cli.main(["verify", "--primes", "2,7"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == f"{'locus p=2':<12} {'X=12/12, count=58311, poly=58311':<48} PASS"
+    assert lines[3].startswith("locus p=7    X=0/72") and lines[3].endswith("FAIL")
+    assert "worker failure: worker failed on plane 0: injected" in lines
+
+
+def test_verify_locus_kernel_route_failure_exit_3(monkeypatch, capsys):
+    fail_kernel_route(monkeypatch)
+    assert cli.main(["verify-locus", "--prime", "7"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fibers"] == []
+    assert doc["worker_failure"] == "worker failed on plane 0: injected"
+
+
 @pytest.mark.parametrize("argv", list(PARTIAL_REPORT_DIGESTS),
                          ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
 def test_partial_report_bytes_are_pinned(monkeypatch, capsys, argv):
@@ -406,3 +430,42 @@ def test_verify_locus_off_by_one_golden_exits_1(tmp_path, capsys):
     assert code == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["failures"] == ["det-zero total 12 != golden 13"]
+
+
+# -- the console script's entry point ----------------------------------------------
+
+def run_main(argv) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
+def run_entry_point(argv) -> tuple[int, bytes, bytes]:
+    result = subprocess.run([sys.executable, "-m", "quadric_moduli.cli", *argv],
+                            capture_output=True)
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "--primes", "2,3", "--json"), 0),
+    (("verify-locus", "--prime", "2"), 0),
+    (("verify", "--primes", "2", "--golden", "{off_by_one}"), 1),
+    (("verify", "--primes", "4"), 2),
+], ids=["verify-json", "verify-locus", "off-by-one-golden", "unsupported-prime"])
+def test_entry_point_equals_main(tmp_path, argv, code):
+    from quadric_moduli.report import load_golden
+    golden = load_golden()
+    golden["detzero_totals"]["values"]["2"] += 1
+    off_by_one = tmp_path / "golden.json"
+    off_by_one.write_text(json.dumps(golden), encoding="utf-8")
+    argv = [arg.format(off_by_one=off_by_one) for arg in argv]
+    result = run_entry_point(argv)
+    assert result[0] == code
+    assert result == run_main(argv)
+
+
+def test_entry_point_report_out_writes_the_json_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert run_entry_point(["report", "--primes", "2,3", "--out", str(out)]) == (0, b"", b"")
+    assert out.read_bytes() == run_main(["verify", "--primes", "2,3", "--json"])[1]

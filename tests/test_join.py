@@ -1,6 +1,8 @@
 """The exact joins against the brute-force counts they replaced: the fiber
 join against enumerating every point of the projective fiber, and the raw
-oracle's join against comparing all p^6 x p^6 products pairwise."""
+oracle's join against comparing all p^6 x p^6 products pairwise.  The
+array-wide complement choice is checked against echelon pivoting plane by
+plane, and the block-wise key build against the join on a stack of one."""
 
 import itertools
 import json
@@ -10,13 +12,15 @@ import numpy as np
 import pytest
 
 import quadric_moduli.cli as cli
+from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _canonical_vectors,
-    _coinciding_pairs, _complement_columns, _factoring_ok, _k_rows, _kernel_counts,
-    action_matrices, classify_planes, det_action_matrix, enumerate_planes, fiber_detzero_count,
-    raw_oracle_count,
+    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
+    _affine_vectors, _canonical_vectors, _coinciding_pairs, _complement_columns, _factoring_ok,
+    _image_keys, _join_counts, _k_rows, _kernel_counts, action_matrices, classify_planes,
+    det_action_matrix, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
+    plane_bases, raw_oracle_count,
 )
 
 
@@ -24,7 +28,7 @@ def enumerated_fiber_count(plane) -> int:
     """Det-zero points among all (p^10 - 1)/(p - 1) points of the fiber."""
     p = plane.p
     f1, f2 = plane.basis()
-    cols = _complement_columns(GF(p), _k_rows(f1, f2))
+    cols = _complement_columns(p, [_k_rows(f1, f2)])[0]
     action = det_action_matrix(f1, f2)[:, cols]
     values = _canonical_vectors(p, 10).astype(np.int64) @ action.T % p
     return int((values == 0).all(axis=1).sum())
@@ -47,7 +51,51 @@ def test_coinciding_pairs_counts_repeated_rows(p):
     left = rng.integers(0, p, size=(60, 3))
     right = rng.integers(0, p, size=(50, 3))
     expected = sum(1 for a in left.tolist() for b in right.tolist() if a == b)
-    assert _coinciding_pairs(p, left, right) == expected
+    weights = p ** np.arange(3)
+    assert _coinciding_pairs(left @ weights, right @ weights) == expected
+    identity = np.eye(3, dtype=np.int64)
+    assert _coinciding_pairs(_image_keys(p, left, identity),
+                             _image_keys(p, right, identity)) == expected
+
+
+def test_image_keys_do_not_wrap_past_int16():
+    # at p = 3 the keys of 12-vectors reach 3**12 - 1; two that differ by
+    # 2**16 would coincide if the keys were formed in int16
+    p = 3
+    left = np.array([[key // p**w % p for w in range(12)] for key in (7, 7 + 2**16)])
+    identity = np.eye(12, dtype=np.int64)
+    keys = _image_keys(p, left, identity)
+    assert keys.tolist() == [7, 7 + 2**16]
+    assert _coinciding_pairs(keys, keys[1:]) == 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_complement_columns_equal_echelon_pivots(reverse):
+    p = 3
+    k_bases = action_matrices(p, plane_bases(p))[1]
+    expected = []
+    for k_rows in k_bases.tolist():
+        rows = [row[::-1] for row in k_rows] if reverse else k_rows
+        _, pivots = linalg.rref(GF(p), rows)
+        pivots = [11 - c for c in pivots] if reverse else pivots
+        expected.append([c for c in range(12) if c not in pivots])
+    assert _complement_columns(p, k_bases, reverse).tolist() == expected
+    with pytest.raises(VerificationError, match="dimension 2"):
+        _complement_columns(p, [[k_bases[0, 0], 2 * k_bases[0, 0]]], reverse)
+
+
+def test_join_counts_over_a_partial_last_block():
+    # 45 planes at p = 5 make key blocks of 20, 20 and 5 planes
+    p = 5
+    bases = plane_bases(p)
+    kinds = classify_planes(p, bases)[0]
+    rows = np.sort(np.concatenate([np.flatnonzero(kinds != 0), np.flatnonzero(kinds == 0)[:33]]))
+    assert len(rows) == 45 and len(rows) % (KEY_BLOCK // p**5) == 5
+    matrices, k_bases = action_matrices(p, bases[rows])
+    planes = [Plane(p, bases[row].tolist()) for row in rows]
+    counts = list(_join_counts(p, matrices, k_bases))
+    assert counts == [detzero_count_for_basis(*plane.basis()) for plane in planes]
+    assert sorted(set(counts)) == [0, 1, 6]
 
 
 @pytest.mark.parametrize("p,dim", [(2, 0), (3, 0), (2, 3), (5, 2)])
