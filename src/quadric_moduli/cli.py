@@ -7,7 +7,8 @@ the kernel route before its first; the partial report is still
 written).  Machine output is canonical JSON (sorted keys, indent 2);
 identical configurations produce byte-identical reports, for any
 --workers.  The verify-locus fiber list is written directly from the
-sweep's columns, in that same canonical form.
+sweep's columns, in that same canonical form.  The CLI pins BLAS to one
+thread: it sets OPENBLAS_NUM_THREADS before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,11 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
+
+# every count is integer arithmetic: one BLAS thread, not one spinning per core
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
 from .locus import SUPPORTED_PRIMES, VerificationError, sweep_locus

@@ -28,8 +28,9 @@ by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p for a block
 of planes at once, and the coinciding keys are counted plane by plane.  The
 raw oracle keys and joins all p^12 first-column pairs the same way, from
-maps built by form products alone.  Every sweep runs in one process, over
-the planes in their fixed order.
+maps built by form products alone, keying the maps of all its target planes
+at once.  Every sweep runs in one process, over the planes in their fixed
+order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -37,6 +38,7 @@ point enters a count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field as dataclass_field
 
@@ -281,26 +283,6 @@ def _complement_columns(p: int, k_bases, reverse: bool = False) -> np.ndarray:
     return np.nonzero(keep[:, ::-1 if reverse else 1])[1].reshape(-1, 10)
 
 
-def _canonical_vectors(p: int, dim: int) -> np.ndarray:
-    """All vectors of F_p^dim whose first nonzero coordinate is 1: one
-    representative per projective point, (p^dim - 1)/(p - 1) rows.  The
-    brute-force reference the fiber join is tested against."""
-    blocks = []
-    for lead in range(dim):
-        tail = dim - lead - 1
-        count = p**tail
-        block = np.zeros((count, dim), dtype=np.int8)
-        block[:, lead] = 1
-        idx = np.arange(count)
-        for t in range(tail):
-            block[:, dim - 1 - t] = (idx // (p**t)) % p
-        blocks.append(block)
-    table = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int8)
-    if len(table) != projective_count(p, dim - 1):
-        raise VerificationError("projective representative table has the wrong size")
-    return table
-
-
 def _affine_vectors(p: int, dim: int) -> np.ndarray:
     """All p^dim vectors of F_p^dim, one per row, as int64."""
     return np.indices((p,) * dim, dtype=np.int64).reshape(dim, p**dim).T
@@ -373,18 +355,30 @@ def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> in
     return detzero_count_for_basis(f1, f2, reverse_complement=reverse_complement)
 
 
-def action_tensors(p: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _integer_action_tensors() -> tuple[np.ndarray, np.ndarray]:
     """det_action_matrix and _k_rows as linear maps of the 8 coefficients
-    (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) integer
-    tensor.  Built by evaluating both functions on the unit bases, so that
-    BiForm stays the one definition of the monomial layout."""
-    field = GF(p)
+    (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) read-only
+    integer tensor, built once by evaluating both functions on the unit
+    bases, so that BiForm stays the one definition of the monomial layout.
+    Their entries are -1, 0 and 1, so built over GF(101) they lift exactly."""
+    field = GF(101)
     zero = BiForm.zero(field, 1, 1)
     units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
     det = np.stack([det_action_matrix(f1, f2) for f1, f2 in bases])
     k = np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64)
+    for tensor in (det, k):
+        tensor[tensor > 50] -= 101
+        assert np.abs(tensor).max() <= 1, "action tensor entries must lift to -1, 0, 1"
+        tensor.flags.writeable = False
     return det, k
+
+
+def action_tensors(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The integer action tensors as canonical representatives mod p."""
+    det, k = _integer_action_tensors()
+    return det % p, k % p
 
 
 def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -464,11 +458,17 @@ def raw_oracle_count(plane: Plane) -> int:
         raw = p^2 + N * (p - 1) * p^2
     (the p^2 factoring pairs, plus p^2 raw pairs for each of the (p - 1)
     nonzero scalings of each det-zero projective fiber point)."""
-    p = plane.p
+    return raw_oracle_counts(plane.p, [plane])[0]
+
+
+def raw_oracle_counts(p: int, planes) -> list[int]:
+    """raw_oracle_count of each of a list of planes over F_p: the maps of
+    all of them are keyed in one stack, and joined plane by plane."""
     if p not in RAW_SWEEP_PRIMES:
         raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
-    maps = np.transpose(raw_oracle_maps(plane), (0, 2, 1))
-    return _coinciding_pairs(*_image_keys(p, _affine_vectors(p, 6), maps))
+    maps = np.reshape([raw_oracle_maps(plane) for plane in planes], (-1, 2, 6, 12))
+    keys = _image_keys(p, _affine_vectors(p, 6), maps.transpose(0, 1, 3, 2))
+    return [_coinciding_pairs(left, right) for left, right in keys]
 
 
 # -- whole-Grassmannian sweeps ----------------------------------------------
@@ -586,7 +586,8 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     if full_oracle and p in RAW_SWEEP_PRIMES:
         first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]
         targets = range(len(rows)) if p == 2 else sorted(first_of_each_kind.tolist())
-        sweep.raw_counts = {row: raw_oracle_count(sweep.plane(row)) for row in targets}
+        raw = raw_oracle_counts(p, [sweep.plane(row) for row in targets])
+        sweep.raw_counts = dict(zip(targets, raw))
     _collect_failures(sweep)
     return sweep
 

@@ -21,9 +21,8 @@ from quadric_moduli.hilbert import (
 )
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, enumerate_planes,
-    fiber_detzero_count, moduli_point_count, raw_oracle_count, sweep_locus,
+    fiber_detzero_count, moduli_point_count, projective_count, raw_oracle_count, sweep_locus,
 )
-from quadric_moduli.locus import _canonical_vectors
 
 F2 = GF(2)
 F3 = GF(3)
@@ -116,7 +115,7 @@ def test_criterion_4_detlocus_sweep_p3():
         elapsed = time.perf_counter() - start
         assert len(sweep.plane_index) == 130
         assert sweep.method == "enumerate"
-        assert len(_canonical_vectors(3, 10)) == 29524
+        assert projective_count(3, 9) == 29524
         assert sweep.x_count == 20 == (3 + 1) + (3 + 1) ** 2
         assert sweep.ok
         assert elapsed < 30.0

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -469,3 +470,23 @@ def test_entry_point_report_out_writes_the_json_report(tmp_path):
     out = tmp_path / "report.json"
     assert run_entry_point(["report", "--primes", "2,3", "--out", str(out)]) == (0, b"", b"")
     assert out.read_bytes() == run_main(["verify", "--primes", "2,3", "--json"])[1]
+
+
+# -- start-up --------------------------------------------------------------------------
+
+def test_package_root_imports_no_numpy():
+    code = "import sys, quadric_moduli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_runs_numpy_on_one_thread():
+    # the child gets a BLAS thread count of its own: importing cli here has
+    # already set OPENBLAS_NUM_THREADS in this process, which it would inherit
+    # (on a one-core machine OpenBLAS starts no extra thread either way)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "4"}
+    code = "import os, quadric_moduli.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "1\n"

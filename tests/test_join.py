@@ -17,11 +17,29 @@ from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
-    _affine_vectors, _canonical_vectors, _coinciding_pairs, _complement_columns, _factoring_ok,
+    _affine_vectors, _coinciding_pairs, _complement_columns, _factoring_ok,
     _image_keys, _join_counts, _k_rows, _kernel_counts, action_matrices, classify_planes,
     det_action_matrix, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
-    plane_bases, raw_oracle_count,
+    plane_bases, projective_count, raw_oracle_count,
 )
+
+
+def canonical_vectors(p: int, dim: int) -> np.ndarray:
+    """All vectors of F_p^dim whose first nonzero coordinate is 1: one
+    representative per projective point, (p^dim - 1)/(p - 1) rows."""
+    blocks = []
+    for lead in range(dim):
+        tail = dim - lead - 1
+        count = p**tail
+        block = np.zeros((count, dim), dtype=np.int8)
+        block[:, lead] = 1
+        idx = np.arange(count)
+        for t in range(tail):
+            block[:, dim - 1 - t] = (idx // (p**t)) % p
+        blocks.append(block)
+    table = np.concatenate(blocks) if blocks else np.zeros((0, dim), dtype=np.int8)
+    assert len(table) == projective_count(p, dim - 1)
+    return table
 
 
 def enumerated_fiber_count(plane) -> int:
@@ -30,7 +48,7 @@ def enumerated_fiber_count(plane) -> int:
     f1, f2 = plane.basis()
     cols = _complement_columns(p, [_k_rows(f1, f2)])[0]
     action = det_action_matrix(f1, f2)[:, cols]
-    values = _canonical_vectors(p, 10).astype(np.int64) @ action.T % p
+    values = canonical_vectors(p, 10).astype(np.int64) @ action.T % p
     return int((values == 0).all(axis=1).sum())
 
 
@@ -96,6 +114,12 @@ def test_join_counts_over_a_partial_last_block():
     counts = list(_join_counts(p, matrices, k_bases))
     assert counts == [detzero_count_for_basis(*plane.basis()) for plane in planes]
     assert sorted(set(counts)) == [0, 1, 6]
+
+
+def test_canonical_vector_tables():
+    for p in (2, 3):
+        table = canonical_vectors(p, 10)
+        assert len(table) == projective_count(p, 9) == (p**10 - 1) // (p - 1)
 
 
 @pytest.mark.parametrize("p,dim", [(2, 0), (3, 0), (2, 3), (5, 2)])

@@ -10,10 +10,11 @@ import pytest
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
+from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _factoring_ok, _k_rows, _kernel_counts, _ranks_mod_p, action_matrices, det_action_matrix,
-    enumerate_planes,
+    _factoring_ok, _k_rows, _kernel_counts, _ranks_mod_p, action_matrices, action_tensors,
+    det_action_matrix, enumerate_planes,
 )
 
 
@@ -43,6 +44,27 @@ def test_contracted_matrices_equal_det_action_matrix(p, sample):
         f1, f2 = plane.basis()
         assert np.array_equal(matrix, det_action_matrix(f1, f2))
         assert k_basis.tolist() == [list(row) for row in _k_rows(f1, f2)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_action_tensors_equal_unit_basis_products_over_gf_p(p):
+    # the per-prime construction that the lift from one field replaced; it
+    # agrees with the per-prime tensors by design, so this checks the lift
+    field = GF(p)
+    zero = BiForm.zero(field, 1, 1)
+    units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
+    bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
+    det, k = action_tensors(p)
+    assert np.array_equal(det, np.stack([det_action_matrix(f1, f2) for f1, f2 in bases]))
+    assert np.array_equal(k, np.array([_k_rows(f1, f2) for f1, f2 in bases]))
+
+
+def test_cached_action_tensors_are_read_only():
+    cached = locus_module._integer_action_tensors
+    for tensor in cached():
+        with pytest.raises(ValueError, match="read-only"):
+            tensor[0, 0, 0] = 1
+    assert cached() is cached()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

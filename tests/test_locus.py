@@ -11,9 +11,10 @@ from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
     action_matrices, classify_planes, detzero_count_for_basis, enumerate_planes,
     expected_detzero, expected_x_count, fiber_detzero_count, grass_count, moduli_point_count,
-    plane_bases, projective_count, raw_oracle_count, stratified_moduli_count, sweep_locus,
+    plane_bases, projective_count, raw_oracle_count, raw_oracle_counts, stratified_moduli_count,
+    sweep_locus,
 )
-from quadric_moduli.locus import _canonical_vectors, _factoring_ok, _kernel_counts
+from quadric_moduli.locus import _factoring_ok, _kernel_counts
 from quadric_moduli.report import load_golden, locus_document_text, locus_summary
 
 
@@ -183,12 +184,6 @@ def test_fiber_count_canonical_examples():
     assert fiber_detzero_count(plane_of(2, (1, 0, 0, 0), (0, 1, 0, 0))) == 3
 
 
-def test_canonical_vector_tables():
-    for p in (2, 3):
-        table = _canonical_vectors(p, 10)
-        assert len(table) == projective_count(p, 9) == (p**10 - 1) // (p - 1)
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_agrees_with_kernel_route(p):
     matrices, k_bases = action_matrices(p, plane_bases(p))
@@ -247,6 +242,19 @@ def test_raw_oracle_identity_one_plane_each_type_p3(sweep3):
     for row in seen.values():
         raw = raw_oracle_count(sweep3.plane(row))
         assert raw == 9 + int(sweep3.detzero_counts[row]) * 18
+
+
+@pytest.mark.parametrize("p,targets", [(2, 35), (3, 3)])
+def test_raw_oracle_batch_equals_batches_of_one(p, targets):
+    sweep = sweep_locus(p, full_oracle=True)
+    rows = sorted(sweep.raw_counts)
+    assert len(rows) == targets
+    planes = [sweep.plane(row) for row in rows]
+    batch = raw_oracle_counts(p, planes)
+    assert batch == [raw_oracle_count(plane) for plane in planes]
+    assert batch == [sweep.raw_counts[row] for row in rows]
+    assert batch == [p * p + int(sweep.detzero_counts[row]) * (p - 1) * p * p for row in rows]
+    assert raw_oracle_counts(p, []) == []
 
 
 def test_raw_oracle_rejects_large_primes():
