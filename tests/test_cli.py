@@ -76,7 +76,7 @@ DELETED = object()
 
 
 @pytest.mark.parametrize("keys,value", [
-    (("detzero_totals", "values", "2"), "12"),
+    (("moduli_point_counts", "values", "2"), "58311"),
     (("moduli_point_counts", "values"), [58311]),
     (("betti", "euler"), True),
     (("hilbert", "resolutions"), 5),
@@ -95,11 +95,13 @@ DELETED = object()
     (("hilbert", "combinations", 0, "coeffs"), ["x", -2]),
     (("hilbert", "resolutions", 0, "positions"), [[[0, True]]]),
     (("hilbert", "combinations", 0, "coeffs"), [3]),
+    (("moduli_point_counts", "values", "7"), DELETED),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
         "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
         "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
         "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
-        "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists"])
+        "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists",
+        "missing-prime"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -286,14 +288,14 @@ REPORT_DIGESTS = {
 }
 #: SHA-256 of the partial verify-locus --prime 2 document of a worker that
 #: fails on its sixth plane.
-PARTIAL_LOCUS_DIGEST = "19ac1661cbab156ae157c0f21f9c240b4aa3e7f670893e4718b90a9d04fdc068"
+PARTIAL_LOCUS_DIGEST = "c666e79ed1866d86425fe0d112ce25c1691f4f8a072dce68fb4e87675f6d5785"
 #: SHA-256 of the partial verify --primes 2,3 outputs, JSON and human, of a
 #: join that fails on its sixth call.
 PARTIAL_REPORT_DIGESTS = {
     ("verify", "--primes", "2,3", "--json"):
-        "4ae8ae4191992487084040c22309862f30c496c0f8d039cebb91ae305591e13e",
+        "e2ccc3c58341f32cfaee6730c6a19436af29f9522bdc26a670b1ad66ff88bd44",
     ("verify", "--primes", "2,3"):
-        "5eda3c60bb0bd25865376f673e912d907ebc2855e0948456e8cd739b360890c5",
+        "23edb2c28e60f15ac6042618e65c94590d69d48be83ea0603ec833e5b529d017",
 }
 
 
@@ -424,13 +426,13 @@ def test_usage_error_exits_2():
 def test_verify_locus_off_by_one_golden_exits_1(tmp_path, capsys):
     from quadric_moduli.report import load_golden
     golden = load_golden()
-    golden["detzero_totals"]["values"]["2"] += 1
+    golden["moduli_point_counts"]["values"]["2"] += 1
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(golden), encoding="utf-8")
     code = cli.main(["verify-locus", "--prime", "2", "--workers", "1", "--golden", str(path)])
     assert code == 1
     summary = json.loads(capsys.readouterr().out)["summary"]
-    assert summary["failures"] == ["det-zero total 12 != golden 13"]
+    assert summary["failures"] == ["moduli count 58311 != golden 58312"]
 
 
 # -- the console script's entry point ----------------------------------------------
@@ -457,7 +459,7 @@ def run_entry_point(argv) -> tuple[int, bytes, bytes]:
 def test_entry_point_equals_main(tmp_path, argv, code):
     from quadric_moduli.report import load_golden
     golden = load_golden()
-    golden["detzero_totals"]["values"]["2"] += 1
+    golden["moduli_point_counts"]["values"]["2"] += 1
     off_by_one = tmp_path / "golden.json"
     off_by_one.write_text(json.dumps(golden), encoding="utf-8")
     argv = [arg.format(off_by_one=off_by_one) for arg in argv]

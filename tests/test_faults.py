@@ -79,7 +79,8 @@ def test_dropped_plane(monkeypatch, capsys):
     monkeypatch.setattr(locus_module, "plane_bases", dropping)
     code, out = run_verify(capsys)
     assert code == 1
-    assert "34 planes enumerated, expected 35" in out
+    # the orbit tallies sum to |Grass(2, 4)|, so a dropped plane leaves one short
+    assert "17 generic planes with rank1_lines = 2, expected 18" in out
     assert "verdict: FAIL" in out
 
 
@@ -98,6 +99,20 @@ def test_wrong_rank1_lines(monkeypatch, capsys):
     assert code == 1
     assert "17 generic planes with rank1_lines = 2, expected 18" in out
     assert "10 generic planes with rank1_lines = 1, expected 9" in out
+    assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize("module,name,named", [
+    (report_module, "stratified_moduli_count", "moduli count 58312 != golden 58311"),
+    (locus_module, "grass_count", "moduli count 59334 != golden 58311"),
+    (locus_module, "expected_x_count", "det-zero total 12, expected 13"),
+], ids=["stratified-count", "grass-count", "expected-x"])
+def test_count_formula_off_by_one(monkeypatch, capsys, module, name, named):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
+    code, out = run_verify(capsys)
+    assert code == 1
+    assert f"! {named}\n" in out
     assert "verdict: FAIL" in out
 
 

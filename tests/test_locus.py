@@ -10,9 +10,9 @@ from quadric_moduli.field import GF
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
     action_matrices, classify_planes, detzero_count_for_basis, enumerate_planes,
-    expected_detzero, expected_x_count, fiber_detzero_count, grass_count, moduli_point_count,
-    plane_bases, projective_count, raw_oracle_count, raw_oracle_counts, stratified_moduli_count,
-    sweep_locus,
+    expected_detzero, expected_x_count, fiber_detzero_count, generic_orbit_sizes, grass_count,
+    moduli_point_count, plane_bases, projective_count, raw_oracle_count, raw_oracle_counts,
+    stratified_moduli_count, sweep_locus,
 )
 from quadric_moduli.locus import _factoring_ok, _kernel_counts
 from quadric_moduli.report import load_golden, locus_document_text, locus_summary
@@ -142,6 +142,49 @@ def test_classification_matches_rank1_sweep(p):
             assert lines == p + 1  # every line of the plane is rank one
 
 
+def reference_kind(p: int, rows) -> tuple[int, tuple[int, int]]:
+    """Oracle: the kind code and shared point of a rank-one plane, from the
+    rank1_test splits of its two basis forms."""
+    field = GF(p)
+    (v1, w1), (v2, w2) = (rank1_test(BiForm(field, 1, 1, row)) for row in rows)
+
+    def proportional(u, v):
+        return (u.coeffs[0] * v.coeffs[1] - u.coeffs[1] * v.coeffs[0]) % p == 0
+
+    def normalized(point):
+        lead = next(c for c in point.coeffs if c)
+        return tuple(field.mul(field.inv(lead), c) for c in point.coeffs)
+
+    if proportional(w1, w2):
+        return KINDS.index(SHARED_RIGHT), normalized(w1)
+    if proportional(v1, v2):
+        return KINDS.index(SHARED_LEFT), normalized(v1)
+    return -1, (0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_one_classification_matches_rank1_test(p):
+    bases = plane_bases(p)
+    kinds, _, points = classify_planes(p, bases)
+    rank_one = [row for row, plane in enumerate(enumerate_planes(p))
+                if rank1_lines_by_sweep(plane) == p + 1]
+    assert len(rank_one) == 2 * (p + 1)
+    assert np.flatnonzero(kinds != KINDS.index(GENERIC)).tolist() == rank_one
+    assert not points[kinds == KINDS.index(GENERIC)].any()
+    # the same planes on random other bases, which are not in echelon form, so
+    # that the shared point must be scaled to lead with one
+    rng = np.random.default_rng(p)
+    changes = [(a, b, c, d) for a, b, c, d in rng.integers(0, p, (64, 4)).tolist()
+               if (a * d - b * c) % p][:len(rank_one)]
+    mixed = np.einsum("nij,njk->nik", np.reshape(changes, (-1, 2, 2)), bases[rank_one]) % p
+    mixed_kinds, _, mixed_points = classify_planes(p, mixed)
+    for row, mixed_rows, kind, point in zip(rank_one, mixed, mixed_kinds, mixed_points,
+                                            strict=True):
+        expected = (int(kinds[row]), tuple(points[row].tolist()))
+        assert expected == reference_kind(p, bases[row]) == reference_kind(p, mixed_rows)
+        assert (int(kind), tuple(point.tolist())) == expected
+
+
 def test_plane_type_partition(sweep2, sweep3):
     for sweep in (sweep2, sweep3):
         p = sweep.p
@@ -269,6 +312,34 @@ def test_total_x_counts(sweep2, sweep3):
     assert sweep2.ok and sweep3.ok
     assert sweep2.x_count == 12 == expected_x_count(2)
     assert sweep3.x_count == 20 == expected_x_count(3)
+
+
+# Each check below shows that a check of the verdict would restate another.
+# Both sides of each identity are polynomials in p of degree at most 13, so
+# agreement at the 40 values p = 2, ..., 41 proves it for every p.
+
+def test_orbit_sizes_sum_to_the_grassmannian():
+    for p in range(2, 42):
+        assert sum(generic_orbit_sizes(p).values()) + 2 * (p + 1) == grass_count(p)
+
+
+def test_moduli_count_gap_is_the_x_gap():
+    # stratified count minus the Betti-polynomial value is expected X minus X:
+    # comparing the moduli count with the polynomial restates the X check
+    for p in range(2, 42):
+        poincare = eval_at(poincare_moduli(), p)
+        for x in (-5, 0, expected_x_count(p), 199):
+            assert stratified_moduli_count(p, x) - poincare == expected_x_count(p) - x
+
+
+def test_expected_x_is_the_sum_over_kinds():
+    # p + 1 planes of each shared kind, and none of the generic planes, carry
+    # det-zero points: the X total restates the per-plane and tally checks
+    for p in range(2, 42):
+        by_kind = expected_detzero(p)
+        assert by_kind[KINDS.index(GENERIC)] == 0
+        assert ((p + 1) * by_kind[KINDS.index(SHARED_RIGHT)]
+                + (p + 1) * by_kind[KINDS.index(SHARED_LEFT)]) == expected_x_count(p)
 
 
 def test_sweep_method_gating():
@@ -420,20 +491,18 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
 
 
 def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
-    import itertools
-
     import quadric_moduli.cli as cli
     import quadric_moduli.locus as locus_module
 
-    # split the two basis forms of each rank-one plane into factors that
-    # match on neither side
-    splits = itertools.cycle([((1, 0), (1, 0)), ((0, 1), (0, 1))])
+    real = locus_module.classify_planes
 
-    def mismatched(f):
-        v, w = next(splits)
-        return BiForm.linear_xy(f.field, *v), BiForm.linear_zw(f.field, *w)
+    # no rank-one plane shares neither factor, so mark every one as such
+    def unclassifiable(p, bases):
+        kinds, rank1_lines, shared_points = real(p, bases)
+        rank_one = kinds != KINDS.index(GENERIC)
+        return np.where(rank_one, -1, kinds), rank1_lines, shared_points * ~rank_one[:, None]
 
-    monkeypatch.setattr(locus_module, "rank1_test", mismatched)
+    monkeypatch.setattr(locus_module, "classify_planes", unclassifiable)
     sweep = sweep_locus(2)
     assert not sweep.ok
     assert any("shares neither factor" in f for f in sweep.failures)
