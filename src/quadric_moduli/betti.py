@@ -1,13 +1,25 @@
-"""Exact integer polynomials in one variable for Betti-number bookkeeping.
+"""Exact integer polynomials in one variable for Betti-number bookkeeping,
+and the closed point-count formulas over F_p.
 
 The Poincare polynomial of a smooth projective variety without odd homology
 doubles as its counting polynomial: evaluating at a prime power q gives the
 number of points over the field with q elements.  This module provides the
 polynomial arithmetic, the projective-space and Grassmannian polynomials,
-and the five-stratum combination for the moduli space under study.
+the five-stratum combination for the moduli space under study, and the
+same strata counted directly at a prime: the primes the sweeps support,
+the expected determinant-locus and orbit counts, and the stratified point
+count from a measured determinant-locus total.  It imports nothing, so the
+Betti and Hilbert checks run without the array engine of the sweeps.
 """
 
 from __future__ import annotations
+
+#: Primes accepted by the sweep machinery.
+SUPPORTED_PRIMES = (2, 3, 5, 7)
+
+
+class VerificationError(Exception):
+    """An expected-versus-computed mismatch in a verification sweep."""
 
 
 class XiPoly:
@@ -180,3 +192,37 @@ def poincare_moduli() -> XiPoly:
 def eval_at(P: XiPoly, q: int) -> int:
     """Exact big-integer evaluation of P at q."""
     return P.eval(q)
+
+
+def projective_count(p: int, n: int) -> int:
+    """Number of points of n-dimensional projective space over F_p."""
+    return (p ** (n + 1) - 1) // (p - 1)
+
+
+def grass_count(p: int) -> int:
+    """Number of 2-planes in 4-space over F_p, computed directly."""
+    return (p * p + 1) * (p * p + p + 1)
+
+
+def expected_x_count(p: int) -> int:
+    """Points of the determinant locus: a line plus a quadric surface."""
+    return (p + 1) + (p + 1) ** 2
+
+
+def generic_orbit_sizes(p: int) -> dict[int, int]:
+    """Number of generic planes with 2, 1 and 0 rank-one lines: the three
+    generic GL2 x GL2 orbits, whose lines of P^3 are secant to, tangent to
+    and disjoint from the quadric P^1 x P^1."""
+    return {2: p * p * (p + 1) ** 2 // 2,
+            1: (p - 1) * (p + 1) ** 2,
+            0: p * p * (p - 1) ** 2 // 2}
+
+
+def stratified_moduli_count(p: int, x_count: int) -> int:
+    """Point count of the moduli space from its strata: the fiber-bundle
+    count minus the det-zero locus, plus the universal-curve stratum, plus
+    the projective space of twisted structure sheaves."""
+    return (projective_count(p, 9) * grass_count(p)
+            - x_count
+            + (p + 1) ** 2 * projective_count(p, 10)
+            + projective_count(p, 11))

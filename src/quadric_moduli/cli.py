@@ -7,8 +7,12 @@ the kernel route before its first; the partial report is still
 written).  Machine output is canonical JSON (sorted keys, indent 2);
 identical configurations produce byte-identical reports, for any
 --workers.  The verify-locus fiber list is written directly from the
-sweep's columns, in that same canonical form.  The CLI pins BLAS to one
-thread: it sets OPENBLAS_NUM_THREADS before anything imports numpy.
+sweep's columns, in that same canonical form.  Each subcommand imports
+only what it runs: betti and hilbert need the closed formulas of betti and
+the Hilbert arithmetic alone, and never load numpy or the sweep engine
+(locus), which verify-locus, verify and report import when they start a
+sweep.  The CLI pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS
+before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import sys
 # every count is integer arithmetic: one BLAS thread, not one spinning per core
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
+from .betti import SUPPORTED_PRIMES, VerificationError
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
-from .locus import SUPPORTED_PRIMES, VerificationError, sweep_locus
 from .report import (
     GoldenError, RunConfig, betti_section, build_report, load_golden, locus_document_text,
     locus_summary, to_json_text,
@@ -120,7 +124,7 @@ def cmd_betti(args) -> int:
 
 def cmd_hilbert(args) -> int:
     text = args.resolution
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):
         try:
             with open(text, encoding="utf-8") as handle:
                 text = handle.read()
@@ -150,6 +154,8 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_verify_locus(args) -> int:
+    from .locus import sweep_locus
+
     golden = load_golden(args.golden)
     sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
     summary = locus_summary(sweep, golden)
@@ -227,8 +233,12 @@ def main(argv=None) -> int:
 
 def entrypoint():
     """The qmoduli console script, also run by python -m quadric_moduli.cli."""
-    gc.freeze()  # import-time objects live until exit: keep every collection off them
-    sys.exit(main())
+    # objects alive at a freeze live until exit: keep every later collection
+    # off them, and again after main, which imports numpy for the sweeps
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

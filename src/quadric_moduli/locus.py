@@ -9,6 +9,8 @@ the second column.  This module enumerates the planes over a prime field
 into one table of bases, classifies them all at once by their rank-one
 structure, counts determinant-zero points in every fiber, and checks each
 count, the five orbit tallies and the total X on which the point counts rest.
+The closed formulas it checks against, and the supported primes, live in
+betti, so that only a sweep loads numpy.
 A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
@@ -45,11 +47,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import linalg
+from .betti import (
+    SUPPORTED_PRIMES, VerificationError, expected_x_count, generic_orbit_sizes,
+    stratified_moduli_count,
+)
 from .biform import BiForm, linearly_independent
 from .field import GF
 
-#: Primes accepted by the sweep machinery.
-SUPPORTED_PRIMES = (2, 3, 5, 7)
 #: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
 #: reports carry raw counts at exactly these primes.
 RAW_SWEEP_PRIMES = (2, 3)
@@ -70,28 +74,9 @@ SHARED_LEFT = "shared-left"
 KINDS = (GENERIC, SHARED_RIGHT, SHARED_LEFT)
 
 
-class VerificationError(Exception):
-    """An expected-versus-computed mismatch in a verification sweep."""
-
-
 def _check_prime(p: int):
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
-
-
-def projective_count(p: int, n: int) -> int:
-    """Number of points of n-dimensional projective space over F_p."""
-    return (p ** (n + 1) - 1) // (p - 1)
-
-
-def grass_count(p: int) -> int:
-    """Number of 2-planes in 4-space over F_p, computed directly."""
-    return (p * p + 1) * (p * p + p + 1)
-
-
-def expected_x_count(p: int) -> int:
-    """Points of the determinant locus: a line plus a quadric surface."""
-    return (p + 1) + (p + 1) ** 2
 
 
 @dataclass(frozen=True)
@@ -119,19 +104,6 @@ class Plane:
             raise ValueError("plane basis must be linearly independent")
         raise ValueError("plane basis must be in reduced row echelon form")
 
-    @classmethod
-    def from_forms(cls, f1: BiForm, f2: BiForm) -> "Plane":
-        """Canonical plane spanned by two independent (1, 1)-forms."""
-        if f1.bidegree != (1, 1) or f2.bidegree != (1, 1):
-            raise ValueError("plane basis forms must have bidegree (1, 1)")
-        if f1.field != f2.field:
-            raise ValueError("plane basis forms must share one field")
-        p = f1.field.char
-        reduced, pivots = linalg.rref(f1.field, [f1.coeffs, f2.coeffs])
-        if len(pivots) != 2:
-            raise ValueError("plane basis must be linearly independent")
-        return cls(p, (tuple(reduced[0]), tuple(reduced[1])))
-
     def basis(self) -> tuple[BiForm, BiForm]:
         field = GF(self.p)
         return (BiForm(field, 1, 1, self.rows[0]), BiForm(field, 1, 1, self.rows[1]))
@@ -142,15 +114,6 @@ def expected_detzero(p: int) -> np.ndarray:
     by kind code: no point over a generic plane, one over a shared-right
     plane and p + 1 over a shared-left plane."""
     return np.array([0, 1, p + 1], dtype=np.int64)
-
-
-def generic_orbit_sizes(p: int) -> dict[int, int]:
-    """Number of generic planes with 2, 1 and 0 rank-one lines: the three
-    generic GL2 x GL2 orbits, whose lines of P^3 are secant to, tangent to
-    and disjoint from the quadric P^1 x P^1."""
-    return {2: p * p * (p + 1) ** 2 // 2,
-            1: (p - 1) * (p + 1) ** 2,
-            0: p * p * (p - 1) ** 2 // 2}
 
 
 # -- plane enumeration and classification ----------------------------------
@@ -173,12 +136,6 @@ def plane_bases(p: int) -> np.ndarray:
             block[:, row, col] = values[:, k]
         blocks.append(block)
     return np.concatenate(blocks)
-
-
-def enumerate_planes(p: int):
-    """Yield the planes of plane_bases(p) as Plane objects, in its order."""
-    for row0, row1 in plane_bases(p).tolist():
-        yield Plane(p, (tuple(row0), tuple(row1)))
 
 
 def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -338,13 +295,6 @@ def _join_counts(p: int, matrices, k_bases, reverse_complement: bool = False):
 def _join_count(p: int, left: np.ndarray, right: np.ndarray) -> int:
     """A fiber's det-zero count from its half-image keys, of A a and B b."""
     return (_coinciding_pairs(left, right) - 1) // (p - 1)
-
-
-def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> int:
-    """Det-zero points of the projective fiber over a plane, by the exact
-    join over all (p^10 - 1)/(p - 1) fiber points."""
-    f1, f2 = plane.basis()
-    return detzero_count_for_basis(f1, f2, reverse_complement=reverse_complement)
 
 
 @functools.cache
@@ -607,16 +557,6 @@ def _collect_failures(sweep: LocusSweep):
     if sweep.x_count != sweep.expected_x:
         sweep.failures.append(
             f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
-
-
-def stratified_moduli_count(p: int, x_count: int) -> int:
-    """Point count of the moduli space from its strata: the fiber-bundle
-    count minus the det-zero locus, plus the universal-curve stratum, plus
-    the projective space of twisted structure sheaves."""
-    return (projective_count(p, 9) * grass_count(p)
-            - x_count
-            + (p + 1) ** 2 * projective_count(p, 10)
-            + projective_count(p, 11))
 
 
 def moduli_point_count(p: int) -> int:

@@ -12,18 +12,19 @@ identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
-from importlib import resources
 
-from .betti import eval_at, poincare_moduli
+from .betti import SUPPORTED_PRIMES, eval_at, poincare_moduli, stratified_moduli_count
 from .hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
     twist,
 )
-from .locus import (
-    GENERIC, KINDS, SUPPORTED_PRIMES, LocusSweep, stratified_moduli_count, sweep_locus,
-)
+
+TYPE_CHECKING = False  # type checkers read it as True; importing typing costs start-up
+if TYPE_CHECKING:
+    from .locus import LocusSweep  # locus loads numpy: the sweeps import it when they run
 
 
 class GoldenError(ValueError):
@@ -90,11 +91,10 @@ _OPTIONAL_HILBERT_KEYS = ("genus", "equals_line_bundle")
 def load_golden(path: str | None = None) -> dict:
     """Load the golden-value file and check the shape of every entry it reads."""
     try:
-        if path is None:
-            text = resources.files("quadric_moduli.data").joinpath("golden.json").read_text()
-        else:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
+        if path is None:  # by path: importlib.resources would import zipfile and tempfile
+            path = os.path.join(os.path.dirname(__file__), "data", "golden.json")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except OSError as exc:
         raise GoldenError(f"cannot read golden file: {exc}") from exc
     try:
@@ -152,6 +152,7 @@ _RAW_TAIL = ',\n      "raw_count": {},\n      "raw_ok": {}'
 
 def locus_document_text(sweep: LocusSweep, summary: dict) -> str:
     """to_json_text of a verify-locus document, its fibers written from the sweep's columns."""
+    from .locus import GENERIC, KINDS
     raw_tails = {row: _RAW_TAIL.format(sweep.raw_counts[row], str(ok).lower())
                  for row, ok in sweep.raw_ok().items()}
     fibers = []
@@ -265,6 +266,7 @@ def build_report(config: RunConfig, golden: dict) -> dict:
     that stops partway (LocusSweep.worker_failure) ends the run: its partial
     summary is the last locus entry, and its message is recorded there and
     at the top level under "worker_failure"."""
+    from .locus import sweep_locus
     report = {
         "tool": "quadric-moduli",
         "config": {

@@ -10,7 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli
+from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli, projective_count
 from quadric_moduli.biform import (
     BiForm, PhiMatrix, det2, factorization_test, linearly_independent, mul_right_linear,
     rank1_test,
@@ -20,9 +20,10 @@ from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, enumerate_planes,
-    fiber_detzero_count, moduli_point_count, projective_count, raw_oracle_count, sweep_locus,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, moduli_point_count,
+    raw_oracle_count, sweep_locus,
 )
+from plane_reference import enumerate_planes, fiber_detzero_count
 
 F2 = GF(2)
 F3 = GF(3)

@@ -171,6 +171,14 @@ def test_hilbert_malformed_shapes_exit_2():
     assert run_cli("hilbert", '{"positions": [[[true, 0]], [[false, -1]]]}').returncode == 2
 
 
+@pytest.mark.parametrize("spec", ["[1]", " [1, 2]", "[]"])
+def test_hilbert_inline_json_that_is_not_an_object_exits_2(capsys, spec):
+    # read as inline JSON, not as the path of a resolution file
+    assert cli.main(["hilbert", spec]) == 2
+    err = capsys.readouterr().err
+    assert err == 'error: resolution JSON must be an object with a "positions" key\n'
+
+
 def test_hilbert_missing_file_exit_2(tmp_path):
     result = run_cli("hilbert", str(tmp_path / "nope.json"))
     assert result.returncode == 2
@@ -478,6 +486,41 @@ def test_entry_point_report_out_writes_the_json_report(tmp_path):
 
 def test_package_root_imports_no_numpy():
     code = "import sys, quadric_moduli; assert 'numpy' not in sys.modules, 'numpy loaded'"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+#: Modules that only a sweep needs.
+SWEEP_MODULES = ("numpy", "quadric_moduli.biform", "quadric_moduli.locus")
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["betti"], ()),
+    (["betti", "--json"], ()),
+    (["hilbert", RES_OPEN_JSON], ()),
+    (["verify", "--primes", "2"], SWEEP_MODULES),
+], ids=["betti", "betti-json", "hilbert", "verify"])
+def test_only_sweeps_load_numpy(argv, loaded):
+    code = ("import sys\n"
+            "from quadric_moduli import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"sys.stderr.write(' '.join(m for m in {SWEEP_MODULES!r} if m in sys.modules))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == " ".join(loaded)
+
+
+def test_entry_point_freezes_the_heap_the_sweeps_import():
+    # verify imports numpy inside main: the collections at exit must skip its heap too
+    code = ("import gc, sys\n"
+            "from quadric_moduli import cli\n"
+            "sys.argv = ['qmoduli', 'verify', '--primes', '2']\n"
+            "try:\n"
+            "    cli.entrypoint()\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "import numpy\n"
+            "assert not any(o is vars(numpy) for o in gc.get_objects()), 'numpy is not frozen'\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import quadric_moduli.betti as betti_module
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 import quadric_moduli.report as report_module
@@ -104,7 +105,7 @@ def test_wrong_rank1_lines(monkeypatch, capsys):
 
 @pytest.mark.parametrize("module,name,named", [
     (report_module, "stratified_moduli_count", "moduli count 58312 != golden 58311"),
-    (locus_module, "grass_count", "moduli count 59334 != golden 58311"),
+    (betti_module, "grass_count", "moduli count 59334 != golden 58311"),
     (locus_module, "expected_x_count", "det-zero total 12, expected 13"),
 ], ids=["stratified-count", "grass-count", "expected-x"])
 def test_count_formula_off_by_one(monkeypatch, capsys, module, name, named):

@@ -1,7 +1,16 @@
-"""The golden moduli point counts against the Poincare polynomial."""
+"""The golden file as load_golden reads it, and its moduli point counts
+against the Poincare polynomial."""
+
+import json
+from importlib import resources
 
 from quadric_moduli.betti import eval_at, poincare_moduli
 from quadric_moduli.report import load_golden
+
+
+def test_load_golden_reads_the_packaged_file():
+    packaged = resources.files("quadric_moduli.data").joinpath("golden.json").read_bytes()
+    assert load_golden() == json.loads(packaged)
 
 
 def test_golden_moduli_counts_equal_polynomial():

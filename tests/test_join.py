@@ -15,13 +15,14 @@ import quadric_moduli.cli as cli
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
+from quadric_moduli.betti import projective_count
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
     _affine_vectors, _coinciding_pairs, _complement_columns, _factoring_ok,
     _image_keys, _join_counts, _k_rows, _kernel_counts, action_matrices, classify_planes,
-    det_action_matrix, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
-    plane_bases, projective_count, raw_oracle_count,
+    det_action_matrix, detzero_count_for_basis, plane_bases, raw_oracle_count,
 )
+from plane_reference import enumerate_planes, fiber_detzero_count
 
 
 def canonical_vectors(p: int, dim: int) -> np.ndarray:

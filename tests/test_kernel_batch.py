@@ -14,8 +14,9 @@ from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
     _factoring_ok, _k_rows, _kernel_counts, _ranks_mod_p, action_matrices, action_tensors,
-    det_action_matrix, enumerate_planes,
+    det_action_matrix,
 )
+from plane_reference import enumerate_planes
 
 
 def reference_count(plane) -> int:

@@ -4,18 +4,20 @@ import random
 import numpy as np
 import pytest
 
-from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli
+from quadric_moduli.betti import (
+    eval_at, grass_count, grass_poincare, poincare_moduli, projective_count,
+)
 from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
-    action_matrices, classify_planes, detzero_count_for_basis, enumerate_planes,
-    expected_detzero, expected_x_count, fiber_detzero_count, generic_orbit_sizes, grass_count,
-    moduli_point_count, plane_bases, projective_count, raw_oracle_count, raw_oracle_counts,
-    stratified_moduli_count, sweep_locus,
+    action_matrices, classify_planes, detzero_count_for_basis, expected_detzero,
+    expected_x_count, generic_orbit_sizes, moduli_point_count, plane_bases, raw_oracle_count,
+    raw_oracle_counts, stratified_moduli_count, sweep_locus,
 )
 from quadric_moduli.locus import _factoring_ok, _kernel_counts
 from quadric_moduli.report import load_golden, locus_document_text, locus_summary
+from plane_reference import enumerate_planes, fiber_detzero_count, plane_from_forms
 
 
 def plane_of(p, *rows):
@@ -79,10 +81,10 @@ def test_plane_from_forms_canonicalizes():
     field = GF(3)
     xz = BiForm.monomial(field, 1, 1, 0, 0)
     xw = BiForm.monomial(field, 1, 1, 0, 1)
-    plane = Plane.from_forms(2 * xz + xw, xz + xw)
+    plane = plane_from_forms(2 * xz + xw, xz + xw)
     assert plane == plane_of(3, (1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
-        Plane.from_forms(xz, 2 * xz)
+        plane_from_forms(xz, 2 * xz)
 
 
 # -- classification ------------------------------------------------------------
@@ -200,7 +202,7 @@ def test_shared_right_planes_at_p2_by_construction(sweep2):
     for v in [(1, 0), (0, 1), (1, 1)]:
         xv = BiForm.from_terms(field, 1, 1, {(0, 0): v[0], (0, 1): v[1]})
         yv = BiForm.from_terms(field, 1, 1, {(1, 0): v[0], (1, 1): v[1]})
-        expected.add(Plane.from_forms(xv, yv))
+        expected.add(plane_from_forms(xv, yv))
     found = {sweep2.plane(row)
              for row in np.flatnonzero(sweep2.kinds == KINDS.index(SHARED_RIGHT))}
     assert found == expected
