@@ -7,8 +7,7 @@ and then z-degree:
 
     coeffs[i*(b+1) + j]  <->  coefficient of  x^(a-i) y^i z^(b-j) w^j
 
-Bit-exact serialization depends on this layout; it is shared by every
-module in the package.  Linear forms on the two factors are the bidegree
+This layout is shared by every module in the package.  Linear forms on the two factors are the bidegree
 (1, 0) and (0, 1) special cases, so products like f * (1 tensor u) are
 ordinary form multiplication.
 
@@ -19,7 +18,6 @@ function.
 from __future__ import annotations
 
 from . import linalg
-from .field import field_by_char
 
 
 class BiForm:
@@ -142,7 +140,7 @@ class BiForm:
     def __rmul__(self, other) -> "BiForm":
         return self.scale(other)
 
-    # -- equality, display, serialization --------------------------------
+    # -- equality, display -----------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -175,27 +173,6 @@ class BiForm:
 
     def __repr__(self) -> str:
         return f"BiForm({self.field!r}, ({self.a}, {self.b}), {self})"
-
-    def to_json(self) -> dict:
-        coeffs = []
-        for c in self.coeffs:
-            if self.field.char == 0 and c.denominator != 1:
-                coeffs.append(f"{c.numerator}/{c.denominator}")
-            else:
-                coeffs.append(int(c))
-        return {"a": self.a, "b": self.b, "p": self.field.char, "coeffs": coeffs}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BiForm":
-        field = field_by_char(data["p"])
-        coeffs = [field.canon(c) if not isinstance(c, str) else _parse_fraction(field, c)
-                  for c in data["coeffs"]]
-        return cls(field, data["a"], data["b"], coeffs)
-
-
-def _parse_fraction(field, text: str):
-    num, _, den = text.partition("/")
-    return field.div(field.canon(int(num)), int(den or "1"))
 
 
 # -- the spec'd operation surface -----------------------------------------

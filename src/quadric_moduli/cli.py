@@ -5,14 +5,15 @@ Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
 input or environment, 3 a count raised (the sweep stopped at that plane,
 the kernel route before its first; the partial report is still
 written).  Machine output is canonical JSON (sorted keys, indent 2);
-identical configurations produce byte-identical reports, for any
---workers.  The verify-locus fiber list is written directly from the
-sweep's columns, in that same canonical form.  Each subcommand imports
-only what it runs: betti and hilbert need the closed formulas of betti and
-the Hilbert arithmetic alone, and never load numpy or the sweep engine
-(locus), which verify-locus, verify and report import when they start a
-sweep.  The CLI pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS
-before anything imports numpy.
+identical configurations produce byte-identical reports.  --workers
+changes no count: only report and verify --json, which echo it as
+config.workers, depend on it.  The verify-locus fiber list is written
+directly from the sweep's columns, in that same canonical form.  Each
+subcommand imports only what it runs: betti and hilbert need the closed
+formulas of betti and the Hilbert arithmetic alone, and never load numpy
+or the sweep engine (locus), which verify-locus, verify and report import
+when they start a sweep.  The CLI pins BLAS to one thread: it sets
+OPENBLAS_NUM_THREADS before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .betti import SUPPORTED_PRIMES, VerificationError
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
 from .report import (
-    GoldenError, RunConfig, betti_section, build_report, load_golden, locus_document_text,
-    locus_summary, to_json_text,
+    GoldenError, betti_section, build_report, load_golden, locus_document_text, locus_summary,
+    to_json_text,
 )
 
 EXIT_OK = 0
@@ -104,8 +105,13 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         primes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise ValueError(f"cannot parse primes list {text!r}") from exc
+    bad = [p for p in primes if p not in SUPPORTED_PRIMES]
+    if bad:
+        raise ValueError(f"unsupported primes {bad}; supported: {SUPPORTED_PRIMES}")
     if not primes:
         raise ValueError("at least one prime is required")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"repeated primes in {list(primes)}")
     return primes
 
 
@@ -187,10 +193,9 @@ def _human_report(report: dict) -> str:
 
 
 def _run_report(args, as_json: bool) -> int:
-    config = RunConfig(primes=_parse_primes(args.primes), workers=args.workers,
-                       full_oracle=args.full_oracle)
+    primes = _parse_primes(args.primes)
     golden = load_golden(args.golden)
-    report = build_report(config, golden)
+    report = build_report(primes, golden, workers=args.workers, full_oracle=args.full_oracle)
     text = to_json_text(report)
     if args.out or as_json:
         _emit(text, args.out)

@@ -164,8 +164,3 @@ def GF(p: int) -> PrimeField:
     if field is None:
         field = _GF_CACHE[p] = PrimeField(p)
     return field
-
-
-def field_by_char(char: int):
-    """Field from its characteristic as used in serialized data (0 = rationals)."""
-    return QQ if char == 0 else GF(char)

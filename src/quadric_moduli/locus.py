@@ -15,9 +15,8 @@ A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
 check of K) has one implementation, which works on arrays of planes.
-Plane is the single-plane input type: it validates a basis and feeds the
-fiber join and the raw oracle, and a sweep builds one only for a raw-oracle
-target or to name an unclassifiable plane.
+Plane validates the basis of a single plane, the input of raw_oracle_count;
+a sweep builds none, and hands the raw oracle its targets' basis rows.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -377,13 +376,15 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     return (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
 
 
-def raw_oracle_maps(plane: Plane) -> tuple[np.ndarray, np.ndarray]:
-    """The linear maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms, as
-    two 6 x 12 integer matrices whose row k is the product of the k-th
-    (1, 2)-monomial with f2, respectively f1.  Built from form products
-    alone, independently of det_action_matrix, K and any complement."""
-    f1, f2 = plane.basis()
-    monomials = _first_column_monomials(GF(plane.p))
+def raw_oracle_maps(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The linear maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms, for
+    the plane with basis rows (f1, f2), as two 6 x 12 integer matrices whose
+    row k is the product of the k-th (1, 2)-monomial with f2, respectively
+    f1.  Built from form products alone, independently of det_action_matrix,
+    K and any complement."""
+    field = GF(p)
+    f1, f2 = (BiForm(field, 1, 1, row) for row in rows)
+    monomials = _first_column_monomials(field)
     return (np.array([(mono * f2).coeffs for mono in monomials], dtype=np.int64),
             np.array([(mono * f1).coeffs for mono in monomials], dtype=np.int64))
 
@@ -399,15 +400,17 @@ def raw_oracle_count(plane: Plane) -> int:
         raw = p^2 + N * (p - 1) * p^2
     (the p^2 factoring pairs, plus p^2 raw pairs for each of the (p - 1)
     nonzero scalings of each det-zero projective fiber point)."""
-    return raw_oracle_counts(plane.p, [plane])[0]
+    return raw_oracle_counts(plane.p, [plane.rows])[0]
 
 
-def raw_oracle_counts(p: int, planes) -> list[int]:
-    """raw_oracle_count of each of a list of planes over F_p: the maps of
-    all of them are keyed in one stack, and joined plane by plane."""
+def raw_oracle_counts(p: int, bases) -> list[int]:
+    """raw_oracle_count of each of N planes over F_p, given by their basis
+    rows, an (N, 2, 4) array-like: the maps of all of them are keyed in one
+    stack, and joined plane by plane."""
     if p not in RAW_SWEEP_PRIMES:
         raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
-    maps = np.reshape([raw_oracle_maps(plane) for plane in planes], (-1, 2, 6, 12))
+    maps = np.reshape([raw_oracle_maps(p, rows) for rows in np.asarray(bases).tolist()],
+                      (-1, 2, 6, 12))
     keys = _image_keys(p, _affine_vectors(p, 6), maps.transpose(0, 1, 3, 2))
     return [_coinciding_pairs(left, right) for left, right in keys]
 
@@ -465,9 +468,6 @@ class LocusSweep:
         return {row: raw == p * p + int(self.detzero_counts[row]) * (p - 1) * p * p
                 for row, raw in self.raw_counts.items()}
 
-    def plane(self, row: int) -> Plane:
-        return Plane(self.p, self.bases[row].tolist())
-
 
 def sweep_method(p: int, full_oracle: bool) -> str:
     return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
@@ -483,13 +483,13 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     classify_planes, and one contraction of the action tensors with every
     plane, whose K bases are checked against the kernel.  The kernel route
     then row-reduces the whole stack; the enumeration route keys the stack
-    by blocks and joins plane by plane, in order.  Only raw-oracle targets
-    and unclassifiable planes are built as Plane objects.  `workers` must
-    be >= 1 and selects nothing: every sweep runs in this process.  If a
-    count raises anything but VerificationError, the sweep stops at that
-    plane (the kernel route before its first) and is returned partial, with
-    the message in `worker_failure` and in `failures` and no raw oracle
-    run; mismatches never raise here, they are recorded in `failures`.
+    by blocks and joins plane by plane, in order.  No Plane is built: the
+    raw oracle takes its targets' basis rows.  `workers` must be >= 1 and
+    selects nothing: every sweep runs in this process.  If a count raises
+    anything but VerificationError, the sweep stops at that plane (the
+    kernel route before its first) and is returned partial, with the
+    message in `worker_failure` and in `failures` and no raw oracle run;
+    mismatches never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -514,7 +514,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     counts = np.asarray(counts, dtype=np.int64)
 
     done = kinds[:len(counts)]
-    failures += [f"plane {index}: rank-one plane {Plane(p, bases[index].tolist())} "
+    failures += [f"plane {index}: rank-one plane with basis rows {bases[index].tolist()} "
                  f"shares neither factor" for index in np.flatnonzero(done < 0)]
     rows = np.flatnonzero(done >= 0)
     sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
@@ -527,7 +527,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     if full_oracle and p in RAW_SWEEP_PRIMES:
         first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]
         targets = range(len(rows)) if p == 2 else sorted(first_of_each_kind.tolist())
-        raw = raw_oracle_counts(p, [sweep.plane(row) for row in targets])
+        raw = raw_oracle_counts(p, sweep.bases[targets])
         sweep.raw_counts = dict(zip(targets, raw))
     _collect_failures(sweep)
     return sweep

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
 
 from .betti import SUPPORTED_PRIMES, eval_at, poincare_moduli, stratified_moduli_count
 from .hilbert import (
@@ -29,26 +28,6 @@ if TYPE_CHECKING:
 
 class GoldenError(ValueError):
     """The golden data file is missing, unreadable, or malformed."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Configuration of a verification run."""
-
-    primes: tuple[int, ...]
-    workers: int = 1
-    full_oracle: bool = False
-
-    def __post_init__(self):
-        bad = [p for p in self.primes if p not in SUPPORTED_PRIMES]
-        if bad:
-            raise ValueError(f"unsupported primes {bad}; supported: {SUPPORTED_PRIMES}")
-        if not self.primes:
-            raise ValueError("at least one prime is required")
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError(f"repeated primes in {list(self.primes)}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _is_int(value) -> bool:
@@ -261,25 +240,27 @@ def locus_summary(sweep: LocusSweep, golden: dict) -> dict:
     }
 
 
-def build_report(config: RunConfig, golden: dict) -> dict:
-    """Full verification report.  Mismatches only flip the verdict.  A sweep
-    that stops partway (LocusSweep.worker_failure) ends the run: its partial
-    summary is the last locus entry, and its message is recorded there and
-    at the top level under "worker_failure"."""
+def build_report(primes, golden: dict, *, workers: int = 1,
+                 full_oracle: bool = False) -> dict:
+    """Full verification report, one locus entry per prime in the given
+    order.  Mismatches only flip the verdict.  A sweep that stops partway
+    (LocusSweep.worker_failure) ends the run: its partial summary is the
+    last locus entry, and its message is recorded there and at the top
+    level under "worker_failure"."""
     from .locus import sweep_locus
     report = {
         "tool": "quadric-moduli",
         "config": {
-            "primes": list(config.primes),
-            "workers": config.workers,
-            "full_oracle": config.full_oracle,
+            "primes": list(primes),
+            "workers": workers,
+            "full_oracle": full_oracle,
         },
         "betti": betti_section(golden),
         "hilbert": hilbert_section(golden),
         "locus": [],
     }
-    for p in config.primes:
-        sweep = sweep_locus(p, workers=config.workers, full_oracle=config.full_oracle)
+    for p in primes:
+        sweep = sweep_locus(p, workers=workers, full_oracle=full_oracle)
         summary = locus_summary(sweep, golden)
         report["locus"].append(summary)
         if sweep.worker_failure is not None:

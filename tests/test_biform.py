@@ -337,23 +337,6 @@ def test_linear_independence():
     assert not linearly_independent(f["xz"], 3 * f["xz"])
 
 
-# -- serialization -----------------------------------------------------------------
-
-def test_json_roundtrip_prime_field():
-    f = BiForm(F3, 1, 2, [0, 1, 2, 1, 0, 2])
-    data = f.to_json()
-    assert data == {"a": 1, "b": 2, "p": 3, "coeffs": [0, 1, 2, 1, 0, 2]}
-    assert BiForm.from_json(data) == f
-
-
-def test_json_roundtrip_rationals():
-    f = BiForm(QQ, 1, 1, [Fraction(1, 2), 2, 0, Fraction(-3, 4)])
-    data = f.to_json()
-    assert data["p"] == 0
-    assert data["coeffs"] == ["1/2", 2, 0, "-3/4"]
-    assert BiForm.from_json(data) == f
-
-
 def test_coefficient_layout_is_documented_order():
     # index i*(b+1)+j corresponds to x^(a-i) y^i z^(b-j) w^j
     f = BiForm(QQ, 1, 1, [5, 0, 0, 0])

@@ -230,12 +230,27 @@ def test_verify_unsupported_prime():
     assert result.returncode == 2
 
 
-def test_verify_bad_primes_list():
-    assert run_cli("verify", "--primes", "two").returncode == 2
-    assert run_cli("verify", "--primes", "").returncode == 2
-    assert run_cli("verify", "--primes", "2,3,2").returncode == 2
-    assert run_cli("verify", "--primes", "2", "--workers", "0").returncode == 2
-    assert run_cli("verify-locus", "--prime", "2", "--workers", "0").returncode == 2
+#: Invalid --primes and --workers values, with the one stderr line each exits 2 with.
+ARGV_ERRORS = {
+    ("--primes", ""): "error: at least one prime is required",
+    ("--primes", "two"): "error: cannot parse primes list 'two'",
+    ("--primes", "11"): "error: unsupported primes [11]; supported: (2, 3, 5, 7)",
+    ("--primes", "2,3,2"): "error: repeated primes in [2, 3, 2]",
+    ("--primes", "2", "--workers", "0"): "error: workers must be >= 1",
+}
+
+
+def test_verify_bad_primes_list(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    cases = [((command, *flags), line) for command in ("verify", "report")
+             for flags, line in ARGV_ERRORS.items()]
+    cases.append((("verify-locus", "--prime", "2", "--workers", "0"),
+                  "error: workers must be >= 1"))
+    for argv, line in cases:
+        for extra in ((), ("--out", str(out))):
+            assert cli.main([*argv, *extra]) == 2, argv
+            assert capsys.readouterr() == ("", line + "\n"), argv
+            assert not out.exists(), argv
 
 
 def test_verify_reports_are_byte_identical(tmp_path):

@@ -22,10 +22,10 @@ def run_verify(capsys, *flags) -> tuple[int, str]:
 def test_corrupted_raw_oracle_map(monkeypatch, capsys):
     real = locus_module.raw_oracle_maps
 
-    def corrupted(plane):
-        against_f2, against_f1 = real(plane)
+    def corrupted(p, rows):
+        against_f2, against_f1 = real(p, rows)
         against_f2 = against_f2.copy()
-        against_f2[0, 0] = (against_f2[0, 0] + 1) % plane.p
+        against_f2[0, 0] = (against_f2[0, 0] + 1) % p
         return against_f2, against_f1
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
@@ -42,10 +42,10 @@ def test_corrupted_raw_oracle_map(monkeypatch, capsys):
 def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):
     real = locus_module.raw_oracle_maps
 
-    def corrupted(plane):
-        against_f2, against_f1 = real(plane)
+    def corrupted(p, rows):
+        against_f2, against_f1 = real(p, rows)
         against_f2 = against_f2.copy()
-        against_f2[0, 0] = (against_f2[0, 0] + 1) % plane.p
+        against_f2[0, 0] = (against_f2[0, 0] + 1) % p
         return against_f2, against_f1
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadric_moduli.field import GF, QQ, PrimeField, field_by_char, is_prime
+from quadric_moduli.field import GF, QQ, PrimeField, is_prime
 
 
 def test_primality_guard():
@@ -20,8 +20,6 @@ def test_gf_cache_and_equality():
     assert GF(5) is GF(5)
     assert GF(5) == PrimeField(5)
     assert GF(5) != GF(7)
-    assert QQ == field_by_char(0)
-    assert field_by_char(3) == GF(3)
 
 
 def test_prime_field_arithmetic():

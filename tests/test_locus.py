@@ -203,7 +203,7 @@ def test_shared_right_planes_at_p2_by_construction(sweep2):
         xv = BiForm.from_terms(field, 1, 1, {(0, 0): v[0], (0, 1): v[1]})
         yv = BiForm.from_terms(field, 1, 1, {(1, 0): v[0], (1, 1): v[1]})
         expected.add(plane_from_forms(xv, yv))
-    found = {sweep2.plane(row)
+    found = {plane_of(2, *sweep2.bases[row].tolist())
              for row in np.flatnonzero(sweep2.kinds == KINDS.index(SHARED_RIGHT))}
     assert found == expected
     assert len(found) == 3
@@ -274,7 +274,7 @@ RAW_BY_KIND_P2 = {GENERIC: 4, SHARED_RIGHT: 8, SHARED_LEFT: 16}
 def test_raw_oracle_identity_every_plane_p2(sweep2):
     for row, (kind, count) in enumerate(zip(sweep2.kinds.tolist(),
                                             sweep2.detzero_counts.tolist())):
-        raw = raw_oracle_count(sweep2.plane(row))
+        raw = raw_oracle_count(plane_of(2, *sweep2.bases[row].tolist()))
         assert raw == 4 + count * 4
         assert raw == RAW_BY_KIND_P2[KINDS[kind]]
 
@@ -285,7 +285,7 @@ def test_raw_oracle_identity_one_plane_each_type_p3(sweep3):
         seen.setdefault(KINDS[kind], row)
     assert set(seen) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
     for row in seen.values():
-        raw = raw_oracle_count(sweep3.plane(row))
+        raw = raw_oracle_count(plane_of(3, *sweep3.bases[row].tolist()))
         assert raw == 9 + int(sweep3.detzero_counts[row]) * 18
 
 
@@ -294,9 +294,8 @@ def test_raw_oracle_batch_equals_batches_of_one(p, targets):
     sweep = sweep_locus(p, full_oracle=True)
     rows = sorted(sweep.raw_counts)
     assert len(rows) == targets
-    planes = [sweep.plane(row) for row in rows]
-    batch = raw_oracle_counts(p, planes)
-    assert batch == [raw_oracle_count(plane) for plane in planes]
+    batch = raw_oracle_counts(p, sweep.bases[rows])
+    assert batch == [raw_oracle_count(plane_of(p, *sweep.bases[row].tolist())) for row in rows]
     assert batch == [sweep.raw_counts[row] for row in rows]
     assert batch == [p * p + int(sweep.detzero_counts[row]) * (p - 1) * p * p for row in rows]
     assert raw_oracle_counts(p, []) == []
@@ -366,7 +365,8 @@ def test_p5_enumeration_spot_checks(sweep5):
     for row, kind in enumerate(sweep5.kinds.tolist()):
         seen.setdefault(KINDS[kind], row)
     for kind, row in sorted(seen.items()):
-        assert fiber_detzero_count(sweep5.plane(row)) == sweep5.detzero_counts[row]
+        plane = plane_of(5, *sweep5.bases[row].tolist())
+        assert fiber_detzero_count(plane) == sweep5.detzero_counts[row]
 
 
 def test_moduli_point_count_p2():
@@ -410,11 +410,11 @@ def test_sweep_is_deterministic(sweep2):
     assert len(fibers_of(sweep2)) == grass_count(2)
 
 
-@pytest.mark.parametrize("p,full_oracle,built", [
+@pytest.mark.parametrize("p,full_oracle,targets", [
     (7, False, 0), (5, False, 0), (2, True, 35), (3, True, 3),
 ])
-def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, built):
-    # the sweep stays in columns: a Plane is built only per raw-oracle target
+def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, targets):
+    # the sweep stays in columns: the raw oracle takes its targets' basis rows, not Planes
     real = Plane.__post_init__
     calls = []
 
@@ -425,7 +425,8 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, b
     monkeypatch.setattr(Plane, "__post_init__", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert sweep.ok
-    assert len(calls) == built == len(sweep.raw_counts)
+    assert calls == []
+    assert len(sweep.raw_counts) == targets
 
 
 def test_sweep_full_oracle_p2():
@@ -466,7 +467,8 @@ def test_worker_failure_carries_partial_results(monkeypatch):
 
 def test_fiber_report_json(sweep2):
     plane = plane_of(2, (1, 0, 0, 0), (0, 0, 1, 0))
-    (row,) = [row for row in range(len(sweep2.plane_index)) if sweep2.plane(row) == plane]
+    (row,) = [row for row in range(len(sweep2.plane_index))
+              if plane_of(2, *sweep2.bases[row].tolist()) == plane]
     data = fibers_of(sweep2)[row]
     assert data["ok"] is True
     assert data["detzero_count"] == data["expected"] == 1
@@ -508,6 +510,8 @@ def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
     sweep = sweep_locus(2)
     assert not sweep.ok
     assert any("shares neither factor" in f for f in sweep.failures)
+    assert ("plane 0: rank-one plane with basis rows [[1, 0, 0, 0], [0, 1, 0, 0]] "
+            "shares neither factor") in sweep.failures
     assert sum(sweep.tallies.values()) == len(sweep.plane_index) < grass_count(2)
     assert cli.main(["verify-locus", "--prime", "5", "--workers", "1"]) == 1
     assert "shares neither factor" in capsys.readouterr().out
