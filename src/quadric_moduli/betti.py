@@ -18,10 +18,6 @@ from __future__ import annotations
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
 
-class VerificationError(Exception):
-    """An expected-versus-computed mismatch in a verification sweep."""
-
-
 class XiPoly:
     """Dense integer-coefficient polynomial in one variable xi.
 

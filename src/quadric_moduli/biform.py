@@ -175,22 +175,7 @@ class BiForm:
         return f"BiForm({self.field!r}, ({self.a}, {self.b}), {self})"
 
 
-# -- the spec'd operation surface -----------------------------------------
-
-
-def bf_add(f: BiForm, g: BiForm) -> BiForm:
-    """Sum of two forms of equal bidegree."""
-    return f + g
-
-
-def bf_scale(c, f: BiForm) -> BiForm:
-    """Scalar multiple c*f."""
-    return f.scale(c)
-
-
-def bf_mul(f: BiForm, g: BiForm) -> BiForm:
-    """Product; bidegrees add, coefficients convolve in the fixed layout."""
-    return f * g
+# -- forms and 2 x 2 matrices of forms -------------------------------------
 
 
 def linearly_independent(f: BiForm, g: BiForm) -> bool:

@@ -1,19 +1,22 @@
 """Command-line interface.
 
 Subcommands: betti | hilbert | verify-locus | verify | report.
-Exit codes are total: 0 success, 1 verification mismatch, 2 invalid
-input or environment, 3 a count raised (the sweep stopped at that plane,
-the kernel route before its first; the partial report is still
-written).  Machine output is canonical JSON (sorted keys, indent 2);
-identical configurations produce byte-identical reports.  --workers
-changes no count: only report and verify --json, which echo it as
-config.workers, depend on it.  The verify-locus fiber list is written
-directly from the sweep's columns, in that same canonical form.  Each
-subcommand imports only what it runs: betti and hilbert need the closed
-formulas of betti and the Hilbert arithmetic alone, and never load numpy
-or the sweep engine (locus), which verify-locus, verify and report import
-when they start a sweep.  The CLI pins BLAS to one thread: it sets
-OPENBLAS_NUM_THREADS before anything imports numpy.
+Exit codes are total: 0 success, 1 verification mismatch (the report is
+written and its verdict is FAIL), 2 invalid input or environment, 3 a
+count raised (the sweep stopped at that plane, the kernel route before
+its first; the partial report is still written).  A sweep records every
+mismatch, a plane that breaks a precondition of the counts included, and
+raises only for invalid input.  Machine output is canonical JSON (sorted
+keys, indent 2); identical configurations produce byte-identical
+reports.  --workers changes no count: only report and verify --json,
+which echo it as config.workers, depend on it.  The verify-locus fiber
+list is written directly from the sweep's columns, in that same
+canonical form.  Each subcommand imports only what it runs: betti and
+hilbert need the closed formulas of betti and the Hilbert arithmetic
+alone, and never load numpy or the sweep engine (locus), which
+verify-locus, verify and report import when they start a sweep.  The CLI
+pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS before anything
+imports numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 # every count is integer arithmetic: one BLAS thread, not one spinning per core
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .betti import SUPPORTED_PRIMES, VerificationError
+from .betti import SUPPORTED_PRIMES
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
 from .report import (
     GoldenError, betti_section, build_report, load_golden, locus_document_text, locus_summary,
@@ -224,9 +227,6 @@ def main(argv=None) -> int:
     except GoldenError as exc:
         print(f"golden data error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -15,8 +15,10 @@ A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
 check of K) has one implementation, which works on arrays of planes.
-Plane validates the basis of a single plane, the input of raw_oracle_count;
-a sweep builds none, and hands the raw oracle its targets' basis rows.
+Before either route counts, one mask holds back every plane that breaks a
+precondition of the counts: its kind is unknown, its K does not have
+dimension 2, or K leaves the kernel of its action.  Such a plane gets one
+failure line and no row, so a bad plane never stops a sweep.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -45,12 +47,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from . import linalg
-from .betti import (
-    SUPPORTED_PRIMES, VerificationError, expected_x_count, generic_orbit_sizes,
-    stratified_moduli_count,
-)
-from .biform import BiForm, linearly_independent
+from .betti import SUPPORTED_PRIMES, expected_x_count, generic_orbit_sizes
+from .biform import BiForm
 from .field import GF
 
 #: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
@@ -76,36 +74,6 @@ KINDS = (GENERIC, SHARED_RIGHT, SHARED_LEFT)
 def _check_prime(p: int):
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
-
-
-@dataclass(frozen=True)
-class Plane:
-    """A 2-plane in the space of (1, 1)-forms over F_p, stored as the
-    unique reduced-row-echelon basis in the fixed coefficient order
-    (xz, xw, yz, yw)."""
-
-    p: int
-    rows: tuple[tuple[int, int, int, int], tuple[int, int, int, int]]
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        field = GF(self.p)
-        if len(self.rows) != 2 or any(len(row) != 4 for row in self.rows):
-            raise ValueError("plane basis must be two rows of length 4")
-        row0, row1 = rows = tuple(tuple(map(field.canon, row)) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        # reduced row echelon form: leading ones at c1 < c2, cleared above
-        c1 = row0.index(1) if 1 in row0 else 4
-        c2 = row1.index(1) if 1 in row1 else 4
-        if c1 < c2 < 4 and not any(row0[:c1] + row1[:c2]) and row0[c2] == 0:
-            return
-        if linalg.rank(field, rows) != 2:
-            raise ValueError("plane basis must be linearly independent")
-        raise ValueError("plane basis must be in reduced row echelon form")
-
-    def basis(self) -> tuple[BiForm, BiForm]:
-        field = GF(self.p)
-        return (BiForm(field, 1, 1, self.rows[0]), BiForm(field, 1, 1, self.rows[1]))
 
 
 def expected_detzero(p: int) -> np.ndarray:
@@ -216,18 +184,28 @@ def _k_rows(f1: BiForm, f2: BiForm):
     ]
 
 
+def _k_pivots(p: int, k_bases, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Per K basis of an (N, 2, 12) stack, sought backwards with reverse: the
+    dimension of K, and its echelon pivots, the first coordinate where K is
+    nonzero and the first where the 2 x 2 minor with that one is.  K has
+    dimension 2 exactly where such a minor exists, and 0 where no coordinate
+    is nonzero; the pivots are meaningful only at dimension 2.  The minors
+    stay in the stack's dtype: of canonical entries, they lie below p**2."""
+    k = np.asarray(k_bases)[..., ::-1 if reverse else 1] % p
+    nonzero = (k[:, 0] | k[:, 1]) != 0
+    first = nonzero.argmax(axis=1)
+    lead = k[np.arange(len(k)), :, first]
+    minors = (lead[:, :1] * k[:, 1] - lead[:, 1:] * k[:, 0]) % p != 0
+    dims = nonzero.any(axis=1).astype(np.int64) + minors.any(axis=1)
+    return dims, np.stack([first, minors.argmax(axis=1)], axis=1)
+
+
 def _complement_columns(p: int, k_bases, reverse: bool = False) -> np.ndarray:
-    """Per K basis of an (N, 2, 12) stack, the coordinates of a complement: all
-    but its echelon pivots, the first coordinate where it is nonzero and the
-    first where its minor with that one is; sought backwards with reverse."""
-    k = np.asarray(k_bases, dtype=np.int64)[..., ::-1 if reverse else 1] % p
-    first = (k != 0).any(axis=1).argmax(axis=1)
-    lead = np.take_along_axis(k, first[:, None, None], axis=2)
-    minors = (lead[:, 0] * k[:, 1] - lead[:, 1] * k[:, 0]) % p
-    if not minors.any(axis=1).all():
-        raise VerificationError("factoring subspace K must have dimension 2")
-    keep = np.ones((len(k), 12), dtype=bool)
-    np.put_along_axis(keep, np.stack([first, (minors != 0).argmax(axis=1)], axis=1), False, 1)
+    """Per K basis of dimension 2 in an (N, 2, 12) stack, the coordinates of a
+    complement: all but its echelon pivots, sought backwards with reverse."""
+    pivots = _k_pivots(p, k_bases, reverse)[1]
+    keep = np.ones((len(pivots), 12), dtype=bool)
+    np.put_along_axis(keep, pivots, False, 1)
     return np.nonzero(keep[:, ::-1 if reverse else 1])[1].reshape(-1, 10)
 
 
@@ -257,30 +235,17 @@ def _coinciding_pairs(left: np.ndarray, right: np.ndarray) -> int:
     return int((np.searchsorted(right, left, "right") - np.searchsorted(right, left)).sum())
 
 
-def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool = False) -> int:
-    """Det-zero points of the projectivization of a complement of K, a P^9.
-    The determinant is linear on the complement, so they are the nonzero
-    solutions of A a + B b = 0 up to scaling, where A and B are the action
-    on the two halves of the 10 complement coordinates: the N affine
-    solutions (a, -b) are the coinciding pairs of A a and B b over all
-    p^5 + p^5 half-vectors, and the count is (N - 1)/(p - 1).  Works for
-    any independent basis (f1, f2) of the plane; the count is basis- and
-    complement-independent because column operations and scalings leave
-    the determinant locus unchanged."""
-    p = f1.field.char
-    _check_prime(p)
-    if not linearly_independent(f1, f2):
-        raise ValueError("fiber counting needs an independent plane basis")
-    matrix = det_action_matrix(f1, f2)[None]
-    k_basis = np.array([_k_rows(f1, f2)], dtype=np.int64)
-    if not _factoring_ok(p, matrix, k_basis)[0]:
-        raise VerificationError("factoring first-columns must have zero determinant")
-    return next(_join_counts(p, matrix, k_basis, reverse_complement))
-
-
 def _join_counts(p: int, matrices, k_bases, reverse_complement: bool = False):
-    """Yield per plane the join of detzero_count_for_basis on (N, 12, 12) action
-    matrices with their (N, 2, 12) K bases; only _join_count runs per plane."""
+    """Yield per plane the det-zero points of the projectivization of a
+    complement of K, a P^9, from (N, 12, 12) action matrices and their
+    (N, 2, 12) K bases of dimension 2.  The determinant is linear on the
+    complement, so they are the nonzero solutions of A a + B b = 0 up to
+    scaling, where A and B are the action on the two halves of the 10
+    complement coordinates: the S affine solutions (a, -b) are the coinciding
+    pairs of A a and B b over all p^5 + p^5 half-vectors, and the count is
+    (S - 1)/(p - 1).  It is basis- and complement-independent, because
+    column operations and scalings leave the determinant locus unchanged.
+    Only _join_count runs per plane."""
     half = _affine_vectors(p, 5)
     cols = _complement_columns(p, k_bases, reverse_complement)
     actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
@@ -389,24 +354,19 @@ def raw_oracle_maps(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
             np.array([(mono * f1).coeffs for mono in monomials], dtype=np.int64))
 
 
-def raw_oracle_count(plane: Plane) -> int:
-    """Oracle: the number of ALL raw first-column pairs (phi11, phi21) in
-    F_p^12 with vanishing determinant.  det2 = phi11*f2 - phi21*f1
+def raw_oracle_counts(p: int, bases) -> list[int]:
+    """Oracle: per plane, the number of ALL raw first-column pairs (phi11,
+    phi21) in F_p^12 with vanishing determinant, for N planes given by their
+    basis rows, an (N, 2, 4) array-like.  det2 = phi11*f2 - phi21*f1
     vanishes iff the two products coincide, so the p^12 pairs are counted
     exactly by joining the p^6 images phi11*f2 with the p^6 images
-    phi21*f1.  Refused outside RAW_SWEEP_PRIMES.
+    phi21*f1; the maps of all planes are keyed in one stack, and joined
+    plane by plane.  Refused outside RAW_SWEEP_PRIMES.
 
-    Against the fiber count N it must satisfy
+    Against the fiber count N it must satisfy the coset identity
         raw = p^2 + N * (p - 1) * p^2
     (the p^2 factoring pairs, plus p^2 raw pairs for each of the (p - 1)
     nonzero scalings of each det-zero projective fiber point)."""
-    return raw_oracle_counts(plane.p, [plane.rows])[0]
-
-
-def raw_oracle_counts(p: int, bases) -> list[int]:
-    """raw_oracle_count of each of N planes over F_p, given by their basis
-    rows, an (N, 2, 4) array-like: the maps of all of them are keyed in one
-    stack, and joined plane by plane."""
     if p not in RAW_SWEEP_PRIMES:
         raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
     maps = np.reshape([raw_oracle_maps(p, rows) for rows in np.asarray(bases).tolist()],
@@ -420,9 +380,10 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
 
 @dataclass
 class LocusSweep:
-    """Outcome of sweeping every plane over F_p: one row per classified
-    plane, in plane_bases order, holding its index in plane_bases(p), basis,
-    kind code, rank1_lines, shared point and det-zero count.  raw_counts
+    """Outcome of sweeping every plane over F_p: one row per plane that meets
+    the preconditions of the counts, in plane_bases order, holding its index
+    in plane_bases(p), basis, kind code, rank1_lines, shared point and
+    det-zero count.  raw_counts
     maps the rows the raw oracle ran on to their raw counts; everything
     else is derived from these columns.  worker_failure names the per-plane
     count that raised, if one did: the sweep then stops there and holds the
@@ -463,7 +424,7 @@ class LocusSweep:
 
     def raw_ok(self) -> dict[int, bool]:
         """Per raw-oracle row, whether its raw count meets the coset
-        identity of raw_oracle_count against the row's det-zero count."""
+        identity of raw_oracle_counts against the row's det-zero count."""
         p = self.p
         return {row: raw == p * p + int(self.detzero_counts[row]) * (p - 1) * p * p
                 for row, raw in self.raw_counts.items()}
@@ -481,15 +442,17 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
 
     Both routes start from one pass over the plane table: plane_bases,
     classify_planes, and one contraction of the action tensors with every
-    plane, whose K bases are checked against the kernel.  The kernel route
-    then row-reduces the whole stack; the enumeration route keys the stack
-    by blocks and joins plane by plane, in order.  No Plane is built: the
-    raw oracle takes its targets' basis rows.  `workers` must be >= 1 and
-    selects nothing: every sweep runs in this process.  If a count raises
-    anything but VerificationError, the sweep stops at that plane (the
-    kernel route before its first) and is returned partial, with the
-    message in `worker_failure` and in `failures` and no raw oracle run;
-    mismatches never raise here, they are recorded in `failures`.
+    plane.  One mask then holds back each plane whose kind is unknown, whose
+    K does not have dimension 2, or whose K leaves the kernel of its action:
+    it gets one line in `failures`, in plane order, and no row, and neither
+    route counts it.  The kernel route row-reduces the stack of the others;
+    the enumeration route keys it by blocks and joins plane by plane, in
+    order.  The raw oracle takes its targets' basis rows.  `workers` must
+    be >= 1 and selects nothing: every sweep runs in this process.  If a
+    count raises, the sweep stops at that plane (the kernel route before its
+    first) and is returned partial, with the message in `worker_failure`
+    and in `failures` and no raw oracle run; mismatches never raise here,
+    they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -498,8 +461,21 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
     matrices, k_bases = action_matrices(p, bases)
     method = sweep_method(p, full_oracle)
-    failures = [f"plane {index}: factoring first-columns must have zero determinant"
-                for index in np.flatnonzero(~_factoring_ok(p, matrices, k_bases))]
+    dims = _k_pivots(p, k_bases)[0]
+    factoring = _factoring_ok(p, matrices, k_bases)
+    countable = (kinds >= 0) & (dims == 2) & factoring
+    failures = []
+    for index in np.flatnonzero(~countable).tolist():
+        if kinds[index] < 0:
+            failures.append(f"plane {index}: rank-one plane with basis rows "
+                            f"{bases[index].tolist()} shares neither factor")
+        elif dims[index] != 2:
+            failures.append(f"plane {index}: factoring subspace K has dimension {dims[index]}")
+        else:
+            failures.append(f"plane {index}: factoring first-columns must have zero determinant")
+    rows = np.flatnonzero(countable)
+    if not countable.all():  # copy the stacks only where a plane is held back
+        matrices, k_bases = matrices[rows], k_bases[rows]
     counts, worker_failure = [], None
     try:
         if method == "kernel":
@@ -507,19 +483,12 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         else:
             for count in _join_counts(p, matrices, k_bases):
                 counts.append(count)
-    except VerificationError:
-        raise
     except Exception as exc:  # keep the planes counted so far
-        worker_failure = f"worker failed on plane {len(counts)}: {exc}"
-    counts = np.asarray(counts, dtype=np.int64)
-
-    done = kinds[:len(counts)]
-    failures += [f"plane {index}: rank-one plane with basis rows {bases[index].tolist()} "
-                 f"shares neither factor" for index in np.flatnonzero(done < 0)]
-    rows = np.flatnonzero(done >= 0)
+        worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"
+    rows = rows[:len(counts)]
     sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
-                       shared_points[rows], counts[rows], failures=failures,
-                       worker_failure=worker_failure)
+                       shared_points[rows], np.asarray(counts, dtype=np.int64),
+                       failures=failures, worker_failure=worker_failure)
     if worker_failure is not None:
         sweep.failures.append(worker_failure)
         return sweep
@@ -558,13 +527,3 @@ def _collect_failures(sweep: LocusSweep):
         sweep.failures.append(
             f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
 
-
-def moduli_point_count(p: int) -> int:
-    """Stratified F_p point count of the moduli space, from a sweep of the
-    det-zero locus at p.  Raises VerificationError, naming every failure,
-    if the sweep records any.  Must agree with the Betti-polynomial
-    evaluation at p; the test suite asserts that equality."""
-    sweep = sweep_locus(p)
-    if not sweep.ok:
-        raise VerificationError("; ".join(sweep.failures))
-    return stratified_moduli_count(p, sweep.x_count)

@@ -20,10 +20,11 @@ from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, moduli_point_count,
-    raw_oracle_count, sweep_locus,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, sweep_locus,
 )
-from plane_reference import enumerate_planes, fiber_detzero_count
+from plane_reference import (
+    enumerate_planes, fiber_detzero_count, moduli_point_count, raw_oracle_count,
+)
 
 F2 = GF(2)
 F3 = GF(3)

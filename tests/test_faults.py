@@ -132,3 +132,36 @@ def test_betti_list_without_the_shape_of_a_smooth_projective_variety(
     monkeypatch.setattr(report_module, "poincare_moduli", lambda: XiPoly(coeffs_desc[::-1]))
     assert cli.main(["betti", "--golden", str(path)]) == 1
     assert "golden match: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "2"],
+    ["verify", "--primes", "3"],
+    ["verify", "--primes", "5"],
+    ["verify", "--primes", "7"],
+    ["verify", "--primes", "2,3,5", "--full-oracle"],
+    ["verify-locus", "--prime", "7"],
+], ids=["2", "3", "5", "7", "2,3,5-full-oracle", "locus-7"])
+@pytest.mark.parametrize("dim", [1, 0], ids=["equal-rows", "zero-rows"])
+def test_k_of_wrong_dimension_is_a_recorded_failure(monkeypatch, capsys, argv, dim):
+    # both count routes assume dim K = 2; a plane whose K breaks that is held
+    # back by the sweep with one failure line, and the report is still written
+    real = locus_module.action_matrices
+
+    def degenerate(p, rows):
+        matrices, k_bases = real(p, rows)
+        k_bases = k_bases.copy()
+        k_bases[0] = k_bases[0, 0] if dim == 1 else 0
+        return matrices, k_bases
+
+    monkeypatch.setattr(locus_module, "action_matrices", degenerate)
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    failure = f"plane 0: factoring subspace K has dimension {dim}"
+    if argv[0] == "verify-locus":
+        summary = json.loads(out)["summary"]
+        assert summary["failures"].count(failure) == 1
+        assert summary["ok"] is False
+    else:
+        assert out.count(f"! {failure}\n") == len(argv[2].split(","))
+        assert out.endswith("verdict: FAIL\n")

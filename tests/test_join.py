@@ -17,12 +17,13 @@ from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.betti import projective_count
 from quadric_moduli.locus import (
-    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
-    _affine_vectors, _coinciding_pairs, _complement_columns, _factoring_ok,
-    _image_keys, _join_counts, _k_rows, _kernel_counts, action_matrices, classify_planes,
-    det_action_matrix, detzero_count_for_basis, plane_bases, raw_oracle_count,
+    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
+    _complement_columns, _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
+    _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
 )
-from plane_reference import enumerate_planes, fiber_detzero_count
+from plane_reference import (
+    Plane, detzero_count_for_basis, enumerate_planes, fiber_detzero_count, raw_oracle_count,
+)
 
 
 def canonical_vectors(p: int, dim: int) -> np.ndarray:
@@ -99,8 +100,9 @@ def test_complement_columns_equal_echelon_pivots(reverse):
         pivots = [11 - c for c in pivots] if reverse else pivots
         expected.append([c for c in range(12) if c not in pivots])
     assert _complement_columns(p, k_bases, reverse).tolist() == expected
-    with pytest.raises(VerificationError, match="dimension 2"):
-        _complement_columns(p, [[k_bases[0, 0], 2 * k_bases[0, 0]]], reverse)
+    assert _k_pivots(p, k_bases, reverse)[0].tolist() == [2] * len(k_bases)
+    degenerate = [[k_bases[0, 0], 2 * k_bases[0, 0]], 0 * k_bases[0]]
+    assert _k_pivots(p, degenerate, reverse)[0].tolist() == [1, 0]
 
 
 def test_join_counts_over_a_partial_last_block():

@@ -6,18 +6,21 @@ import pytest
 
 from quadric_moduli.betti import (
     eval_at, grass_count, grass_poincare, poincare_moduli, projective_count,
+    stratified_moduli_count,
 )
 from quadric_moduli.biform import BiForm, rank1_test
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, Plane, VerificationError,
-    action_matrices, classify_planes, detzero_count_for_basis, expected_detzero,
-    expected_x_count, generic_orbit_sizes, moduli_point_count, plane_bases, raw_oracle_count,
-    raw_oracle_counts, stratified_moduli_count, sweep_locus,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
+    expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
+    sweep_locus,
 )
 from quadric_moduli.locus import _factoring_ok, _kernel_counts
 from quadric_moduli.report import load_golden, locus_document_text, locus_summary
-from plane_reference import enumerate_planes, fiber_detzero_count, plane_from_forms
+from plane_reference import (
+    Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
+    moduli_point_count, plane_from_forms, raw_oracle_count,
+)
 
 
 def plane_of(p, *rows):

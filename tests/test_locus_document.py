@@ -29,7 +29,7 @@ def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
                  "ok": count == expected}
         if row in sweep.raw_counts:
             raw = sweep.raw_counts[row]
-            # the coset identity of raw_oracle_count
+            # the coset identity of raw_oracle_counts
             fiber.update(raw_count=raw, raw_ok=raw == p * p + count * (p - 1) * p * p)
         fibers.append(fiber)
     doc = {"prime": p, "fibers": fibers, "summary": summary}
