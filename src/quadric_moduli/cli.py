@@ -9,14 +9,14 @@ mismatch, a plane that breaks a precondition of the counts included, and
 raises only for invalid input.  Machine output is canonical JSON (sorted
 keys, indent 2); identical configurations produce byte-identical
 reports.  --workers changes no count: only report and verify --json,
-which echo it as config.workers, depend on it.  The verify-locus fiber
-list is written directly from the sweep's columns, in that same
-canonical form.  Each subcommand imports only what it runs: betti and
-hilbert need the closed formulas of betti and the Hilbert arithmetic
-alone, and never load numpy or the sweep engine (locus), which
-verify-locus, verify and report import when they start a sweep.  The CLI
-pins BLAS to one thread: it sets OPENBLAS_NUM_THREADS before anything
-imports numpy.
+which echo it as config.workers, depend on it.  The verify-locus document
+is streamed in blocks of fibers written from the sweep's columns, in that
+same canonical form, and is never held whole.  Each subcommand imports
+only what it runs: betti and hilbert need the closed formulas of betti
+and the Hilbert arithmetic alone, and never load numpy or the sweep
+engine (locus), which verify-locus, verify and report import when they
+start a sweep.  The CLI pins BLAS to one thread: it sets
+OPENBLAS_NUM_THREADS before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .betti import SUPPORTED_PRIMES
 from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
 from .report import (
-    GoldenError, betti_section, build_report, load_golden, locus_document_text, locus_summary,
+    GoldenError, betti_section, build_report, load_golden, locus_document_chunks, locus_summary,
     to_json_text,
 )
 
@@ -47,15 +47,20 @@ def _status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
-def _emit(text: str, out_path: str | None):
+def _emit(chunks, out_path: str | None):
+    """Write an iterable of text chunks to out_path, or to stdout without one.
+    Each chunk is written as it is rendered, so a document is never held
+    whole; rendering cannot fail once the first chunk is out, only I/O can."""
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                for chunk in chunks:
+                    handle.write(chunk)
         except OSError as exc:
             raise ValueError(f"cannot write output file: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +173,7 @@ def cmd_verify_locus(args) -> int:
     golden = load_golden(args.golden)
     sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
     summary = locus_summary(sweep, golden)
-    _emit(locus_document_text(sweep, summary), args.out)
+    _emit(locus_document_chunks(sweep, summary), args.out)
     if sweep.worker_failure is not None:
         return EXIT_WORKER
     return EXIT_OK if summary["ok"] else EXIT_MISMATCH
@@ -199,9 +204,8 @@ def _run_report(args, as_json: bool) -> int:
     primes = _parse_primes(args.primes)
     golden = load_golden(args.golden)
     report = build_report(primes, golden, workers=args.workers, full_oracle=args.full_oracle)
-    text = to_json_text(report)
     if args.out or as_json:
-        _emit(text, args.out)
+        _emit([to_json_text(report)], args.out)
     if not as_json:
         sys.stdout.write(_human_report(report))
     if "worker_failure" in report:

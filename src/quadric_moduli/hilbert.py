@@ -10,7 +10,6 @@ here touches sheaves directly: the module is exact polynomial bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 #: Hard cap on the degree in each variable.  Products of the linear factors
@@ -186,22 +185,42 @@ class BiPoly:
         return cls([[Fraction(c) for c in row] for row in data["coeffs"]])
 
 
-@dataclass(frozen=True)
 class ResolutionSpec:
     """Line-bundle summands of a resolution, one tuple of (a, b) labels per
-    homological position; position 0 is the term surjecting onto the sheaf."""
+    homological position; position 0 is the term surjecting onto the sheaf.
+    Immutable, compared and hashed by its positions.  A plain class: the
+    dataclasses module would cost the betti and hilbert commands a third of
+    their imports."""
 
+    __slots__ = ("positions",)
     positions: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self):
-        if not self.positions:
+    def __init__(self, positions):
+        if not positions:
             raise ValueError("a resolution needs at least one position")
         canon = []
-        for pos in self.positions:
+        for pos in positions:
             if not pos:
                 raise ValueError("every homological position needs at least one summand")
             canon.append(tuple((int(a), int(b)) for a, b in pos))
         object.__setattr__(self, "positions", tuple(canon))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.positions == other.positions
+
+    def __hash__(self) -> int:
+        return hash(self.positions)
+
+    def __repr__(self) -> str:
+        return f"ResolutionSpec(positions={self.positions!r})"
 
     @classmethod
     def from_json(cls, data: dict) -> "ResolutionSpec":

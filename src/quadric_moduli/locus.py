@@ -71,6 +71,15 @@ SHARED_LEFT = "shared-left"
 KINDS = (GENERIC, SHARED_RIGHT, SHARED_LEFT)
 
 
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, returned: numpy's floor division by a scalar is
+    several times faster than its %.  Pass only an array the caller owns."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
+
+
 def _check_prime(p: int):
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"unsupported prime {p}; supported: {SUPPORTED_PRIMES}")
@@ -115,14 +124,14 @@ def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     it shares the right factor where the four (z, w) rows of B1 and B2 are
     proportional, the left where their (x, y) columns are, and code -1,
     which a sweep records, marks one that shares neither."""
-    bases = np.asarray(bases, dtype=np.int64) % p
+    bases = _reduce(np.array(bases, dtype=np.int64), p)  # a copy: the caller's stays
     (xz1, xw1, yz1, yw1), (xz2, xw2, yz2, yw2) = bases.transpose(1, 2, 0)
-    qa = (xz1 * yw1 - xw1 * yz1) % p
-    qb = (xz1 * yw2 + xz2 * yw1 - xw1 * yz2 - xw2 * yz1) % p
-    qc = (xz2 * yw2 - xw2 * yz2) % p
+    qa = _reduce(xz1 * yw1 - xw1 * yz1, p)
+    qb = _reduce(xz1 * yw2 + xz2 * yw1 - xw1 * yz2 - xw2 * yz1, p)
+    qc = _reduce(xz2 * yw2 - xw2 * yz2, p)
     # roots (s, t) = (1, t) of qa*s^2 + qb*s*t + qc*t^2, plus (0, 1) where qc = 0
     t = np.arange(p)
-    values = (qa[:, None] + qb[:, None] * t + qc[:, None] * t * t) % p
+    values = _reduce(qa[:, None] + qb[:, None] * t + qc[:, None] * t * t, p)
     rank1_lines = (values == 0).sum(axis=1) + (qc == 0)
     kinds = np.where((qa | qb | qc) == 0, -1, KINDS.index(GENERIC))
     rank_one = np.flatnonzero(kinds < 0)
@@ -138,9 +147,9 @@ def _shared_factor(p: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Per (4, 2) stack of four canonical vectors mod p, not all zero: whether
     they are all proportional, and the first nonzero one scaled to lead with one."""
     lead = vectors[np.arange(len(vectors)), (vectors != 0).any(axis=2).argmax(axis=1)]
-    lead = lead * _inverses(p)[np.where(lead[:, 0], lead[:, 0], lead[:, 1])][:, None] % p
+    lead = _reduce(lead * _inverses(p)[np.where(lead[:, 0], lead[:, 0], lead[:, 1])][:, None], p)
     minors = lead[:, :1] * vectors[..., 1] - lead[:, 1:] * vectors[..., 0]
-    return ~(minors % p).any(axis=1), lead
+    return ~_reduce(minors, p).any(axis=1), lead
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -191,11 +200,11 @@ def _k_pivots(p: int, k_bases, reverse: bool = False) -> tuple[np.ndarray, np.nd
     dimension 2 exactly where such a minor exists, and 0 where no coordinate
     is nonzero; the pivots are meaningful only at dimension 2.  The minors
     stay in the stack's dtype: of canonical entries, they lie below p**2."""
-    k = np.asarray(k_bases)[..., ::-1 if reverse else 1] % p
+    k = _reduce(np.array(np.asarray(k_bases)[..., ::-1 if reverse else 1]), p)  # a copy
     nonzero = (k[:, 0] | k[:, 1]) != 0
     first = nonzero.argmax(axis=1)
     lead = k[np.arange(len(k)), :, first]
-    minors = (lead[:, :1] * k[:, 1] - lead[:, 1:] * k[:, 0]) % p != 0
+    minors = _reduce(lead[:, :1] * k[:, 1] - lead[:, 1:] * k[:, 0], p) != 0
     dims = nonzero.any(axis=1).astype(np.int64) + minors.any(axis=1)
     return dims, np.stack([first, minors.argmax(axis=1)], axis=1)
 
@@ -225,7 +234,7 @@ def _image_keys(p: int, vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:
     for w in reversed(range(width)):
         coordinate = np.einsum("vd,...d->...v", vectors, maps[..., w, :])
         keys *= p
-        keys += coordinate - coordinate // p * p  # mod p: numpy's // by a scalar outruns %
+        keys += _reduce(coordinate, p)
     return keys
 
 
@@ -294,6 +303,8 @@ def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     planes in one int16 einsum (8-term sums below 8 * (p - 1)**2)."""
     det, k = action_tensors(p)
     maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int16)
+    # % and not _reduce: here, at the sweep's peak, _reduce's quotient array
+    # raised the peak RSS of verify --primes 2,3,5,7 by about 45 KB
     images = np.einsum("nj,jk->nk", np.asarray(rows, dtype=np.int16).reshape(-1, 8), maps) % p
     n = len(images)
     return images[:, :144].reshape(n, 12, 12), images[:, 144:].reshape(n, 2, 12)
@@ -309,7 +320,9 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     columns clears the pivot row too, so no row is swapped.  Only that
     column and that row are reduced mod p: an entry falls by at most
     (p - 1)**2 per column, so int16 holds it while
-    p + cols * (p - 1)**2 < 2**15."""
+    p + cols * (p - 1)**2 < 2**15.  That guard leaves p of headroom for
+    _reduce: the multiple q * p of p it subtracts from an entry x lies in
+    (x - p, x], so it cannot wrap either."""
     n, _, cols = stack.shape
     if p + cols * (p - 1) ** 2 >= 2**15:
         raise ValueError(f"int16 elimination needs p + cols * (p - 1)**2 < 2**15, got p = {p}")
@@ -317,19 +330,19 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     m = stack.transpose(2, 1, 0).astype(np.int16, order="C")
     rank = np.zeros(n, dtype=np.intp)
     for c in range(cols):
-        column = m[c] % p
-        factor = column * inverse[column.max(axis=0)] % p
+        column = _reduce(m[c], p)
+        factor = _reduce(column * inverse[column.max(axis=0)], p)
         rank += factor.any(axis=0)
         pivot_row = column.argmax(axis=0)[None, None]
         rest = m[c + 1:]
-        rest -= np.take_along_axis(rest, pivot_row, axis=1) % p * factor
+        rest -= _reduce(np.take_along_axis(rest, pivot_row, axis=1), p) * factor
     return rank
 
 
 def _factoring_ok(p: int, matrices: np.ndarray, k_bases: np.ndarray) -> np.ndarray:
     """Per plane, whether both K rows lie in the kernel of the action, as
     they must: a count of either route is meaningful only where they do."""
-    return ~(matrices @ k_bases.transpose(0, 2, 1) % p).any(axis=(1, 2))
+    return ~_reduce(matrices @ k_bases.transpose(0, 2, 1), p).any(axis=(1, 2))
 
 
 def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:

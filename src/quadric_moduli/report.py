@@ -6,7 +6,10 @@ point counts they give.  Golden values live in a versioned JSON data
 file; every entry carries an "origin" field telling whether it is an
 externally stated reference value or one derived by an independent
 in-repo computation.  Reports contain nothing run-dependent, so
-identical configurations produce byte-identical output.
+identical configurations produce byte-identical output.  The verify-locus
+document, one fiber per plane, is rendered as a stream of chunks, one
+fixed block of fibers each, so that its size never sets the memory its
+rendering takes.
 """
 
 from __future__ import annotations
@@ -113,42 +116,57 @@ def load_golden(path: str | None = None) -> dict:
 
 def to_json_text(obj) -> str:
     """Canonical JSON rendering used for all machine output (the verify-locus
-    fiber list is written in the same form by locus_document_text)."""
+    fiber list is written in the same form by locus_document_chunks)."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 # A fiber as to_json_text renders it in the verify-locus document, by kind.
-_BASIS_ROW = '          [\n' + ',\n'.join(['            {}'] * 4) + '\n          ]'
-_FIBER_HEAD = ('    {{\n      "detzero_count": {},\n      "expected": {},\n      "ok": {},\n'
-               '      "plane": {{\n        "basis": [\n' + _BASIS_ROW + ',\n' + _BASIS_ROW
-               + '\n        ],\n        "p": {}\n      }},\n      "plane_index": {},\n'
-               '      "plane_type": {{\n        "kind": "{}",\n')
-_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": {}\n      }}'
-_SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          {},\n          {}\n'
-                 '        ]\n      }}')
-_RAW_TAIL = ',\n      "raw_count": {},\n      "raw_ok": {}'
+_BASIS_ROW = '          [\n' + ',\n'.join(['            %s'] * 4) + '\n          ]'
+_FIBER_HEAD = ('    {\n      "detzero_count": %s,\n      "expected": %s,\n      "ok": %s,\n'
+               '      "plane": {\n        "basis": [\n' + _BASIS_ROW + ',\n' + _BASIS_ROW
+               + '\n        ],\n        "p": %s\n      },\n      "plane_index": %s,\n'
+               '      "plane_type": {\n        "kind": "%s",\n')
+_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": %s\n      }'
+_SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          %s,\n          %s\n'
+                 '        ]\n      }')
+_RAW_TAIL = ',\n      "raw_count": %s,\n      "raw_ok": %s'
+#: Fibers rendered per chunk: the render holds one block, never the document.
+FIBER_BLOCK = 256
 
 
-def locus_document_text(sweep: LocusSweep, summary: dict) -> str:
-    """to_json_text of a verify-locus document, its fibers written from the sweep's columns."""
-    from .locus import GENERIC, KINDS
-    raw_tails = {row: _RAW_TAIL.format(sweep.raw_counts[row], str(ok).lower())
-                 for row, ok in sweep.raw_ok().items()}
-    fibers = []
-    for row, (index, basis, kind, lines, point, count, expected) in enumerate(zip(
-            sweep.plane_index.tolist(), sweep.bases.reshape(-1, 8).tolist(), sweep.kinds.tolist(),
-            sweep.rank1_lines.tolist(), sweep.shared_points.tolist(),
-            sweep.detzero_counts.tolist(), sweep.expected_counts.tolist())):
-        head = (count, expected, str(count == expected).lower(), *basis, sweep.p, index,
-                KINDS[kind])
-        fiber = (_GENERIC_FIBER.format(*head, lines) if KINDS[kind] == GENERIC
-                 else _SHARED_FIBER.format(*head, *point))
-        fibers.append(fiber + raw_tails.get(row, "") + "\n    }")
+def locus_document_chunks(sweep: LocusSweep, summary: dict):
+    """Yield to_json_text of a verify-locus document in pieces: the canonical
+    text up to the fiber list, the fibers in blocks of FIBER_BLOCK written
+    from slices of the sweep's columns, then the rest of the document."""
+    from .locus import GENERIC, KINDS, expected_detzero
     doc = {"fibers": [], "prime": sweep.p, "summary": summary,
            "worker_failure": sweep.worker_failure}
     text = to_json_text({key: value for key, value in doc.items() if value is not None})
+    if not len(sweep.plane_index):
+        yield text
+        return
     # "fibers" sorts first, so its [] is the first in the text
-    return text.replace("[]", "[\n" + ",\n".join(fibers) + "\n  ]", 1) if fibers else text
+    opening, closing = text.split("[]", 1)
+    yield opening + "["
+    raw_tails = {row: _RAW_TAIL % (sweep.raw_counts[row], str(ok).lower())
+                 for row, ok in sweep.raw_ok().items()}
+    expected_by_kind = expected_detzero(sweep.p).tolist()
+    for start in range(0, len(sweep.plane_index), FIBER_BLOCK):
+        block = slice(start, start + FIBER_BLOCK)
+        fibers = []
+        for row, (index, basis, kind, lines, point, count) in enumerate(zip(
+                sweep.plane_index[block].tolist(), sweep.bases[block].reshape(-1, 8).tolist(),
+                sweep.kinds[block].tolist(), sweep.rank1_lines[block].tolist(),
+                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist()),
+                start):
+            expected = expected_by_kind[kind]
+            head = (count, expected, str(count == expected).lower(), *basis, sweep.p, index,
+                    KINDS[kind])
+            fiber = (_GENERIC_FIBER % (*head, lines) if KINDS[kind] == GENERIC
+                     else _SHARED_FIBER % (*head, *point))
+            fibers.append(fiber + raw_tails.get(row, "") + "\n    }")
+        yield (",\n" if start else "\n") + ",\n".join(fibers)
+    yield "\n  ]" + closing
 
 
 # -- sections ---------------------------------------------------------------

@@ -13,8 +13,8 @@ from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _factoring_ok, _k_rows, _kernel_counts, _ranks_mod_p, action_matrices, action_tensors,
-    det_action_matrix,
+    _factoring_ok, _k_pivots, _k_rows, _kernel_counts, _ranks_mod_p, _reduce, action_matrices,
+    action_tensors, classify_planes, det_action_matrix,
 )
 from plane_reference import enumerate_planes
 
@@ -85,6 +85,32 @@ def test_ranks_mod_p_equal_linalg_rank_at_every_rank(p, shape):
 def test_ranks_mod_p_refuses_primes_beyond_int16():
     with pytest.raises(ValueError, match="int16"):
         _ranks_mod_p(np.zeros((1, 12, 12), dtype=np.int64), 61)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_reduce_equals_remainder(p, dtype):
+    # down to the most negative entry _ranks_mod_p's guard lets its elimination reach
+    lowest = -(2**15 - 1 - p)
+    x = np.random.default_rng(p).integers(lowest, 2**15, 5000).astype(dtype)
+    x[:2] = lowest, 2**15 - 1
+    expected = x % p
+    assert _reduce(x, p) is x
+    assert x.dtype == dtype and np.array_equal(x, expected)
+
+
+def test_classify_and_k_pivots_leave_their_input_as_it_was():
+    p = 5
+    rng = np.random.default_rng(0)
+    bases = rng.integers(-20, 20, (50, 2, 4))
+    k_bases = rng.integers(-20, 20, (50, 2, 12)).astype(np.int16)
+    before = bases.copy(), k_bases.copy()
+    for left, right in zip(classify_planes(p, bases), classify_planes(p, bases % p)):
+        assert np.array_equal(left, right)
+    for reverse in (False, True):
+        for left, right in zip(_k_pivots(p, k_bases, reverse), _k_pivots(p, k_bases % p, reverse)):
+            assert np.array_equal(left, right)
+    assert np.array_equal(bases, before[0]) and np.array_equal(k_bases, before[1])
 
 
 @pytest.mark.parametrize("primes", ["2", "5", "7"])

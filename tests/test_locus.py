@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import quadric_moduli.locus as locus_module
 from quadric_moduli.betti import (
     eval_at, grass_count, grass_poincare, poincare_moduli, projective_count,
     stratified_moduli_count,
@@ -16,7 +17,7 @@ from quadric_moduli.locus import (
     sweep_locus,
 )
 from quadric_moduli.locus import _factoring_ok, _kernel_counts
-from quadric_moduli.report import load_golden, locus_document_text, locus_summary
+from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
     moduli_point_count, plane_from_forms, raw_oracle_count,
@@ -29,7 +30,8 @@ def plane_of(p, *rows):
 
 def fibers_of(sweep) -> list[dict]:
     """The parsed fiber list of the sweep's verify-locus document."""
-    return json.loads(locus_document_text(sweep, locus_summary(sweep, load_golden())))["fibers"]
+    text = "".join(locus_document_chunks(sweep, locus_summary(sweep, load_golden())))
+    return json.loads(text)["fibers"]
 
 
 def classify_one(plane: Plane) -> tuple[str, int, tuple[int, int]]:
@@ -417,19 +419,20 @@ def test_sweep_is_deterministic(sweep2):
     (7, False, 0), (5, False, 0), (2, True, 35), (3, True, 3),
 ])
 def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, targets):
-    # the sweep stays in columns: the raw oracle takes its targets' basis rows, not Planes
-    real = Plane.__post_init__
+    # the sweep stays in columns: it builds the form-product maps of the raw
+    # oracle for its targets' basis rows alone
+    real = locus_module.raw_oracle_maps
     calls = []
 
-    def counting(self):
-        calls.append(self.rows)
-        real(self)
+    def counting(p, rows):
+        calls.append(rows)
+        return real(p, rows)
 
-    monkeypatch.setattr(Plane, "__post_init__", counting)
+    monkeypatch.setattr(locus_module, "raw_oracle_maps", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert sweep.ok
-    assert calls == []
-    assert len(sweep.raw_counts) == targets
+    assert len(calls) == len(sweep.raw_counts) == targets
+    assert calls == sweep.bases[sorted(sweep.raw_counts)].tolist()
 
 
 def test_sweep_full_oracle_p2():
@@ -448,8 +451,6 @@ def test_sweep_full_oracle_p3_covers_each_type(sweep3):
 
 
 def test_worker_failure_carries_partial_results(monkeypatch):
-    import quadric_moduli.locus as locus_module
-
     calls = {"n": 0}
     real_join = locus_module._join_count
 
@@ -481,8 +482,6 @@ def test_fiber_report_json(sweep2):
 
 
 def test_verification_error_on_forced_mismatch(monkeypatch):
-    import quadric_moduli.locus as locus_module
-
     real_join = locus_module._join_count
 
     def wrong(*args):
@@ -499,7 +498,6 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
 
 def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
     import quadric_moduli.cli as cli
-    import quadric_moduli.locus as locus_module
 
     real = locus_module.classify_planes
 

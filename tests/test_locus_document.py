@@ -1,17 +1,21 @@
 """The verify-locus document writer against the canonical JSON encoder.
 
-report.locus_document_text writes the fiber list from fixed text templates.
-The reference here builds the same document as dicts, one fiber per row of
-the sweep, and renders it with json.dumps(indent=2, sort_keys=True)."""
+report.locus_document_chunks writes the fiber list from fixed text
+templates, one block of fibers per chunk.  The reference here builds the
+same document as dicts, one fiber per row of the sweep, and renders it with
+json.dumps(indent=2, sort_keys=True)."""
 
 import json
+import tracemalloc
 
 import pytest
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 from quadric_moduli.locus import GENERIC, KINDS, expected_detzero, sweep_locus
-from quadric_moduli.report import load_golden, locus_summary, to_json_text
+from quadric_moduli.report import (
+    FIBER_BLOCK, load_golden, locus_document_chunks, locus_summary, to_json_text,
+)
 
 
 def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
@@ -84,3 +88,70 @@ def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, 
                                       sweep.worker_failure)
     assert to_json_text(json.loads(text)) == text
     assert marker in text
+
+
+def fail_on_plane_100(monkeypatch):
+    real, calls = locus_module._join_count, []
+
+    def flaky(*args):
+        calls.append(None)
+        if len(calls) == 101:
+            raise RuntimeError("injected")
+        return real(*args)
+
+    monkeypatch.setattr(locus_module, "_join_count", flaky)
+
+
+def test_locus_document_chunks_are_blocks_of_fibers():
+    sweep = sweep_locus(7)
+    chunks = list(locus_document_chunks(sweep, locus_summary(sweep, load_golden())))
+    # the text up to the fiber list, one chunk per block, the rest
+    assert len(chunks) == 2 + -(-len(sweep.plane_index) // FIBER_BLOCK) > 1
+    assert chunks[0].endswith('"fibers": [')
+    assert all(chunk.count('"plane_index"') <= FIBER_BLOCK for chunk in chunks)
+
+
+def render_peak(p: int) -> int:
+    """Bytes the verify-locus render allocates at most beyond what the sweep
+    and the summary already hold, with every chunk dropped once made."""
+    sweep = sweep_locus(p)
+    summary = locus_summary(sweep, load_golden())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in locus_document_chunks(sweep, summary):
+            pass
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_render_memory_is_bounded_by_a_block():
+    # the p = 7 document is 1.2 MB; its render holds one block of fibers
+    peak5, peak7 = render_peak(5), render_peak(7)
+    assert peak7 < 0.6e6
+    assert abs(peak7 - peak5) < 0.1e6
+
+
+@pytest.mark.parametrize("p,flags,fault,code", [
+    (7, (), None, 0),
+    (3, ("--full-oracle",), None, 0),
+    (3, (), fail_on_plane_100, 3),
+], ids=["7", "3-full-oracle", "fail-on-plane-100"])
+def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, code):
+    argv = ["verify-locus", "--prime", str(p), *flags]
+    out = tmp_path / "locus.json"
+    documents = []
+    for extra in ((), ("--out", str(out))):
+        with monkeypatch.context() as patch:
+            if fault is not None:
+                fault(patch)
+            assert cli.main([*argv, *extra]) == code
+        documents.append(capsys.readouterr().out.encode())
+    assert documents[1] == b""
+    assert out.read_bytes() == documents[0]
+    doc = json.loads(documents[0])
+    assert ("worker_failure" in doc) == (code == 3)
+    if code == 3:  # the planes counted before the failure
+        assert len(doc["fibers"]) == 100
