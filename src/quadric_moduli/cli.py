@@ -74,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_betti = sub.add_parser("betti", help="Poincare polynomial of the moduli space")
     p_betti.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p_betti.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
+    p_betti.set_defaults(run=cmd_betti)
 
     p_hilb = sub.add_parser("hilbert", help="Hilbert polynomial of a resolution")
     p_hilb.add_argument("resolution", metavar="SPEC",
                         help='resolution JSON ({"positions": [[[a, b], ...], ...]}), '
                              "inline or a file path")
     p_hilb.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    p_hilb.set_defaults(run=cmd_hilbert)
 
     def add_sweep_args(p):
         p.add_argument("--full-oracle", action="store_true",
@@ -96,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locus.add_argument("--prime", type=int, required=True, metavar="P",
                          help=f"one of {SUPPORTED_PRIMES}")
     add_sweep_args(p_locus)
+    p_locus.set_defaults(run=cmd_verify_locus)
 
     p_verify = sub.add_parser("verify", help="run every check and print a summary")
     p_report = sub.add_parser("report", help="run every check and emit the JSON report")
@@ -104,6 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated primes (default: 2,3)")
         add_sweep_args(p)
     p_verify.add_argument("--json", action="store_true", help="print the JSON report")
+    p_verify.set_defaults(run=_run_report)
+    p_report.set_defaults(run=_run_report, json=True)  # report always prints the JSON
 
     return parser
 
@@ -200,13 +205,13 @@ def _human_report(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_report(args, as_json: bool) -> int:
+def _run_report(args) -> int:
     primes = _parse_primes(args.primes)
     golden = load_golden(args.golden)
     report = build_report(primes, golden, workers=args.workers, full_oracle=args.full_oracle)
-    if args.out or as_json:
+    if args.out or args.json:
         _emit([to_json_text(report)], args.out)
-    if not as_json:
+    if not args.json:
         sys.stdout.write(_human_report(report))
     if "worker_failure" in report:
         return EXIT_WORKER
@@ -214,20 +219,9 @@ def _run_report(args, as_json: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "betti":
-            return cmd_betti(args)
-        if args.command == "hilbert":
-            return cmd_hilbert(args)
-        if args.command == "verify-locus":
-            return cmd_verify_locus(args)
-        if args.command == "verify":
-            return _run_report(args, as_json=args.json)
-        if args.command == "report":
-            return _run_report(args, as_json=True)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except GoldenError as exc:
         print(f"golden data error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -237,7 +231,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # the exit-code contract is total
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    return EXIT_INVALID
 
 
 def entrypoint():

@@ -9,6 +9,7 @@ canonical value together with the field object that owns it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 
@@ -105,7 +106,7 @@ class RationalField:
         return 0
 
     def canon(self, x) -> Fraction:
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)  # Fractions are immutable
 
     def add(self, a, b):
         return a + b
@@ -155,12 +156,5 @@ class RationalField:
 
 QQ = RationalField()
 
-_GF_CACHE: dict[int, PrimeField] = {}
-
-
-def GF(p: int) -> PrimeField:
-    """Return the (cached) prime field with p elements."""
-    field = _GF_CACHE.get(p)
-    if field is None:
-        field = _GF_CACHE[p] = PrimeField(p)
-    return field
+#: The prime field with p elements: one shared PrimeField per p.
+GF = functools.cache(PrimeField)

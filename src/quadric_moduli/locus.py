@@ -49,7 +49,7 @@ import numpy as np
 
 from .betti import SUPPORTED_PRIMES, expected_x_count, generic_orbit_sizes
 from .biform import BiForm
-from .field import GF
+from .field import GF, QQ
 
 #: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
 #: reports carry raw counts at exactly these primes.
@@ -171,7 +171,8 @@ def det_action_matrix(f1: BiForm, f2: BiForm) -> np.ndarray:
     """12 x 12 integer matrix of (phi11, phi21) -> coefficients of
     phi11*f2 - phi21*f1, the determinant against the fixed second column
     (phi12, phi22) = (f1, f2).  Column j is the image of the j-th basis
-    first-column; entries are canonical representatives mod p."""
+    first-column; entries are canonical representatives mod p, and exact
+    integers over QQ."""
     field = f1.field
     columns = []
     for mono in _first_column_monomials(field):
@@ -193,29 +194,20 @@ def _k_rows(f1: BiForm, f2: BiForm):
     ]
 
 
-def _k_pivots(p: int, k_bases, reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Per K basis of an (N, 2, 12) stack, sought backwards with reverse: the
-    dimension of K, and its echelon pivots, the first coordinate where K is
-    nonzero and the first where the 2 x 2 minor with that one is.  K has
-    dimension 2 exactly where such a minor exists, and 0 where no coordinate
-    is nonzero; the pivots are meaningful only at dimension 2.  The minors
-    stay in the stack's dtype: of canonical entries, they lie below p**2."""
-    k = _reduce(np.array(np.asarray(k_bases)[..., ::-1 if reverse else 1]), p)  # a copy
+def _k_pivots(p: int, k_bases) -> tuple[np.ndarray, np.ndarray]:
+    """Per K basis of an (N, 2, 12) stack: the dimension of K, and its
+    echelon pivots, the first coordinate where K is nonzero and the first
+    where the 2 x 2 minor with that one is.  K has dimension 2 exactly where
+    such a minor exists, and 0 where no coordinate is nonzero; the pivots
+    are meaningful only at dimension 2.  The minors stay in the stack's
+    dtype: of canonical entries, they lie below p**2."""
+    k = _reduce(np.array(k_bases), p)  # a copy
     nonzero = (k[:, 0] | k[:, 1]) != 0
     first = nonzero.argmax(axis=1)
     lead = k[np.arange(len(k)), :, first]
     minors = _reduce(lead[:, :1] * k[:, 1] - lead[:, 1:] * k[:, 0], p) != 0
     dims = nonzero.any(axis=1).astype(np.int64) + minors.any(axis=1)
     return dims, np.stack([first, minors.argmax(axis=1)], axis=1)
-
-
-def _complement_columns(p: int, k_bases, reverse: bool = False) -> np.ndarray:
-    """Per K basis of dimension 2 in an (N, 2, 12) stack, the coordinates of a
-    complement: all but its echelon pivots, sought backwards with reverse."""
-    pivots = _k_pivots(p, k_bases, reverse)[1]
-    keep = np.ones((len(pivots), 12), dtype=bool)
-    np.put_along_axis(keep, pivots, False, 1)
-    return np.nonzero(keep[:, ::-1 if reverse else 1])[1].reshape(-1, 10)
 
 
 def _affine_vectors(p: int, dim: int) -> np.ndarray:
@@ -244,19 +236,22 @@ def _coinciding_pairs(left: np.ndarray, right: np.ndarray) -> int:
     return int((np.searchsorted(right, left, "right") - np.searchsorted(right, left)).sum())
 
 
-def _join_counts(p: int, matrices, k_bases, reverse_complement: bool = False):
+def _join_counts(p: int, matrices, pivots):
     """Yield per plane the det-zero points of the projectivization of a
-    complement of K, a P^9, from (N, 12, 12) action matrices and their
-    (N, 2, 12) K bases of dimension 2.  The determinant is linear on the
-    complement, so they are the nonzero solutions of A a + B b = 0 up to
-    scaling, where A and B are the action on the two halves of the 10
-    complement coordinates: the S affine solutions (a, -b) are the coinciding
-    pairs of A a and B b over all p^5 + p^5 half-vectors, and the count is
-    (S - 1)/(p - 1).  It is basis- and complement-independent, because
-    column operations and scalings leave the determinant locus unchanged.
-    Only _join_count runs per plane."""
+    complement of K, a P^9, from (N, 12, 12) action matrices and the (N, 2)
+    echelon pivots of their K bases of dimension 2, as _k_pivots finds them:
+    the complement takes the other 10 coordinates.  The determinant is
+    linear on the complement, so they are the nonzero solutions of
+    A a + B b = 0 up to scaling, where A and B are the action on the two
+    halves of the 10 complement coordinates: the S affine solutions (a, -b)
+    are the coinciding pairs of A a and B b over all p^5 + p^5 half-vectors,
+    and the count is (S - 1)/(p - 1).  It is basis- and
+    complement-independent, because column operations and scalings leave
+    the determinant locus unchanged.  Only _join_count runs per plane."""
     half = _affine_vectors(p, 5)
-    cols = _complement_columns(p, k_bases, reverse_complement)
+    keep = np.ones((len(pivots), 12), dtype=bool)
+    np.put_along_axis(keep, pivots, False, 1)
+    cols = np.nonzero(keep)[1].reshape(-1, 10)
     actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
     maps = np.stack([actions[..., :5], actions[..., 5:]], axis=1)  # a -> A a, b -> B b
     step = max(1, KEY_BLOCK // len(half))
@@ -275,33 +270,27 @@ def _integer_action_tensors() -> tuple[np.ndarray, np.ndarray]:
     """det_action_matrix and _k_rows as linear maps of the 8 coefficients
     (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) read-only
     integer tensor, built once by evaluating both functions on the unit
-    bases, so that BiForm stays the one definition of the monomial layout.
-    Their entries are -1, 0 and 1, so built over GF(101) they lift exactly."""
-    field = GF(101)
-    zero = BiForm.zero(field, 1, 1)
-    units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
+    bases over QQ, so that BiForm stays the one definition of the monomial
+    layout.  Over QQ their entries are exact integers: -1, 0 and 1, which
+    action_matrices' int16 bound rests on."""
+    zero = BiForm.zero(QQ, 1, 1)
+    units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
     det = np.stack([det_action_matrix(f1, f2) for f1, f2 in bases])
     k = np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64)
     for tensor in (det, k):
-        tensor[tensor > 50] -= 101
-        assert np.abs(tensor).max() <= 1, "action tensor entries must lift to -1, 0, 1"
+        assert np.abs(tensor).max() <= 1, "action tensor entries must be -1, 0 or 1"
         tensor.flags.writeable = False
     return det, k
 
 
-def action_tensors(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The integer action tensors as canonical representatives mod p."""
-    det, k = _integer_action_tensors()
-    return det % p, k % p
-
-
 def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """The det action matrices (N, 12, 12) and the K bases (N, 2, 12) of N
-    planes given by their basis rows (f1, f2), shape (N, 2, 4), as int16
-    canonical representatives mod p: both tensors contracted with all
-    planes in one int16 einsum (8-term sums below 8 * (p - 1)**2)."""
-    det, k = action_tensors(p)
+    planes given by their canonical basis rows (f1, f2), shape (N, 2, 4), as
+    int16 canonical representatives mod p: the integer tensors contracted
+    with all planes in one int16 einsum, whose 8-term sums stay within
+    +-8 * (p - 1), then reduced mod p once."""
+    det, k = _integer_action_tensors()
     maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int16)
     # % and not _reduce: here, at the sweep's peak, _reduce's quotient array
     # raised the peak RSS of verify --primes 2,3,5,7 by about 45 KB
@@ -454,18 +443,19 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     p = 5 to full fiber enumeration.
 
     Both routes start from one pass over the plane table: plane_bases,
-    classify_planes, and one contraction of the action tensors with every
-    plane.  One mask then holds back each plane whose kind is unknown, whose
-    K does not have dimension 2, or whose K leaves the kernel of its action:
-    it gets one line in `failures`, in plane order, and no row, and neither
-    route counts it.  The kernel route row-reduces the stack of the others;
-    the enumeration route keys it by blocks and joins plane by plane, in
-    order.  The raw oracle takes its targets' basis rows.  `workers` must
-    be >= 1 and selects nothing: every sweep runs in this process.  If a
-    count raises, the sweep stops at that plane (the kernel route before its
-    first) and is returned partial, with the message in `worker_failure`
-    and in `failures` and no raw oracle run; mismatches never raise here,
-    they are recorded in `failures`.
+    classify_planes, one contraction of the action tensors with every plane
+    and one _k_pivots pass over the K bases, whose dimensions feed the mask
+    and whose pivots the join.  One mask holds back each plane whose kind is
+    unknown, whose K does not have dimension 2, or whose K leaves the kernel
+    of its action: it gets one line in `failures`, in plane order, and no
+    row, and neither route counts it.  The kernel route row-reduces the
+    stack of the others; the enumeration route keys it by blocks and joins
+    plane by plane, in order.  The raw oracle takes its targets' basis rows.
+    `workers` must be >= 1 and selects nothing: every sweep runs in this
+    process.  If a count raises, the sweep stops at that plane (the kernel
+    route before its first) and is returned partial, with the message in
+    `worker_failure` and in `failures` and no raw oracle run; mismatches
+    never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
     if workers < 1:
@@ -474,7 +464,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
     matrices, k_bases = action_matrices(p, bases)
     method = sweep_method(p, full_oracle)
-    dims = _k_pivots(p, k_bases)[0]
+    dims, pivots = _k_pivots(p, k_bases)
     factoring = _factoring_ok(p, matrices, k_bases)
     countable = (kinds >= 0) & (dims == 2) & factoring
     failures = []
@@ -488,13 +478,13 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
             failures.append(f"plane {index}: factoring first-columns must have zero determinant")
     rows = np.flatnonzero(countable)
     if not countable.all():  # copy the stacks only where a plane is held back
-        matrices, k_bases = matrices[rows], k_bases[rows]
+        matrices, pivots = matrices[rows], pivots[rows]
     counts, worker_failure = [], None
     try:
         if method == "kernel":
             counts = _kernel_counts(p, matrices)
         else:
-            for count in _join_counts(p, matrices, k_bases):
+            for count in _join_counts(p, matrices, pivots):
                 counts.append(count)
     except Exception as exc:  # keep the planes counted so far
         worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"

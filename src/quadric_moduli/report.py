@@ -138,7 +138,7 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     """Yield to_json_text of a verify-locus document in pieces: the canonical
     text up to the fiber list, the fibers in blocks of FIBER_BLOCK written
     from slices of the sweep's columns, then the rest of the document."""
-    from .locus import GENERIC, KINDS, expected_detzero
+    from .locus import GENERIC, KINDS
     doc = {"fibers": [], "prime": sweep.p, "summary": summary,
            "worker_failure": sweep.worker_failure}
     text = to_json_text({key: value for key, value in doc.items() if value is not None})
@@ -150,16 +150,15 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     yield opening + "["
     raw_tails = {row: _RAW_TAIL % (sweep.raw_counts[row], str(ok).lower())
                  for row, ok in sweep.raw_ok().items()}
-    expected_by_kind = expected_detzero(sweep.p).tolist()
+    expected_counts = sweep.expected_counts
     for start in range(0, len(sweep.plane_index), FIBER_BLOCK):
         block = slice(start, start + FIBER_BLOCK)
         fibers = []
-        for row, (index, basis, kind, lines, point, count) in enumerate(zip(
+        for row, (index, basis, kind, lines, point, count, expected) in enumerate(zip(
                 sweep.plane_index[block].tolist(), sweep.bases[block].reshape(-1, 8).tolist(),
                 sweep.kinds[block].tolist(), sweep.rank1_lines[block].tolist(),
-                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist()),
-                start):
-            expected = expected_by_kind[kind]
+                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist(),
+                expected_counts[block].tolist()), start):
             head = (count, expected, str(count == expected).lower(), *basis, sweep.p, index,
                     KINDS[kind])
             fiber = (_GENERIC_FIBER % (*head, lines) if KINDS[kind] == GENERIC

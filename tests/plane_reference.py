@@ -15,7 +15,7 @@ from quadric_moduli.betti import stratified_moduli_count
 from quadric_moduli.biform import BiForm, linearly_independent
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _check_prime, _factoring_ok, _join_counts, _k_rows, det_action_matrix, plane_bases,
+    _check_prime, _factoring_ok, _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases,
     raw_oracle_counts, sweep_locus,
 )
 
@@ -60,7 +60,7 @@ def enumerate_planes(p: int):
         yield Plane(p, (tuple(row0), tuple(row1)))
 
 
-def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool = False) -> int:
+def detzero_count_for_basis(f1: BiForm, f2: BiForm) -> int:
     """The sweep's fiber join on a stack of one plane, for any independent
     basis (f1, f2) of it; raises VerificationError where K leaves the kernel
     of the action."""
@@ -72,14 +72,13 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm, *, reverse_complement: bool 
     k_basis = np.array([_k_rows(f1, f2)], dtype=np.int64)
     if not _factoring_ok(p, matrix, k_basis)[0]:
         raise VerificationError("factoring first-columns must have zero determinant")
-    return next(_join_counts(p, matrix, k_basis, reverse_complement))
+    return next(_join_counts(p, matrix, _k_pivots(p, k_basis)[1]))
 
 
-def fiber_detzero_count(plane: Plane, *, reverse_complement: bool = False) -> int:
+def fiber_detzero_count(plane: Plane) -> int:
     """Det-zero points of the projective fiber over a plane, by the exact
     join over all (p^10 - 1)/(p - 1) fiber points."""
-    f1, f2 = plane.basis()
-    return detzero_count_for_basis(f1, f2, reverse_complement=reverse_complement)
+    return detzero_count_for_basis(*plane.basis())
 
 
 def raw_oracle_count(plane: Plane) -> int:

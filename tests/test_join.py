@@ -18,7 +18,7 @@ from quadric_moduli.field import GF
 from quadric_moduli.betti import projective_count
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
-    _complement_columns, _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
+    _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
     _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
 )
 from plane_reference import (
@@ -48,8 +48,8 @@ def enumerated_fiber_count(plane) -> int:
     """Det-zero points among all (p^10 - 1)/(p - 1) points of the fiber."""
     p = plane.p
     f1, f2 = plane.basis()
-    cols = _complement_columns(p, [_k_rows(f1, f2)])[0]
-    action = det_action_matrix(f1, f2)[:, cols]
+    pivots = linalg.rref(GF(p), _k_rows(f1, f2))[1]
+    action = det_action_matrix(f1, f2)[:, [c for c in range(12) if c not in pivots]]
     values = canonical_vectors(p, 10).astype(np.int64) @ action.T % p
     return int((values == 0).all(axis=1).sum())
 
@@ -91,18 +91,17 @@ def test_image_keys_do_not_wrap_past_int16():
 
 @pytest.mark.parametrize("reverse", [False, True])
 def test_complement_columns_equal_echelon_pivots(reverse):
+    # the join's complement columns are all but the pivots of _k_pivots;
+    # with the 12 coordinates reversed, they are sought from the other end
     p = 3
     k_bases = action_matrices(p, plane_bases(p))[1]
-    expected = []
-    for k_rows in k_bases.tolist():
-        rows = [row[::-1] for row in k_rows] if reverse else k_rows
-        _, pivots = linalg.rref(GF(p), rows)
-        pivots = [11 - c for c in pivots] if reverse else pivots
-        expected.append([c for c in range(12) if c not in pivots])
-    assert _complement_columns(p, k_bases, reverse).tolist() == expected
-    assert _k_pivots(p, k_bases, reverse)[0].tolist() == [2] * len(k_bases)
+    if reverse:
+        k_bases = k_bases[..., ::-1]
+    dims, pivots = _k_pivots(p, k_bases)
+    assert pivots.tolist() == [linalg.rref(GF(p), rows)[1] for rows in k_bases.tolist()]
+    assert dims.tolist() == [2] * len(k_bases)
     degenerate = [[k_bases[0, 0], 2 * k_bases[0, 0]], 0 * k_bases[0]]
-    assert _k_pivots(p, degenerate, reverse)[0].tolist() == [1, 0]
+    assert _k_pivots(p, degenerate)[0].tolist() == [1, 0]
 
 
 def test_join_counts_over_a_partial_last_block():
@@ -114,7 +113,7 @@ def test_join_counts_over_a_partial_last_block():
     assert len(rows) == 45 and len(rows) % (KEY_BLOCK // p**5) == 5
     matrices, k_bases = action_matrices(p, bases[rows])
     planes = [Plane(p, bases[row].tolist()) for row in rows]
-    counts = list(_join_counts(p, matrices, k_bases))
+    counts = list(_join_counts(p, matrices, _k_pivots(p, k_bases)[1]))
     assert counts == [detzero_count_for_basis(*plane.basis()) for plane in planes]
     assert sorted(set(counts)) == [0, 1, 6]
 

@@ -11,10 +11,10 @@ import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import GF
+from quadric_moduli.field import GF, QQ
 from quadric_moduli.locus import (
-    _factoring_ok, _k_pivots, _k_rows, _kernel_counts, _ranks_mod_p, _reduce, action_matrices,
-    action_tensors, classify_planes, det_action_matrix,
+    _factoring_ok, _integer_action_tensors, _k_pivots, _k_rows, _kernel_counts, _ranks_mod_p,
+    _reduce, action_matrices, classify_planes, det_action_matrix,
 )
 from plane_reference import enumerate_planes
 
@@ -47,17 +47,27 @@ def test_contracted_matrices_equal_det_action_matrix(p, sample):
         assert k_basis.tolist() == [list(row) for row in _k_rows(f1, f2)]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-def test_action_tensors_equal_unit_basis_products_over_gf_p(p):
-    # the per-prime construction that the lift from one field replaced; it
-    # agrees with the per-prime tensors by design, so this checks the lift
-    field = GF(p)
+def unit_basis_products(field) -> tuple[np.ndarray, np.ndarray]:
+    """det_action_matrix and _k_rows on the 8 unit bases over one field."""
     zero = BiForm.zero(field, 1, 1)
     units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
-    det, k = action_tensors(p)
-    assert np.array_equal(det, np.stack([det_action_matrix(f1, f2) for f1, f2 in bases]))
-    assert np.array_equal(k, np.array([_k_rows(f1, f2) for f1, f2 in bases]))
+    return (np.stack([det_action_matrix(f1, f2) for f1, f2 in bases]),
+            np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64))
+
+
+def test_integer_action_tensors_equal_unit_basis_products_over_qq():
+    for tensor, products in zip(_integer_action_tensors(), unit_basis_products(QQ)):
+        assert np.array_equal(tensor, products)
+        assert set(np.unique(tensor).tolist()) <= {-1, 0, 1}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_action_tensors_equal_unit_basis_products_over_gf_p(p):
+    # the per-prime construction the integer tensors replaced: their
+    # reduction mod p is what action_matrices contracts
+    for tensor, products in zip(_integer_action_tensors(), unit_basis_products(GF(p))):
+        assert np.array_equal(tensor % p, products)
 
 
 def test_cached_action_tensors_are_read_only():
@@ -107,23 +117,23 @@ def test_classify_and_k_pivots_leave_their_input_as_it_was():
     before = bases.copy(), k_bases.copy()
     for left, right in zip(classify_planes(p, bases), classify_planes(p, bases % p)):
         assert np.array_equal(left, right)
-    for reverse in (False, True):
-        for left, right in zip(_k_pivots(p, k_bases, reverse), _k_pivots(p, k_bases % p, reverse)):
+    for stack in (k_bases, k_bases[..., ::-1]):  # the reversed stack is a view of k_bases
+        for left, right in zip(_k_pivots(p, stack), _k_pivots(p, stack % p)):
             assert np.array_equal(left, right)
     assert np.array_equal(bases, before[0]) and np.array_equal(k_bases, before[1])
 
 
 @pytest.mark.parametrize("primes", ["2", "5", "7"])
 def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys, primes):
-    real = locus_module.action_tensors
+    real = locus_module._integer_action_tensors
 
-    def perturbed(p):
-        det, k = real(p)
+    def perturbed():
+        det, k = real()
         det = det.copy()
-        det[0, 0, 0] = (det[0, 0, 0] + 1) % p
+        det[0, 0, 0] += 1
         return det, k
 
-    monkeypatch.setattr(locus_module, "action_tensors", perturbed)
+    monkeypatch.setattr(locus_module, "_integer_action_tensors", perturbed)
     code = cli.main(["verify", "--primes", primes, "--workers", "1"])
     assert code == 1
     out = capsys.readouterr().out

@@ -16,7 +16,9 @@ from quadric_moduli.locus import (
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
     sweep_locus,
 )
-from quadric_moduli.locus import _factoring_ok, _kernel_counts
+from quadric_moduli.locus import (
+    _factoring_ok, _join_counts, _k_pivots, _k_rows, _kernel_counts, det_action_matrix,
+)
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
@@ -262,8 +264,14 @@ def test_gauge_invariance():
         planes = list(enumerate_planes(p))
         for plane in rng.sample(planes, 8):
             reference = fiber_detzero_count(plane)
-            assert fiber_detzero_count(plane, reverse_complement=True) == reference
             f1, f2 = plane.basis()
+            # with the 12 first-column coordinates reversed, the join takes
+            # another complement of K
+            k_basis = np.array([_k_rows(f1, f2)])
+            reversed_pivots = _k_pivots(p, k_basis[..., ::-1])[1]
+            assert not set(11 - reversed_pivots[0]) & set(_k_pivots(p, k_basis)[1][0])
+            matrix = det_action_matrix(f1, f2)[None, :, ::-1]
+            assert next(_join_counts(p, matrix, reversed_pivots)) == reference
             while True:
                 a, b, c, d = (field.random(rng) for _ in range(4))
                 if field.sub(field.mul(a, d), field.mul(b, c)) != field.zero:
@@ -433,6 +441,22 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
     assert sweep.ok
     assert len(calls) == len(sweep.raw_counts) == targets
     assert calls == sweep.bases[sorted(sweep.raw_counts)].tolist()
+
+
+@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True)])
+def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
+    # one _k_pivots pass gives both the mask's dimensions and the join's pivots
+    real = locus_module._k_pivots
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(locus_module, "_k_pivots", counting)
+    sweep = sweep_locus(p, full_oracle=full_oracle)
+    assert sweep.method == "enumerate" and sweep.ok
+    assert calls == [grass_count(p)]
 
 
 def test_sweep_full_oracle_p2():
