@@ -88,11 +88,10 @@ class BiForm:
         return self.coeffs[i * (self.b + 1) + j]
 
     def terms(self):
-        """Yield ((i, j), coefficient) for each nonzero coefficient."""
-        zero = self.field.zero
+        """Yield ((i, j), coefficient) for each nonzero (truthy) coefficient."""
         width = self.b + 1
         for idx, c in enumerate(self.coeffs):
-            if c != zero:
+            if c:
                 yield divmod(idx, width), c
 
     # -- arithmetic ------------------------------------------------------

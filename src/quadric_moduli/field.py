@@ -33,6 +33,8 @@ class PrimeField:
     """The field with p elements, p prime.  Elements are ints reduced to [0, p)."""
 
     __slots__ = ("p",)
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if not is_prime(p):
@@ -72,14 +74,6 @@ class PrimeField:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def elements(self) -> range:
         return range(self.p)
 
@@ -100,6 +94,9 @@ class RationalField:
     """The rationals with exact Fraction arithmetic; characteristic 0."""
 
     __slots__ = ()
+    #: Shared constants, not built per access: Fractions are immutable.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     @property
     def char(self) -> int:
@@ -127,14 +124,6 @@ class RationalField:
 
     def div(self, a, b):
         return self.mul(a, self.inv(self.canon(b)))
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def elements(self):
         raise TypeError("the rationals are not enumerable")

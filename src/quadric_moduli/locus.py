@@ -30,10 +30,11 @@ counts the vectors of a complement of K on which the determinant vanishes,
 by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p for a block
 of planes at once, and the coinciding keys are counted plane by plane.  The
-raw oracle keys and joins all p^12 first-column pairs the same way, from
-maps built by form products alone, keying the maps of all its target planes
-at once.  Every sweep runs in one process, over the planes in their fixed
-order.
+raw oracle keys and joins all p^12 first-column pairs the same way, for all
+its target planes at once.  Its maps come from a second table of unit form
+products, which shares nothing with the action tensors, so no sweep
+multiplies forms per plane.  Every sweep runs in one process, over the
+planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -49,7 +50,7 @@ import numpy as np
 
 from .betti import SUPPORTED_PRIMES, expected_x_count, generic_orbit_sizes
 from .biform import BiForm
-from .field import GF, QQ
+from .field import QQ
 
 #: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
 #: reports carry raw counts at exactly these primes.
@@ -343,17 +344,25 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     return (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
 
 
-def raw_oracle_maps(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The linear maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms, for
-    the plane with basis rows (f1, f2), as two 6 x 12 integer matrices whose
-    row k is the product of the k-th (1, 2)-monomial with f2, respectively
-    f1.  Built from form products alone, independently of det_action_matrix,
-    K and any complement."""
-    field = GF(p)
-    f1, f2 = (BiForm(field, 1, 1, row) for row in rows)
-    monomials = _first_column_monomials(field)
-    return (np.array([(mono * f2).coeffs for mono in monomials], dtype=np.int64),
-            np.array([(mono * f1).coeffs for mono in monomials], dtype=np.int64))
+def _raw_products() -> np.ndarray:
+    """BiForm's products of the six (1, 2)-monomials with the four unit
+    (1, 1)-forms over QQ, as a (4, 6, 12) table: [u, k] holds the
+    coefficients of the k-th monomial times the u-th unit.  A product of
+    monomials is a monomial, so every entry is 0 or 1."""
+    units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
+    monomials = _first_column_monomials(QQ)
+    table = np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int64)
+    assert np.isin(table, (0, 1)).all(), "raw product entries must be 0 or 1"
+    return table
+
+
+def raw_oracle_maps(p: int, bases) -> np.ndarray:
+    """The maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms of N planes
+    with basis rows (f1, f2), an (N, 2, 4) array-like, as an (N, 2, 12, 6)
+    stack of canonical matrices in _image_keys' layout: the products are
+    linear in the rows, so one einsum contracts them with _raw_products."""
+    bases = np.asarray(bases, dtype=np.int64).reshape(-1, 2, 4)
+    return np.einsum("nfu,ukc->nfck", bases[:, ::-1], _raw_products()) % p
 
 
 def raw_oracle_counts(p: int, bases) -> list[int]:
@@ -362,8 +371,8 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
     basis rows, an (N, 2, 4) array-like.  det2 = phi11*f2 - phi21*f1
     vanishes iff the two products coincide, so the p^12 pairs are counted
     exactly by joining the p^6 images phi11*f2 with the p^6 images
-    phi21*f1; the maps of all planes are keyed in one stack, and joined
-    plane by plane.  Refused outside RAW_SWEEP_PRIMES.
+    phi21*f1; the raw_oracle_maps stack of all planes is keyed at once, and
+    joined plane by plane.  Refused outside RAW_SWEEP_PRIMES.
 
     Against the fiber count N it must satisfy the coset identity
         raw = p^2 + N * (p - 1) * p^2
@@ -371,9 +380,7 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
     nonzero scalings of each det-zero projective fiber point)."""
     if p not in RAW_SWEEP_PRIMES:
         raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
-    maps = np.reshape([raw_oracle_maps(p, rows) for rows in np.asarray(bases).tolist()],
-                      (-1, 2, 6, 12))
-    keys = _image_keys(p, _affine_vectors(p, 6), maps.transpose(0, 1, 3, 2))
+    keys = _image_keys(p, _affine_vectors(p, 6), raw_oracle_maps(p, bases))
     return [_coinciding_pairs(left, right) for left, right in keys]
 
 

@@ -15,8 +15,8 @@ from quadric_moduli.betti import stratified_moduli_count
 from quadric_moduli.biform import BiForm, linearly_independent
 from quadric_moduli.field import GF
 from quadric_moduli.locus import (
-    _check_prime, _factoring_ok, _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases,
-    raw_oracle_counts, sweep_locus,
+    _affine_vectors, _check_prime, _coinciding_pairs, _factoring_ok, _first_column_monomials,
+    _image_keys, _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases, sweep_locus,
 )
 
 
@@ -81,9 +81,22 @@ def fiber_detzero_count(plane: Plane) -> int:
     return detzero_count_for_basis(*plane.basis())
 
 
+def raw_oracle_maps_of(plane: Plane) -> np.ndarray:
+    """The maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms of one
+    plane, in raw_oracle_maps' (2, 12, 6) layout, built by multiplying the
+    six monomials with the plane's own basis forms over GF(p)."""
+    f1, f2 = plane.basis()
+    monomials = _first_column_monomials(f1.field)
+    products = [[(mono * f).coeffs for mono in monomials] for f in (f2, f1)]
+    return np.array(products, dtype=np.int64).transpose(0, 2, 1)
+
+
 def raw_oracle_count(plane: Plane) -> int:
-    """raw_oracle_counts of a single plane."""
-    return raw_oracle_counts(plane.p, [plane.rows])[0]
+    """The raw count of raw_oracle_counts for one plane, by joining the
+    p^6 images of each of its raw_oracle_maps_of maps."""
+    p = plane.p
+    left, right = _image_keys(p, _affine_vectors(p, 6), raw_oracle_maps_of(plane))
+    return _coinciding_pairs(left, right)
 
 
 def moduli_point_count(p: int) -> int:

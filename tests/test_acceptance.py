@@ -20,11 +20,9 @@ from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, sweep_locus,
+    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, raw_oracle_counts, sweep_locus,
 )
-from plane_reference import (
-    enumerate_planes, fiber_detzero_count, moduli_point_count, raw_oracle_count,
-)
+from plane_reference import enumerate_planes, fiber_detzero_count, moduli_point_count
 
 F2 = GF(2)
 F3 = GF(3)
@@ -135,9 +133,9 @@ def test_criterion_5_cross_route_point_counts():
 
 def test_criterion_6_raw_oracle_identity():
     with criterion(6, "raw sweep identity: 4 + 4N on all 35 planes (p=2), 9 + 18N per type (p=3)"):
-        for plane in enumerate_planes(2):
-            fiber = fiber_detzero_count(plane)
-            assert raw_oracle_count(plane) == 4 + 4 * fiber
+        planes = list(enumerate_planes(2))
+        raw = raw_oracle_counts(2, [plane.rows for plane in planes])
+        assert raw == [4 + 4 * fiber_detzero_count(plane) for plane in planes]
         seen = {}
         planes3 = list(enumerate_planes(3))
         kinds, _, _ = classify_planes(3, [plane.rows for plane in planes3])
@@ -148,9 +146,8 @@ def test_criterion_6_raw_oracle_identity():
             if len(seen) == 3:
                 break
         assert set(seen) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-        for plane in seen.values():
-            fiber = fiber_detzero_count(plane)
-            assert raw_oracle_count(plane) == 9 + 18 * fiber
+        raw = raw_oracle_counts(3, [plane.rows for plane in seen.values()])
+        assert raw == [9 + 18 * fiber_detzero_count(plane) for plane in seen.values()]
 
 
 CANONICAL_SECOND_COLUMNS_F2 = [

@@ -22,17 +22,34 @@ def run_verify(capsys, *flags) -> tuple[int, str]:
 def test_corrupted_raw_oracle_map(monkeypatch, capsys):
     real = locus_module.raw_oracle_maps
 
-    def corrupted(p, rows):
-        against_f2, against_f1 = real(p, rows)
-        against_f2 = against_f2.copy()
-        against_f2[0, 0] = (against_f2[0, 0] + 1) % p
-        return against_f2, against_f1
+    def corrupted(p, bases):
+        maps = real(p, bases)
+        maps[:, 0, 0, 0] = (maps[:, 0, 0, 0] + 1) % p  # x^2 z^3 in (x z^2) * f2
+        return maps
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
     code, out = run_verify(capsys, "--full-oracle")
     assert code == 1
     assert "breaks the coset identity" in out
     assert "verdict: FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "entry", [tuple(e) for e in np.argwhere(locus_module._raw_products()).tolist()],
+    ids=lambda entry: "-".join(map(str, entry)))
+def test_dropped_raw_product_entry(monkeypatch, capsys, entry):
+    # each of the 24 unit products feeds the raw maps of some p = 2 plane
+    real = locus_module._raw_products
+
+    def dropped():
+        table = real()
+        table[entry] = 0
+        return table
+
+    monkeypatch.setattr(locus_module, "_raw_products", dropped)
+    code, out = run_verify(capsys, "--full-oracle")
+    assert code == 1
+    assert "breaks the coset identity" in out
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -42,11 +59,10 @@ def test_corrupted_raw_oracle_map(monkeypatch, capsys):
 def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):
     real = locus_module.raw_oracle_maps
 
-    def corrupted(p, rows):
-        against_f2, against_f1 = real(p, rows)
-        against_f2 = against_f2.copy()
-        against_f2[0, 0] = (against_f2[0, 0] + 1) % p
-        return against_f2, against_f1
+    def corrupted(p, bases):
+        maps = real(p, bases)
+        maps[:, 0, 0, 0] = (maps[:, 0, 0, 0] + 1) % p  # x^2 z^3 in (x z^2) * f2
+        return maps
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
     assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 1

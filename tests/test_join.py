@@ -20,6 +20,7 @@ from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
     _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
     _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
+    raw_oracle_counts,
 )
 from plane_reference import (
     Plane, detzero_count_for_basis, enumerate_planes, fiber_detzero_count, raw_oracle_count,
@@ -155,8 +156,10 @@ def test_raw_join_equals_pairwise_comparison():
     for plane, kind in zip(planes3, kinds.tolist()):
         first_of_kind.setdefault(KINDS[kind], plane)
     assert set(first_of_kind) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-    for plane in planes + list(first_of_kind.values()):
-        assert raw_oracle_count(plane) == paired_raw_count(plane)
+    for p, targets in ((2, planes), (3, list(first_of_kind.values()))):
+        paired = [paired_raw_count(plane) for plane in targets]
+        assert raw_oracle_counts(p, [plane.rows for plane in targets]) == paired
+        assert [raw_oracle_count(plane) for plane in targets] == paired
 
 
 def test_full_oracle_p5_enumerates_every_fiber(sweep5, capsys):

@@ -10,11 +10,11 @@ from quadric_moduli.betti import (
     stratified_moduli_count,
 )
 from quadric_moduli.biform import BiForm, rank1_test
-from quadric_moduli.field import GF
+from quadric_moduli.field import GF, QQ
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
-    sweep_locus,
+    raw_oracle_maps, sweep_locus,
 )
 from quadric_moduli.locus import (
     _factoring_ok, _join_counts, _k_pivots, _k_rows, _kernel_counts, det_action_matrix,
@@ -22,7 +22,7 @@ from quadric_moduli.locus import (
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
-    moduli_point_count, plane_from_forms, raw_oracle_count,
+    moduli_point_count, plane_from_forms, raw_oracle_count, raw_oracle_maps_of,
 )
 
 
@@ -314,10 +314,19 @@ def test_raw_oracle_batch_equals_batches_of_one(p, targets):
     assert raw_oracle_counts(p, []) == []
 
 
+@pytest.mark.parametrize("p,step", [(2, 1), (3, 1), (5, 10), (7, 10)])
+def test_raw_oracle_maps_equal_per_plane_form_products(p, step):
+    # the unit-product contraction against products with each plane's own forms over GF(p)
+    bases = plane_bases(p)[::step]
+    maps = raw_oracle_maps(p, bases)
+    assert maps.shape == (len(bases), 2, 12, 6)
+    for rows, plane_maps in zip(bases.tolist(), maps):
+        assert np.array_equal(plane_maps, raw_oracle_maps_of(plane_of(p, *rows)))
+
+
 def test_raw_oracle_rejects_large_primes():
-    plane = plane_of(5, (1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
-        raw_oracle_count(plane)
+        raw_oracle_counts(5, [((1, 0, 0, 0), (0, 1, 0, 0))])
 
 
 # -- totals and the stratified count ---------------------------------------------
@@ -424,23 +433,39 @@ def test_sweep_is_deterministic(sweep2):
 
 
 @pytest.mark.parametrize("p,full_oracle,targets", [
-    (7, False, 0), (5, False, 0), (2, True, 35), (3, True, 3),
+    (7, False, 0), (5, False, 0), (5, True, 0), (2, False, 0), (2, True, 35), (3, True, 3),
 ])
 def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, targets):
-    # the sweep stays in columns: it builds the form-product maps of the raw
-    # oracle for its targets' basis rows alone
+    # the sweep stays in columns: it builds the raw oracle's maps once, for
+    # its targets' basis rows alone, and only in a full-oracle sweep at 2, 3
     real = locus_module.raw_oracle_maps
     calls = []
 
-    def counting(p, rows):
-        calls.append(rows)
-        return real(p, rows)
+    def counting(p, bases):
+        calls.append(np.asarray(bases).tolist())
+        return real(p, bases)
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert sweep.ok
-    assert len(calls) == len(sweep.raw_counts) == targets
-    assert calls == sweep.bases[sorted(sweep.raw_counts)].tolist()
+    assert len(sweep.raw_counts) == targets
+    assert calls == ([sweep.bases[sorted(sweep.raw_counts)].tolist()] if targets else [])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
+    # past the cached action tensors, a full-oracle sweep multiplies forms
+    # only in the 24 unit products of the raw table, all over QQ
+    sweep_locus(p, full_oracle=True)
+    real, fields = BiForm.__mul__, []
+
+    def counting(self, other):
+        fields.append(self.field)
+        return real(self, other)
+
+    monkeypatch.setattr(BiForm, "__mul__", counting)
+    assert sweep_locus(p, full_oracle=True).ok
+    assert fields == [QQ] * 24
 
 
 @pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True)])

@@ -50,11 +50,10 @@ def count_one_too_many(monkeypatch):
 def corrupt_raw_oracle_map(monkeypatch):
     real = locus_module.raw_oracle_maps
 
-    def corrupted(p, rows):
-        against_f2, against_f1 = real(p, rows)
-        against_f2 = against_f2.copy()
-        against_f2[0, 0] = (against_f2[0, 0] + 1) % p
-        return against_f2, against_f1
+    def corrupted(p, bases):
+        maps = real(p, bases)
+        maps[:, 0, 0, 0] = (maps[:, 0, 0, 0] + 1) % p
+        return maps
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
 
