@@ -8,9 +8,10 @@ its first; the partial report is still written).  A sweep records every
 mismatch, a plane that breaks a precondition of the counts included, and
 raises only for invalid input.  Machine output is canonical JSON (sorted
 keys, indent 2); identical configurations produce byte-identical
-reports.  --workers changes no count: only report and verify --json,
-which echo it as config.workers, depend on it.  The verify-locus document
-is streamed in blocks of fibers written from the sweep's columns, in that
+reports.  --workers is parsed and range-checked for compatibility, and
+changes nothing.  report prints the JSON report, and verify --out writes
+the same bytes beside verify's summary.  The verify-locus document is
+streamed in blocks of fibers written from the sweep's columns, in that
 same canonical form, and is never held whole.  Each subcommand imports
 only what it runs: betti and hilbert need the closed formulas of betti
 and the Hilbert arithmetic alone, and never load numpy or the sweep
@@ -88,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also run the raw pair sweeps (p = 2, 3) and full "
                             "fiber enumeration at p = 5")
         p.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="accepted for compatibility; has no effect "
-                            "(every sweep runs in one process)")
+                       help="accepted for compatibility; must be at least 1 and "
+                            "has no other effect (every sweep runs in one process)")
         p.add_argument("--out", metavar="PATH", help="write the JSON document here")
         p.add_argument("--golden", metavar="PATH", help="alternate golden-value file")
 
@@ -102,13 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run every check and print a summary")
     p_report = sub.add_parser("report", help="run every check and emit the JSON report")
-    for p in (p_verify, p_report):
+    for p, json_only in ((p_verify, False), (p_report, True)):
         p.add_argument("--primes", default="2,3", metavar="LIST",
                        help="comma-separated primes (default: 2,3)")
         add_sweep_args(p)
-    p_verify.add_argument("--json", action="store_true", help="print the JSON report")
-    p_verify.set_defaults(run=_run_report)
-    p_report.set_defaults(run=_run_report, json=True)  # report always prints the JSON
+        p.set_defaults(run=_run_report, json=json_only)
 
     return parser
 
@@ -176,7 +175,7 @@ def cmd_verify_locus(args) -> int:
     from .locus import sweep_locus
 
     golden = load_golden(args.golden)
-    sweep = sweep_locus(args.prime, workers=args.workers, full_oracle=args.full_oracle)
+    sweep = sweep_locus(args.prime, full_oracle=args.full_oracle)
     summary = locus_summary(sweep, golden)
     _emit(locus_document_chunks(sweep, summary), args.out)
     if sweep.worker_failure is not None:
@@ -208,7 +207,7 @@ def _human_report(report: dict) -> str:
 def _run_report(args) -> int:
     primes = _parse_primes(args.primes)
     golden = load_golden(args.golden)
-    report = build_report(primes, golden, workers=args.workers, full_oracle=args.full_oracle)
+    report = build_report(primes, golden, full_oracle=args.full_oracle)
     if args.out or args.json:
         _emit([to_json_text(report)], args.out)
     if not args.json:
@@ -221,6 +220,8 @@ def _run_report(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:  # only the sweep commands take --workers
+            raise ValueError("workers must be >= 1")
         return args.run(args)
     except GoldenError as exc:
         print(f"golden data error: {exc}", file=sys.stderr)

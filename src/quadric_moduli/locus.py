@@ -351,9 +351,7 @@ def _raw_products() -> np.ndarray:
     monomials is a monomial, so every entry is 0 or 1."""
     units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
     monomials = _first_column_monomials(QQ)
-    table = np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int64)
-    assert np.isin(table, (0, 1)).all(), "raw product entries must be 0 or 1"
-    return table
+    return np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int64)
 
 
 def raw_oracle_maps(p: int, bases) -> np.ndarray:
@@ -361,8 +359,13 @@ def raw_oracle_maps(p: int, bases) -> np.ndarray:
     with basis rows (f1, f2), an (N, 2, 4) array-like, as an (N, 2, 12, 6)
     stack of canonical matrices in _image_keys' layout: the products are
     linear in the rows, so one einsum contracts them with _raw_products."""
+    products = _raw_products()
+    # a product of two monomials is one monomial; a product that lost its
+    # term instead breaks the coset identity, which the sweep records
+    assert np.isin(products, (0, 1)).all() and (products.sum(axis=2) <= 1).all(), (
+        "each raw product must be at most one monomial")
     bases = np.asarray(bases, dtype=np.int64).reshape(-1, 2, 4)
-    return np.einsum("nfu,ukc->nfck", bases[:, ::-1], _raw_products()) % p
+    return np.einsum("nfu,ukc->nfck", bases[:, ::-1], products) % p
 
 
 def raw_oracle_counts(p: int, bases) -> list[int]:
@@ -372,14 +375,12 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
     vanishes iff the two products coincide, so the p^12 pairs are counted
     exactly by joining the p^6 images phi11*f2 with the p^6 images
     phi21*f1; the raw_oracle_maps stack of all planes is keyed at once, and
-    joined plane by plane.  Refused outside RAW_SWEEP_PRIMES.
+    joined plane by plane.
 
     Against the fiber count N it must satisfy the coset identity
         raw = p^2 + N * (p - 1) * p^2
     (the p^2 factoring pairs, plus p^2 raw pairs for each of the (p - 1)
     nonzero scalings of each det-zero projective fiber point)."""
-    if p not in RAW_SWEEP_PRIMES:
-        raise ValueError(f"raw p^12 oracle runs only at p in {RAW_SWEEP_PRIMES}, not p = {p}")
     keys = _image_keys(p, _affine_vectors(p, 6), raw_oracle_maps(p, bases))
     return [_coinciding_pairs(left, right) for left, right in keys]
 
@@ -443,6 +444,7 @@ def sweep_method(p: int, full_oracle: bool) -> str:
     return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
 
 
+# `workers` is accepted and ignored: bench/run.py's _sweep_time is the only caller passing it
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
     totals.  With full_oracle, additionally run the raw p^12 oracle (all
@@ -458,15 +460,12 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     row, and neither route counts it.  The kernel route row-reduces the
     stack of the others; the enumeration route keys it by blocks and joins
     plane by plane, in order.  The raw oracle takes its targets' basis rows.
-    `workers` must be >= 1 and selects nothing: every sweep runs in this
-    process.  If a count raises, the sweep stops at that plane (the kernel
-    route before its first) and is returned partial, with the message in
-    `worker_failure` and in `failures` and no raw oracle run; mismatches
-    never raise here, they are recorded in `failures`.
+    Every sweep runs in this process.  If a count raises, the sweep stops at
+    that plane (the kernel route before its first) and is returned partial,
+    with the message in `worker_failure` and in `failures` and no raw oracle
+    run; mismatches never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     bases = plane_bases(p)
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
     matrices, k_bases = action_matrices(p, bases)

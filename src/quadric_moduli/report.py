@@ -257,8 +257,7 @@ def locus_summary(sweep: LocusSweep, golden: dict) -> dict:
     }
 
 
-def build_report(primes, golden: dict, *, workers: int = 1,
-                 full_oracle: bool = False) -> dict:
+def build_report(primes, golden: dict, *, full_oracle: bool = False) -> dict:
     """Full verification report, one locus entry per prime in the given
     order.  Mismatches only flip the verdict.  A sweep that stops partway
     (LocusSweep.worker_failure) ends the run: its partial summary is the
@@ -269,7 +268,6 @@ def build_report(primes, golden: dict, *, workers: int = 1,
         "tool": "quadric-moduli",
         "config": {
             "primes": list(primes),
-            "workers": workers,
             "full_oracle": full_oracle,
         },
         "betti": betti_section(golden),
@@ -277,7 +275,7 @@ def build_report(primes, golden: dict, *, workers: int = 1,
         "locus": [],
     }
     for p in primes:
-        sweep = sweep_locus(p, workers=workers, full_oracle=full_oracle)
+        sweep = sweep_locus(p, full_oracle=full_oracle)
         summary = locus_summary(sweep, golden)
         report["locus"].append(summary)
         if sweep.worker_failure is not None:

@@ -272,7 +272,12 @@ def test_report_json_document():
     assert doc["hilbert"]["ok"] is True
     assert len(doc["locus"]) == 1
     assert doc["locus"][0]["X_count"] == 12
-    assert doc["config"] == {"primes": [2], "workers": 1, "full_oracle": False}
+    assert doc["config"] == {"primes": [2], "full_oracle": False}
+
+
+def test_report_bytes_do_not_depend_on_workers():
+    assert (run_main(["report", "--primes", "2", "--workers", "1"])
+            == run_main(["report", "--primes", "2", "--workers", "2"]))
 
 
 def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
@@ -284,8 +289,8 @@ def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
     assert unset.stdout == with_env.stdout
 
 
-#: SHA-256 of the stdout of the three headline runs pinned by the benchmark and
-#: of verify-locus at every supported prime.
+#: SHA-256 of the stdout of the three headline runs pinned by the benchmark, of
+#: the JSON report and of verify-locus at every supported prime.
 REPORT_DIGESTS = {
     ("verify", "--primes", "2,3,5,7"):
         "da4b2b13034c19cf8bb2f5e1436b07d0acd288a935b802c119b5aa0ad6fd2369",
@@ -293,6 +298,10 @@ REPORT_DIGESTS = {
         "84029a58be1e8d9a9910947165ee0e0b762eeca45a87a5a5f6838f98b62a1e0a",
     ("verify-locus", "--prime", "7"):
         "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
+    ("report", "--primes", "2,3,5,7"):
+        "d79225d979623737aa1baaf4307d69fc721bc74cd3d7778fa8d079b33ae9789a",
+    ("report", "--primes", "2,3", "--full-oracle"):
+        "889e34acf7c5b2882b08203065b510b435b5ce8f38adc101dd143298736f94b9",
     ("verify-locus", "--prime", "2"):
         "8f6431004632c2a3e0fff6456620593523c95900f00e2aab9949b9be00c1964d",
     ("verify-locus", "--prime", "3"):
@@ -308,15 +317,18 @@ REPORT_DIGESTS = {
     # full fiber enumeration at p = 5
     ("verify-locus", "--prime", "5", "--full-oracle"):
         "4e4d6f3b718b6a91945078731943f870efbd185a779d696baef33e15021f8033",
+    # --full-oracle adds nothing at p = 7: the same document as without it
+    ("verify-locus", "--prime", "7", "--full-oracle"):
+        "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
 }
 #: SHA-256 of the partial verify-locus --prime 2 document of a worker that
 #: fails on its sixth plane.
 PARTIAL_LOCUS_DIGEST = "c666e79ed1866d86425fe0d112ce25c1691f4f8a072dce68fb4e87675f6d5785"
-#: SHA-256 of the partial verify --primes 2,3 outputs, JSON and human, of a
-#: join that fails on its sixth call.
+#: SHA-256 of the partial report and verify --primes 2,3 outputs, JSON and
+#: human, of a join that fails on its sixth call.
 PARTIAL_REPORT_DIGESTS = {
-    ("verify", "--primes", "2,3", "--json"):
-        "e2ccc3c58341f32cfaee6730c6a19436af29f9522bdc26a670b1ad66ff88bd44",
+    ("report", "--primes", "2,3"):
+        "ad4874c6fe4ba4b3a635a1a694dcf62688f95b939dc61a2939d981d8a08cade6",
     ("verify", "--primes", "2,3"):
         "23edb2c28e60f15ac6042618e65c94590d69d48be83ea0603ec833e5b529d017",
 }
@@ -444,6 +456,10 @@ def test_verification_mismatch_exit_1(monkeypatch, capsys):
 def test_usage_error_exits_2():
     assert run_cli("frobnicate").returncode == 2
     assert run_cli().returncode == 2
+    # report prints the JSON report; verify has no --json
+    result = run_cli("verify", "--primes", "2", "--json")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --json" in result.stderr
 
 
 def test_verify_locus_off_by_one_golden_exits_1(tmp_path, capsys):
@@ -474,11 +490,11 @@ def run_entry_point(argv) -> tuple[int, bytes, bytes]:
 
 
 @pytest.mark.parametrize("argv,code", [
-    (("verify", "--primes", "2,3", "--json"), 0),
+    (("report", "--primes", "2,3"), 0),
     (("verify-locus", "--prime", "2"), 0),
     (("verify", "--primes", "2", "--golden", "{off_by_one}"), 1),
     (("verify", "--primes", "4"), 2),
-], ids=["verify-json", "verify-locus", "off-by-one-golden", "unsupported-prime"])
+], ids=["report", "verify-locus", "off-by-one-golden", "unsupported-prime"])
 def test_entry_point_equals_main(tmp_path, argv, code):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -492,9 +508,10 @@ def test_entry_point_equals_main(tmp_path, argv, code):
 
 
 def test_entry_point_report_out_writes_the_json_report(tmp_path):
-    out = tmp_path / "report.json"
+    out, verify_out = tmp_path / "report.json", tmp_path / "verify.json"
     assert run_entry_point(["report", "--primes", "2,3", "--out", str(out)]) == (0, b"", b"")
-    assert out.read_bytes() == run_main(["verify", "--primes", "2,3", "--json"])[1]
+    assert run_main(["verify", "--primes", "2,3", "--out", str(verify_out)])[0] == 0
+    assert out.read_bytes() == verify_out.read_bytes() == run_main(["report", "--primes", "2,3"])[1]
 
 
 # -- start-up --------------------------------------------------------------------------

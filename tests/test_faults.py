@@ -1,5 +1,6 @@
 """Injected defects, one per layer: each must flip the CLI verdict to exit
-code 1 and name the check that caught it."""
+code 1 and name the check that caught it, or, where an internal invariant
+catches it first, stop the run with exit code 2."""
 
 import json
 
@@ -50,6 +51,25 @@ def test_dropped_raw_product_entry(monkeypatch, capsys, entry):
     code, out = run_verify(capsys, "--full-oracle")
     assert code == 1
     assert "breaks the coset identity" in out
+
+
+def test_inserted_raw_product_entry_stops_the_run(monkeypatch, capsys):
+    # a product of monomials is one monomial: a second term in any of the 24
+    # products is an internal error, caught before the raw maps are used
+    real = locus_module._raw_products
+    zeros = [tuple(e) for e in np.argwhere(real() == 0).tolist()]
+    assert len(zeros) == 264
+    for entry in zeros:
+        def inserted(entry=entry):
+            table = real()
+            table[entry] = 1
+            return table
+
+        monkeypatch.setattr(locus_module, "_raw_products", inserted)
+        assert cli.main(["verify", "--primes", "2", "--full-oracle"]) == 2, entry
+        out, err = capsys.readouterr()
+        assert out == "", entry
+        assert err == "internal error: each raw product must be at most one monomial\n", entry
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -324,9 +324,16 @@ def test_raw_oracle_maps_equal_per_plane_form_products(p, step):
         assert np.array_equal(plane_maps, raw_oracle_maps_of(plane_of(p, *rows)))
 
 
-def test_raw_oracle_rejects_large_primes():
-    with pytest.raises(ValueError):
-        raw_oracle_counts(5, [((1, 0, 0, 0), (0, 1, 0, 0))])
+@pytest.mark.parametrize("p", [5, 7])
+def test_raw_oracle_past_the_sweep_primes(p):
+    # the sweep runs the raw oracle at RAW_SWEEP_PRIMES only; the oracle takes any prime
+    sweep = sweep_locus(p)
+    rows = sorted(np.unique(sweep.kinds, return_index=True)[1].tolist())
+    raw = raw_oracle_counts(p, sweep.bases[rows])
+    assert [KINDS[kind] for kind in sweep.kinds[rows]] == [SHARED_LEFT, GENERIC, SHARED_RIGHT]
+    assert raw == [p**4, p**2, p**3]
+    assert raw == [p * p + int(sweep.detzero_counts[row]) * (p - 1) * p * p for row in rows]
+    assert raw == [raw_oracle_count(plane_of(p, *sweep.bases[row].tolist())) for row in rows]
 
 
 # -- totals and the stratified count ---------------------------------------------
