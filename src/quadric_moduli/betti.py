@@ -116,9 +116,6 @@ class XiPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, XiPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -140,9 +137,6 @@ class XiPoly:
         for part in parts[1:]:
             text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return text
-
-    def __repr__(self) -> str:
-        return f"XiPoly({self})"
 
 
 def proj_poincare(n: int) -> XiPoly:
@@ -183,11 +177,6 @@ def poincare_moduli() -> XiPoly:
         + proj_poincare(10) * p1 * p1
         + proj_poincare(11)
     )
-
-
-def eval_at(P: XiPoly, q: int) -> int:
-    """Exact big-integer evaluation of P at q."""
-    return P.eval(q)
 
 
 def projective_count(p: int, n: int) -> int:

@@ -1,168 +1,66 @@
 """Hilbert-polynomial calculus on the quadric surface.
 
-Numerical Hilbert polynomials P(m, n) of sheaves twisted by O(m, n) live in
-a polynomial ring in two variables with rational coefficients.  The line
-bundle O(a, b) has P(m, n) = (m + a + 1)(n + b + 1); a locally free
-resolution by direct sums of line bundles determines the Hilbert polynomial
-of the resolved sheaf through the alternating sum over its terms.  Nothing
-here touches sheaves directly: the module is exact polynomial bookkeeping.
+Numerical Hilbert polynomials P(m, n) of sheaves twisted by O(m, n).  The
+line bundle O(a, b) has P(m, n) = (m + a + 1)(n + b + 1), and a locally
+free resolution by direct sums of line bundles determines the Hilbert
+polynomial of the resolved sheaf through the alternating sum over its
+terms.  Every polynomial here is such a sum, so it is bilinear in (m, n):
+four rational coefficients, added, subtracted and scaled, never multiplied
+together.  Nothing here touches sheaves directly: the module is exact
+polynomial bookkeeping.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-#: Hard cap on the degree in each variable.  Products of the linear factors
-#: occurring in resolutions on a surface never exceed it; exceeding it means
-#: the input is not one of the objects this package handles.
-MAX_DEGREE = 4
-
 
 class BiPoly:
-    """Exact polynomial in the two Hilbert variables (m, n).
+    """Exact bilinear polynomial c00 + c01*n + c10*m + c11*mn in the two
+    Hilbert variables (m, n), with Fraction coefficients."""
 
-    The coefficient grid is trimmed and immutable: grid[i][j] is the
-    coefficient of m^i n^j as a Fraction.
-    """
+    __slots__ = ("c00", "c01", "c10", "c11")
 
-    __slots__ = ("grid",)
+    def __init__(self, c00=0, c01=0, c10=0, c11=0):
+        self.c00, self.c01, self.c10, self.c11 = map(Fraction, (c00, c01, c10, c11))
 
-    def __init__(self, grid):
-        rows = [[c if type(c) is Fraction else Fraction(c) for c in row] for row in grid]
-        width = max((len(r) for r in rows), default=0)
-        for r in rows:
-            r.extend([Fraction(0)] * (width - len(r)))
-        while rows and all(c == 0 for c in rows[-1]):
-            rows.pop()
-        while rows and all(row[-1] == 0 for row in rows):
-            for row in rows:
-                row.pop()
-        if len(rows) - 1 > MAX_DEGREE or (rows and len(rows[0]) - 1 > MAX_DEGREE):
-            raise ValueError(f"degree bound {MAX_DEGREE} per variable exceeded")
-        self.grid = tuple(tuple(row) for row in rows)
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls([])
-
-    @classmethod
-    def const(cls, c) -> "BiPoly":
-        return cls([[c]])
-
-    @classmethod
-    def m(cls) -> "BiPoly":
-        return cls([[0], [1]])
-
-    @classmethod
-    def n(cls) -> "BiPoly":
-        return cls([[0, 1]])
-
-    # -- inspection ------------------------------------------------------
-
-    @property
-    def deg_m(self) -> int:
-        return len(self.grid) - 1 if self.grid else 0
-
-    @property
-    def deg_n(self) -> int:
-        return len(self.grid[0]) - 1 if self.grid else 0
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.grid
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        if i < len(self.grid) and j < len(self.grid[i]):
-            return self.grid[i][j]
-        return Fraction(0)
+    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self.c00, self.c01, self.c10, self.c11
 
     def eval(self, m0, n0) -> Fraction:
-        m0, n0 = Fraction(m0), Fraction(n0)
-        total = Fraction(0)
-        for i, row in enumerate(self.grid):
-            for j, c in enumerate(row):
-                if c:
-                    total += c * m0**i * n0**j
-        return total
+        return self.c00 + self.c01 * n0 + self.c10 * m0 + self.c11 * m0 * n0
 
     # -- arithmetic ------------------------------------------------------
 
-    def _binop(self, other, op):
-        other = other if isinstance(other, BiPoly) else BiPoly.const(other)
-        rows = max(len(self.grid), len(other.grid))
-        out = [[op(self.coeff(i, j), other.coeff(i, j))
-                for j in range(max(self.deg_n, other.deg_n) + 1)]
-               for i in range(rows)]
-        return BiPoly(out)
+    def __add__(self, other: "BiPoly") -> "BiPoly":
+        return BiPoly(*(a + b for a, b in zip(self.coeffs(), other.coeffs())))
 
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+    def __sub__(self, other: "BiPoly") -> "BiPoly":
+        return BiPoly(*(a - b for a, b in zip(self.coeffs(), other.coeffs())))
 
-    def __radd__(self, other):
-        return self + other
+    def __mul__(self, scalar) -> "BiPoly":
+        return BiPoly(*(c * scalar for c in self.coeffs()))
 
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return BiPoly.const(other) - self
-
-    def __neg__(self):
-        return BiPoly([[-c for c in row] for row in self.grid])
-
-    def __mul__(self, other):
-        if not isinstance(other, BiPoly):
-            return BiPoly([[c * Fraction(other) for c in row] for row in self.grid])
-        if self.is_zero or other.is_zero:
-            return BiPoly.zero()
-        out = [[Fraction(0)] * (self.deg_n + other.deg_n + 1)
-               for _ in range(self.deg_m + other.deg_m + 1)]
-        for i1, row1 in enumerate(self.grid):
-            for j1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                for i2, row2 in enumerate(other.grid):
-                    for j2, c2 in enumerate(row2):
-                        if c2:
-                            out[i1 + i2][j1 + j2] += c1 * c2
-        return BiPoly(out)
-
-    def __rmul__(self, other):
-        return self * other
+    __rmul__ = __mul__
 
     # -- equality and display ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = BiPoly.const(other)
-        return isinstance(other, BiPoly) and self.grid == other.grid
-
-    def __hash__(self) -> int:
-        return hash(self.grid)
+        return isinstance(other, BiPoly) and self.coeffs() == other.coeffs()
 
     def __str__(self) -> str:
         terms = []
-        indices = [(i, j) for i, row in enumerate(self.grid)
-                   for j, c in enumerate(row) if c]
-        indices.sort(key=lambda ij: (-(ij[0] + ij[1]), -ij[0]))
-        for i, j in indices:
-            c = self.grid[i][j]
-            body = ""
-            if i:
-                body += "m" if i == 1 else f"m^{i}"
-            if j:
-                body += "n" if j == 1 else f"n^{j}"
+        for c, body in ((self.c11, "mn"), (self.c10, "m"), (self.c01, "n"), (self.c00, "")):
+            if not c:
+                continue
             if not body:
-                part = str(c)
+                terms.append(str(c))
             elif c == 1:
-                part = body
+                terms.append(body)
             elif c == -1:
-                part = f"-{body}"
+                terms.append(f"-{body}")
             else:
-                part = f"{c}{body}"
-            terms.append(part)
+                terms.append(f"{c}{body}")
         if not terms:
             return "0"
         text = terms[0]
@@ -174,21 +72,30 @@ class BiPoly:
         return f"BiPoly({self})"
 
     def to_json(self) -> dict:
-        rows = []
-        for row in self.grid:
-            rows.append([int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                         for c in row])
-        return {"coeffs": rows, "display": str(self)}
+        """{"coeffs": grid, "display": str}: grid[i][j] is the coefficient of
+        m^i n^j, with zero trailing rows and columns trimmed."""
+        rows = [[self.c00, self.c01], [self.c10, self.c11]]
+        while rows and not any(rows[-1]):
+            rows.pop()
+        if not any(row[-1] for row in rows):
+            rows = [row[:1] for row in rows]
+        return {"coeffs": [[int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+                            for c in row] for row in rows],
+                "display": str(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
-        return cls([[Fraction(c) for c in row] for row in data["coeffs"]])
+        """Inverse of to_json; a row or column left out is zero, and a grid
+        above bidegree (1, 1) raises ValueError."""
+        rows = [list(row) + [0] * (2 - len(row)) for row in data["coeffs"]]
+        (c00, c01), (c10, c11) = rows + [[0, 0]] * (2 - len(rows))
+        return cls(c00, c01, c10, c11)
 
 
 class ResolutionSpec:
     """Line-bundle summands of a resolution, one tuple of (a, b) labels per
     homological position; position 0 is the term surjecting onto the sheaf.
-    Immutable, compared and hashed by its positions.  A plain class: the
+    Immutable, compared by its positions.  A plain class: the
     dataclasses module would cost the betti and hilbert commands a third of
     their imports."""
 
@@ -216,12 +123,6 @@ class ResolutionSpec:
             return NotImplemented
         return self.positions == other.positions
 
-    def __hash__(self) -> int:
-        return hash(self.positions)
-
-    def __repr__(self) -> str:
-        return f"ResolutionSpec(positions={self.positions!r})"
-
     @classmethod
     def from_json(cls, data: dict) -> "ResolutionSpec":
         if not isinstance(data, dict) or "positions" not in data:
@@ -237,29 +138,15 @@ class ResolutionSpec:
         return cls(tuple(tuple(tuple(label) for label in pos) for pos in positions))
 
 
-def _line_grid(a: int, b: int) -> tuple[int, int, int, int]:
-    """Integer coefficients (1, n, m, mn) of (m + a + 1)(n + b + 1)."""
-    return (a + 1) * (b + 1), a + 1, b + 1, 1
-
-
 def hilb_line(a: int, b: int) -> BiPoly:
     """Hilbert polynomial (m + a + 1)(n + b + 1) of the line bundle O(a, b)."""
-    c00, c01, c10, c11 = _line_grid(a, b)
-    return BiPoly([[c00, c01], [c10, c11]])
+    return BiPoly((a + 1) * (b + 1), a + 1, b + 1, 1)
 
 
 def hilb_resolution(res: ResolutionSpec) -> BiPoly:
     """Alternating sum of line-bundle Hilbert polynomials over a resolution."""
-    c00 = c01 = c10 = c11 = 0
-    for k, position in enumerate(res.positions):
-        sign = -1 if k % 2 else 1
-        for a, b in position:
-            g0, g1, g2, g3 = _line_grid(a, b)
-            c00 += sign * g0
-            c01 += sign * g1
-            c10 += sign * g2
-            c11 += sign * g3
-    return BiPoly([[c00, c01], [c10, c11]])
+    return sum(((-1) ** k * hilb_line(a, b)
+                for k, position in enumerate(res.positions) for a, b in position), BiPoly())
 
 
 def hilb_combination(coeffs, twists, extra: BiPoly) -> BiPoly:
@@ -268,28 +155,13 @@ def hilb_combination(coeffs, twists, extra: BiPoly) -> BiPoly:
     twists = list(twists)
     if len(coeffs) != len(twists):
         raise ValueError(f"{len(coeffs)} coefficients vs {len(twists)} twists")
-    total = extra
-    for c, (a, b) in zip(coeffs, twists):
-        total = total + Fraction(c) * hilb_line(a, b)
-    return total
+    return sum((Fraction(c) * hilb_line(a, b) for c, (a, b) in zip(coeffs, twists)), extra)
 
 
 def twist(P: BiPoly, a: int, b: int) -> BiPoly:
-    """P(m + a, n + b), expanded exactly."""
-    m_shift = BiPoly.m() + BiPoly.const(a)
-    n_shift = BiPoly.n() + BiPoly.const(b)
-    m_pows = [BiPoly.const(1)]
-    for _ in range(P.deg_m):
-        m_pows.append(m_pows[-1] * m_shift)
-    n_pows = [BiPoly.const(1)]
-    for _ in range(P.deg_n):
-        n_pows.append(n_pows[-1] * n_shift)
-    total = BiPoly.zero()
-    for i, row in enumerate(P.grid):
-        for j, c in enumerate(row):
-            if c:
-                total = total + c * (m_pows[i] * n_pows[j])
-    return total
+    """P(m + a, n + b)."""
+    return BiPoly(P.c00 + b * P.c01 + a * P.c10 + a * b * P.c11,
+                  P.c01 + a * P.c11, P.c10 + b * P.c11, P.c11)
 
 
 def euler_char(P: BiPoly):

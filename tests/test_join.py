@@ -14,7 +14,6 @@ import pytest
 import quadric_moduli.cli as cli
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import GF
 from quadric_moduli.betti import projective_count
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
@@ -22,6 +21,7 @@ from quadric_moduli.locus import (
     _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
     raw_oracle_counts,
 )
+from form_reference import GF
 from plane_reference import (
     Plane, detzero_count_for_basis, enumerate_planes, fiber_detzero_count, raw_oracle_count,
 )

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadric_moduli.field import GF, QQ
+from quadric_moduli.field import QQ
 from quadric_moduli.linalg import rank, rref, solve
+from form_reference import GF
 
 
 def test_rref_identity_and_pivots():

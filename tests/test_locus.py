@@ -6,11 +6,10 @@ import pytest
 
 import quadric_moduli.locus as locus_module
 from quadric_moduli.betti import (
-    eval_at, grass_count, grass_poincare, poincare_moduli, projective_count,
-    stratified_moduli_count,
+    grass_count, grass_poincare, poincare_moduli, projective_count, stratified_moduli_count,
 )
-from quadric_moduli.biform import BiForm, rank1_test
-from quadric_moduli.field import GF, QQ
+from quadric_moduli.biform import BiForm
+from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
@@ -20,6 +19,7 @@ from quadric_moduli.locus import (
     _factoring_ok, _join_counts, _k_pivots, _k_rows, _kernel_counts, det_action_matrix,
 )
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
+from form_reference import GF, add, from_terms, is_zero, rank1_test, scale
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
     moduli_point_count, plane_from_forms, raw_oracle_count, raw_oracle_maps_of,
@@ -50,7 +50,7 @@ def test_enumerate_planes_count(p, expected):
     planes = list(enumerate_planes(p))
     assert len(planes) == expected
     # oracle: the Gaussian binomial point count of the Grassmannian
-    assert len(planes) == eval_at(grass_poincare(2, 4), p)
+    assert len(planes) == grass_poincare(2, 4).eval(p)
     assert len(set(planes)) == len(planes)
 
 
@@ -88,10 +88,10 @@ def test_plane_from_forms_canonicalizes():
     field = GF(3)
     xz = BiForm.monomial(field, 1, 1, 0, 0)
     xw = BiForm.monomial(field, 1, 1, 0, 1)
-    plane = plane_from_forms(2 * xz + xw, xz + xw)
+    plane = plane_from_forms(add(scale(xz, 2), xw), add(xz, xw))
     assert plane == plane_of(3, (1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
-        plane_from_forms(xz, 2 * xz)
+        plane_from_forms(xz, scale(xz, 2))
 
 
 # -- classification ------------------------------------------------------------
@@ -129,8 +129,8 @@ def rank1_lines_by_sweep(plane: Plane) -> int:
     points = [(field.one, t) for t in field.elements()] + [(field.zero, field.one)]
     lines = 0
     for s, t in points:
-        element = s * b1 + t * b2
-        if element.is_zero:
+        element = add(scale(b1, s), scale(b2, t))
+        if is_zero(element):
             continue
         if rank1_test(element) is not None:
             lines += 1
@@ -207,8 +207,8 @@ def test_shared_right_planes_at_p2_by_construction(sweep2):
     field = GF(2)
     expected = set()
     for v in [(1, 0), (0, 1), (1, 1)]:
-        xv = BiForm.from_terms(field, 1, 1, {(0, 0): v[0], (0, 1): v[1]})
-        yv = BiForm.from_terms(field, 1, 1, {(1, 0): v[0], (1, 1): v[1]})
+        xv = from_terms(field, 1, 1, {(0, 0): v[0], (0, 1): v[1]})
+        yv = from_terms(field, 1, 1, {(1, 0): v[0], (1, 1): v[1]})
         expected.add(plane_from_forms(xv, yv))
     found = {plane_of(2, *sweep2.bases[row].tolist())
              for row in np.flatnonzero(sweep2.kinds == KINDS.index(SHARED_RIGHT))}
@@ -276,7 +276,8 @@ def test_gauge_invariance():
                 a, b, c, d = (field.random(rng) for _ in range(4))
                 if field.sub(field.mul(a, d), field.mul(b, c)) != field.zero:
                     break
-            assert detzero_count_for_basis(a * f1 + b * f2, c * f1 + d * f2) == reference
+            assert detzero_count_for_basis(add(scale(f1, a), scale(f2, b)),
+                                           add(scale(f1, c), scale(f2, d))) == reference
 
 
 # -- raw oracle ---------------------------------------------------------------------
@@ -357,7 +358,7 @@ def test_moduli_count_gap_is_the_x_gap():
     # stratified count minus the Betti-polynomial value is expected X minus X:
     # comparing the moduli count with the polynomial restates the X check
     for p in range(2, 42):
-        poincare = eval_at(poincare_moduli(), p)
+        poincare = poincare_moduli().eval(p)
         for x in (-5, 0, expected_x_count(p), 199):
             assert stratified_moduli_count(p, x) - poincare == expected_x_count(p) - x
 
@@ -406,22 +407,22 @@ def test_moduli_point_count_p2():
     assert projective_count(2, 11) == 4095
     count = moduli_point_count(2)
     assert count == 35805 - 12 + 18423 + 4095 == 58311
-    assert count == eval_at(poincare_moduli(), 2)
+    assert count == poincare_moduli().eval(2)
 
 
 def test_moduli_point_count_p3(sweep3):
     count = stratified_moduli_count(3, sweep3.x_count)
     assert count == 5520988
-    assert count == eval_at(poincare_moduli(), 3)
+    assert count == poincare_moduli().eval(3)
 
 
 def test_moduli_point_count_p5(sweep5):
     count = stratified_moduli_count(5, sweep5.x_count)
-    assert count == eval_at(poincare_moduli(), 5)
+    assert count == poincare_moduli().eval(5)
 
 
 def test_moduli_point_count_p7_kernel_route():
-    assert moduli_point_count(7) == eval_at(poincare_moduli(), 7)
+    assert moduli_point_count(7) == poincare_moduli().eval(7)
 
 
 # -- sweep orchestration -------------------------------------------------------------
