@@ -4,20 +4,20 @@ Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch (the report is
 written and its verdict is FAIL), 2 invalid input or environment, 3 a
 count raised (the sweep stopped at that plane, the kernel route before
-its first; the partial report is still written).  A sweep records every
-mismatch, a plane that breaks a precondition of the counts included, and
-raises only for invalid input.  Machine output is canonical JSON (sorted
-keys, indent 2); identical configurations produce byte-identical
-reports.  --workers is parsed and range-checked for compatibility, and
-changes nothing.  report prints the JSON report, and verify --out writes
-the same bytes beside verify's summary.  The verify-locus document is
-streamed in blocks of fibers written from the sweep's columns, in that
-same canonical form, and is never held whole.  Each subcommand imports
-only what it runs: betti and hilbert need the closed formulas of betti
-and the Hilbert arithmetic alone, and never load numpy or the sweep
-engine (locus), which verify-locus, verify and report import when they
-start a sweep.  The CLI pins BLAS to one thread: it sets
-OPENBLAS_NUM_THREADS before anything imports numpy.
+the first plane of its block; the partial report is still written).  A
+sweep records every mismatch, a plane that breaks a precondition of the
+counts included, and raises only for invalid input.  Machine output is
+canonical JSON (sorted keys, indent 2); identical configurations produce
+byte-identical reports.  --workers is parsed and range-checked for
+compatibility, and changes nothing.  report prints the JSON report, and
+verify --out writes the same bytes beside verify's summary.  The
+verify-locus document is streamed in blocks of fibers written from the
+sweep's columns, in that same canonical form, and is never held whole.
+Each subcommand imports only what it runs: betti and hilbert need the
+closed formulas of betti and the Hilbert arithmetic alone, and never
+load numpy or the sweep engine (locus), which verify-locus, verify and
+report import when they start a sweep.  The CLI pins BLAS to one thread:
+it sets OPENBLAS_NUM_THREADS before anything imports numpy.
 """
 
 from __future__ import annotations

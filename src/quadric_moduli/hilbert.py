@@ -22,7 +22,9 @@ class BiPoly:
     __slots__ = ("c00", "c01", "c10", "c11")
 
     def __init__(self, c00=0, c01=0, c10=0, c11=0):
-        self.c00, self.c01, self.c10, self.c11 = map(Fraction, (c00, c01, c10, c11))
+        # a Fraction is kept as it is: they are immutable, and Fraction(x) is slow
+        self.c00, self.c01, self.c10, self.c11 = (
+            c if type(c) is Fraction else Fraction(c) for c in (c00, c01, c10, c11))
 
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self.c00, self.c01, self.c10, self.c11

@@ -22,10 +22,11 @@ failure line and no row, so a bad plane never stops a sweep.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
-all planes of a prime in one int16 product; that one contraction feeds
-both count routes.  The kernel route counts from the rank of the action,
-row-reducing the whole stack of matrices together in int16 and reducing
-mod p only each cleared column and its pivot row.  The enumeration route
+each block of planes of a prime in one int16 product; that one contraction
+feeds both count routes, so a sweep holds one block's matrices at a time.
+The kernel route counts from the rank of the action, row-reducing a
+block's stack of matrices together in int16 and reducing mod p only each
+cleared column and its pivot row.  The enumeration route
 counts the vectors of a complement of K on which the determinant vanishes,
 by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p for a block
@@ -58,8 +59,10 @@ RAW_SWEEP_PRIMES = (2, 3)
 #: Primes whose full 10-dimensional fiber enumeration runs by default;
 #: larger primes use the kernel-dimension count unless explicitly asked.
 ENUMERATION_PRIMES = (2, 3)
-#: Most half-vectors whose images the enumeration route keys at once: one
-#: block holds every plane at p = 2, 3 and 20 planes at p = 5.
+#: Most half-vectors whose images the enumeration route keys at once, and
+#: most action-matrix entries the kernel route row-reduces at once: a sweep
+#: block holds every plane of the join at p = 2, 3, 20 planes of it at
+#: p = 5, and 455 planes of the kernel route.
 KEY_BLOCK = 2**16
 
 GENERIC = "generic"
@@ -255,10 +258,8 @@ def _join_counts(p: int, matrices, pivots):
     cols = np.nonzero(keep)[1].reshape(-1, 10)
     actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
     maps = np.stack([actions[..., :5], actions[..., 5:]], axis=1)  # a -> A a, b -> B b
-    step = max(1, KEY_BLOCK // len(half))
-    for start in range(0, len(maps), step):
-        for left, right in _image_keys(p, half, maps[start:start + step]):
-            yield _join_count(p, left, right)
+    for left, right in _image_keys(p, half, maps):
+        yield _join_count(p, left, right)
 
 
 def _join_count(p: int, left: np.ndarray, right: np.ndarray) -> int:
@@ -289,13 +290,12 @@ def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """The det action matrices (N, 12, 12) and the K bases (N, 2, 12) of N
     planes given by their canonical basis rows (f1, f2), shape (N, 2, 4), as
     int16 canonical representatives mod p: the integer tensors contracted
-    with all planes in one int16 einsum, whose 8-term sums stay within
+    with all N planes in one int16 einsum, whose 8-term sums stay within
     +-8 * (p - 1), then reduced mod p once."""
     det, k = _integer_action_tensors()
     maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int16)
-    # % and not _reduce: here, at the sweep's peak, _reduce's quotient array
-    # raised the peak RSS of verify --primes 2,3,5,7 by about 45 KB
-    images = np.einsum("nj,jk->nk", np.asarray(rows, dtype=np.int16).reshape(-1, 8), maps) % p
+    rows = np.asarray(rows, dtype=np.int16).reshape(-1, 8)
+    images = _reduce(np.einsum("nj,jk->nk", rows, maps), p)
     n = len(images)
     return images[:, :144].reshape(n, 12, 12), images[:, 144:].reshape(n, 2, 12)
 
@@ -451,50 +451,54 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     planes at p = 2, the first plane of each kind at p = 3) and switch
     p = 5 to full fiber enumeration.
 
-    Both routes start from one pass over the plane table: plane_bases,
-    classify_planes, one contraction of the action tensors with every plane
-    and one _k_pivots pass over the K bases, whose dimensions feed the mask
-    and whose pivots the join.  One mask holds back each plane whose kind is
-    unknown, whose K does not have dimension 2, or whose K leaves the kernel
-    of its action: it gets one line in `failures`, in plane order, and no
-    row, and neither route counts it.  The kernel route row-reduces the
-    stack of the others; the enumeration route keys it by blocks and joins
-    plane by plane, in order.  The raw oracle takes its targets' basis rows.
-    Every sweep runs in this process.  If a count raises, the sweep stops at
-    that plane (the kernel route before its first) and is returned partial,
-    with the message in `worker_failure` and in `failures` and no raw oracle
-    run; mismatches never raise here, they are recorded in `failures`.
+    Both routes start from plane_bases and classify_planes over the whole
+    table, then take it in blocks of KEY_BLOCK // p**5 planes (the join) or
+    KEY_BLOCK // 144 (the kernel route), so a sweep holds one block's action
+    matrices at a time.  Each block gets one contraction of the action
+    tensors and one _k_pivots pass, whose dimensions feed the mask and whose
+    pivots the join.  The mask holds back each plane whose kind is unknown,
+    whose K does not have dimension 2, or whose K leaves the kernel of its
+    action: it gets one line in `failures`, in plane order, and no row, and
+    neither route counts it.  The kernel route row-reduces the block's stack
+    of the others; the enumeration route keys it and joins plane by plane.
+    The raw oracle takes its targets' basis rows.  Every sweep runs in this
+    process.  If a count raises, the sweep stops at that plane (the kernel
+    route before the first plane of its block) and is returned partial,
+    with the rows counted before it, the message in `worker_failure` and in
+    `failures`, no failure line of a later block and no raw oracle run;
+    mismatches never raise here, they are recorded in `failures`.
     """
     _check_prime(p)
     bases = plane_bases(p)
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
-    matrices, k_bases = action_matrices(p, bases)
     method = sweep_method(p, full_oracle)
-    dims, pivots = _k_pivots(p, k_bases)
-    factoring = _factoring_ok(p, matrices, k_bases)
-    countable = (kinds >= 0) & (dims == 2) & factoring
-    failures = []
-    for index in np.flatnonzero(~countable).tolist():
-        if kinds[index] < 0:
-            failures.append(f"plane {index}: rank-one plane with basis rows "
-                            f"{bases[index].tolist()} shares neither factor")
-        elif dims[index] != 2:
-            failures.append(f"plane {index}: factoring subspace K has dimension {dims[index]}")
-        else:
-            failures.append(f"plane {index}: factoring first-columns must have zero determinant")
-    rows = np.flatnonzero(countable)
-    if not countable.all():  # copy the stacks only where a plane is held back
-        matrices, pivots = matrices[rows], pivots[rows]
-    counts, worker_failure = [], None
-    try:
-        if method == "kernel":
-            counts = _kernel_counts(p, matrices)
-        else:
-            for count in _join_counts(p, matrices, pivots):
-                counts.append(count)
-    except Exception as exc:  # keep the planes counted so far
-        worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"
-    rows = rows[:len(counts)]
+    step = KEY_BLOCK // (p**5 if method == "enumerate" else 144)
+    rows, counts, failures, worker_failure = [], [], [], None
+    for start in range(0, len(bases), step):
+        matrices, k_bases = action_matrices(p, bases[start:start + step])
+        dims, pivots = _k_pivots(p, k_bases)
+        countable = (kinds[start:start + step] >= 0) & (dims == 2)
+        countable &= _factoring_ok(p, matrices, k_bases)
+        for offset in np.flatnonzero(~countable).tolist():
+            index, plane = start + offset, f"plane {start + offset}: "
+            if kinds[index] < 0:
+                failures.append(plane + "rank-one plane with basis rows "
+                                f"{bases[index].tolist()} shares neither factor")
+            elif dims[offset] != 2:
+                failures.append(plane + f"factoring subspace K has dimension {dims[offset]}")
+            else:
+                failures.append(plane + "factoring first-columns must have zero determinant")
+        kept = np.flatnonzero(countable)
+        if not countable.all():  # copy the stacks only where a plane is held back
+            matrices, pivots = matrices[kept], pivots[kept]
+        rows.extend((start + kept).tolist())
+        try:
+            counts.extend(_kernel_counts(p, matrices).tolist() if method == "kernel"
+                          else _join_counts(p, matrices, pivots))
+        except Exception as exc:  # extend kept the planes the join counted so far
+            worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"
+            break
+    rows = np.array(rows[:len(counts)], dtype=np.int64)
     sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
                        shared_points[rows], np.asarray(counts, dtype=np.int64),
                        failures=failures, worker_failure=worker_failure)

@@ -106,7 +106,9 @@ def test_complement_columns_equal_echelon_pivots(reverse):
 
 
 def test_join_counts_over_a_partial_last_block():
-    # 45 planes at p = 5 make key blocks of 20, 20 and 5 planes
+    # the sweep hands the join blocks of 20 planes at p = 5, so its 806
+    # planes under --full-oracle end in a partial block of 6; 45 planes
+    # likewise leave 5, and the join counts any number of planes at once
     p = 5
     bases = plane_bases(p)
     kinds = classify_planes(p, bases)[0]

@@ -2,7 +2,9 @@
 det_action_matrix and _k_rows built from BiForm products for each plane,
 and linalg.rank of the action matrix."""
 
+import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +15,8 @@ from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
-    _factoring_ok, _integer_action_tensors, _k_pivots, _k_rows, _kernel_counts, _ranks_mod_p,
-    _reduce, action_matrices, classify_planes, det_action_matrix,
+    KEY_BLOCK, _factoring_ok, _integer_action_tensors, _k_pivots, _k_rows, _kernel_counts,
+    _ranks_mod_p, _reduce, action_matrices, classify_planes, det_action_matrix, sweep_locus,
 )
 from form_reference import GF
 from plane_reference import enumerate_planes
@@ -155,3 +157,73 @@ def test_rank_one_short_flips_verdict(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "plane 100 (generic): det-zero count 1, expected 0" in out
     assert "verdict: FAIL" in out
+
+
+#: Planes per block of the kernel route: 144 action-matrix entries each.
+KERNEL_BLOCK = KEY_BLOCK // 144
+
+
+def test_sweep_memory_is_bounded_by_a_block():
+    # the p = 7 sweep contracts and row-reduces at most 455 of its 2,850
+    # planes at a time, which keeps it near 1 MB; all at once take 3 MB
+    _integer_action_tensors()
+    tracemalloc.start()
+    try:
+        sweep_locus(7)
+        assert tracemalloc.get_traced_memory()[1] < 1.5e6
+    finally:
+        tracemalloc.stop()
+
+
+def zero_k_in_blocks(monkeypatch, *faults):
+    """Make action_matrices give a zero K to the plane at offset o of its
+    b-th call (block), for each (b, o) in faults."""
+    real, calls = locus_module.action_matrices, []
+
+    def degenerate(p, rows):
+        matrices, k_bases = real(p, rows)
+        calls.append(len(rows))
+        for block, offset in faults:
+            if block == len(calls) - 1:
+                k_bases[offset] = 0
+        return matrices, k_bases
+
+    monkeypatch.setattr(locus_module, "action_matrices", degenerate)
+
+
+def test_degenerate_k_in_a_later_block_is_one_failure_line(monkeypatch, capsys):
+    # the mask runs per block and names a held-back plane by its table index
+    plane = KERNEL_BLOCK + 3
+    zero_k_in_blocks(monkeypatch, (1, 3))
+    assert cli.main(["verify-locus", "--prime", "7"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    failures = doc["summary"]["failures"]
+    assert failures[0] == f"plane {plane}: factoring subspace K has dimension 0"
+    assert [line for line in failures if line.startswith("plane ")] == failures[:1]
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == [
+        index for index in range(2850) if index != plane]
+
+
+def test_kernel_route_raise_keeps_the_earlier_blocks(monkeypatch, capsys):
+    # the second block's count raises: the first block's rows stay, the
+    # failure names the second block's first countable plane, and no line
+    # of a later block is listed
+    real, calls = locus_module._ranks_mod_p, []
+
+    def flaky(stack, p):
+        calls.append(len(stack))
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return real(stack, p)
+
+    monkeypatch.setattr(locus_module, "_ranks_mod_p", flaky)
+    zero_k_in_blocks(monkeypatch, (1, 0), (2, 0))
+    assert cli.main(["verify-locus", "--prime", "7"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    failure = f"worker failed on plane {KERNEL_BLOCK + 1}: injected"
+    assert doc["worker_failure"] == failure
+    failures = doc["summary"]["failures"]
+    assert failures[:2] == [f"plane {KERNEL_BLOCK}: factoring subspace K has dimension 0", failure]
+    assert not any(line.startswith("plane ") for line in failures[2:])
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(KERNEL_BLOCK))
+    assert calls == [KERNEL_BLOCK, KERNEL_BLOCK - 1]

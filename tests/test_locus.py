@@ -11,7 +11,7 @@ from quadric_moduli.betti import (
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
-    GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
+    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
     raw_oracle_maps, sweep_locus,
 )
@@ -476,9 +476,10 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
     assert fields == [QQ] * 24
 
 
-@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True)])
+@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
 def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
-    # one _k_pivots pass gives both the mask's dimensions and the join's pivots
+    # every plane reaches _k_pivots exactly once, in the block whose pass
+    # gives both the mask's dimensions and the join's pivots
     real = locus_module._k_pivots
     calls = []
 
@@ -488,8 +489,9 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
 
     monkeypatch.setattr(locus_module, "_k_pivots", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
-    assert sweep.method == "enumerate" and sweep.ok
-    assert calls == [grass_count(p)]
+    assert sweep.method == ("kernel" if p == 7 else "enumerate") and sweep.ok
+    assert sum(calls) == grass_count(p)
+    assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
 
 
 def test_sweep_full_oracle_p2():
