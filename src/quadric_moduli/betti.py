@@ -4,12 +4,12 @@ and the closed point-count formulas over F_p.
 The Poincare polynomial of a smooth projective variety without odd homology
 doubles as its counting polynomial: evaluating at a prime power q gives the
 number of points over the field with q elements.  This module provides the
-polynomial arithmetic, the projective-space and Grassmannian polynomials,
-the five-stratum combination for the moduli space under study, and the
-same strata counted directly at a prime: the primes the sweeps support,
-the expected determinant-locus and orbit counts, and the stratified point
-count from a measured determinant-locus total.  It imports nothing, so the
-Betti and Hilbert checks run without the array engine of the sweeps.
+polynomial arithmetic, the projective-space and (by the q-Pascal rule)
+Grassmannian polynomials, the five-stratum combination for the moduli space
+under study, and the same strata counted directly at a prime: the primes the
+sweeps support, the expected determinant-locus and orbit counts, and the
+stratified point count from a measured determinant-locus total.  It imports
+nothing, so the Betti and Hilbert checks run without the sweeps' array engine.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ class XiPoly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def monomial(cls, degree: int, c: int = 1) -> "XiPoly":
-        return cls([0] * degree + [c])
+    def monomial(cls, degree: int) -> "XiPoly":
+        return cls([0] * degree + [1])
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial mapped to -1."""
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def coeff(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -64,79 +60,15 @@ class XiPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return XiPoly([self.coeff(k) - other.coeff(k) for k in range(n)])
 
-    def __neg__(self) -> "XiPoly":
-        return XiPoly([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return XiPoly([c * other for c in self.coeffs])
-        if self.is_zero or other.is_zero:
-            return XiPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+    def __mul__(self, other: "XiPoly") -> "XiPoly":
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)  # [] if either is zero
         for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
         return XiPoly(out)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __pow__(self, k: int) -> "XiPoly":
-        result = XiPoly([1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def divmod(self, divisor: "XiPoly") -> tuple["XiPoly", "XiPoly"]:
-        """Long division by a divisor with leading coefficient +-1."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = divisor.coeffs[-1]
-        if lead not in (1, -1):
-            raise ValueError("division requires a divisor with unit leading coefficient")
-        rem = list(self.coeffs)
-        d = divisor.degree
-        quot = [0] * max(len(rem) - d, 0)
-        for k in range(len(rem) - 1, d - 1, -1):
-            factor = rem[k] * lead
-            if factor:
-                quot[k - d] = factor
-                for j, c in enumerate(divisor.coeffs):
-                    rem[k - d + j] -= factor * c
-        return XiPoly(quot), XiPoly(rem)
-
-    def exact_div(self, divisor: "XiPoly") -> "XiPoly":
-        """Division that must leave no remainder; raises otherwise."""
-        quot, rem = self.divmod(divisor)
-        if not rem.is_zero:
-            raise ArithmeticError(f"{self} is not divisible by {divisor}")
-        return quot
 
     def __eq__(self, other) -> bool:
         return isinstance(other, XiPoly) and self.coeffs == other.coeffs
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
-            if not c:
-                continue
-            body = "" if k == 0 else ("xi" if k == 1 else f"xi^{k}")
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}{body}")
-        text = parts[0]
-        for part in parts[1:]:
-            text += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return text
 
 
 def proj_poincare(n: int) -> XiPoly:
@@ -148,20 +80,15 @@ def proj_poincare(n: int) -> XiPoly:
 
 def grass_poincare(k: int, n: int) -> XiPoly:
     """Gaussian binomial [n choose k]_xi, the Poincare polynomial of the
-    Grassmannian of k-planes in n-space.
-
-    Computed as the product formula prod (xi^(n-k+i) - 1) / (xi^i - 1) with
-    every division checked to leave no remainder.
-    """
+    Grassmannian of k-planes in n-space, built row by row by the q-Pascal
+    rule [m, j] = [m - 1, j - 1] + xi^j [m - 1, j], with [m, 0] = [m, m] = 1."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    numerator = XiPoly([1])
-    for i in range(1, k + 1):
-        numerator = numerator * (XiPoly.monomial(n - k + i) - XiPoly([1]))
-    result = numerator
-    for i in range(1, k + 1):
-        result = result.exact_div(XiPoly.monomial(i) - XiPoly([1]))
-    return result
+    one = XiPoly([1])
+    row = [one]
+    for m in range(1, n + 1):
+        row = [one] + [row[j - 1] + XiPoly.monomial(j) * row[j] for j in range(1, m)] + [one]
+    return row[k]
 
 
 def poincare_moduli() -> XiPoly:

@@ -65,7 +65,9 @@ def test_grass24_point_count_closed_form():
 
 
 def test_grass_pascal_recursion():
-    # [n k]_xi = [n-1 k-1]_xi + xi^k [n-1 k]_xi
+    # [n k]_xi = [n-1 k-1]_xi + xi^k [n-1 k]_xi: the rule grass_poincare is built
+    # by, so this pins the definition; test_locus's Schubert-cell census is the
+    # route that shares no code with it
     for n in range(1, 7):
         for k in range(1, n):
             lhs = grass_poincare(k, n)
@@ -124,26 +126,7 @@ def test_xipoly_arithmetic():
     assert p + q == XiPoly([1, 3, 1])
     assert p - p == XiPoly()
     assert p * q == XiPoly([0, 1, 3, 2])
-    assert (-p) + p == XiPoly()
-    assert p**2 == p * p
-    assert 3 * p == XiPoly([3, 6])
+    assert p * XiPoly() == XiPoly() * p == XiPoly()
     assert XiPoly([1, 0, 0]).degree == 0
     assert XiPoly().degree == -1
 
-
-def test_xipoly_division():
-    num = XiPoly.monomial(10) - XiPoly([1])
-    quot = num.exact_div(XiPoly([-1, 1]))
-    assert quot == proj_poincare(9)
-    with pytest.raises(ArithmeticError):
-        (XiPoly.monomial(2) + XiPoly([1])).exact_div(XiPoly([-1, 1]))
-    with pytest.raises(ValueError):
-        num.exact_div(XiPoly([1, 2]))
-    with pytest.raises(ZeroDivisionError):
-        num.exact_div(XiPoly())
-
-
-def test_xipoly_display():
-    assert str(XiPoly([1, 1, 2, 1, 1])) == "xi^4 + xi^3 + 2xi^2 + xi + 1"
-    assert str(XiPoly([-1, 1])) == "xi - 1"
-    assert str(XiPoly()) == "0"

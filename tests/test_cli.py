@@ -320,9 +320,12 @@ def test_report_bytes_do_not_depend_on_the_environment(monkeypatch):
     assert seed_0.stdout == seed_12345.stdout
 
 
-#: SHA-256 of the stdout of the three headline runs pinned by the benchmark, of
-#: the JSON report and of verify-locus at every supported prime.
+#: SHA-256 of the stdout of the three headline runs and the setup run
+#: (betti --json) pinned by the benchmark, of the JSON report and of
+#: verify-locus at every supported prime.
 REPORT_DIGESTS = {
+    ("betti", "--json"):
+        "75b8e9a4b990c293350559acc1c9f7241fbf6073463c9e5b4eafa10479e6e761",
     ("verify", "--primes", "2,3,5,7"):
         "da4b2b13034c19cf8bb2f5e1436b07d0acd288a935b802c119b5aa0ad6fd2369",
     ("verify", "--primes", "2,3", "--full-oracle"):

@@ -142,8 +142,9 @@ def test_wrong_rank1_lines(monkeypatch, capsys):
 @pytest.mark.parametrize("module,name,named", [
     (report_module, "stratified_moduli_count", "moduli count 58312 != golden 58311"),
     (betti_module, "grass_count", "moduli count 59334 != golden 58311"),
+    (betti_module, "projective_count", "moduli count 58356 != golden 58311"),
     (locus_module, "expected_x_count", "det-zero total 12, expected 13"),
-], ids=["stratified-count", "grass-count", "expected-x"])
+], ids=["stratified-count", "grass-count", "projective-count", "expected-x"])
 def test_count_formula_off_by_one(monkeypatch, capsys, module, name, named):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: real(*args) + 1)
@@ -151,6 +152,24 @@ def test_count_formula_off_by_one(monkeypatch, capsys, module, name, named):
     assert code == 1
     assert f"! {named}\n" in out
     assert "verdict: FAIL" in out
+
+
+def test_wrong_generic_orbit_size(monkeypatch, capsys):
+    real = locus_module.generic_orbit_sizes
+    monkeypatch.setattr(locus_module, "generic_orbit_sizes",
+                        lambda p: {**real(p), 1: real(p)[1] + 1})
+    code, out = run_verify(capsys)
+    assert code == 1
+    assert "! 9 generic planes with rank1_lines = 1, expected 10\n" in out
+    assert "verdict: FAIL" in out
+
+
+def test_gaussian_binomial_with_an_extra_term(monkeypatch, capsys):
+    real = betti_module.grass_poincare
+    monkeypatch.setattr(betti_module, "grass_poincare",
+                        lambda k, n: real(k, n) + XiPoly.monomial(2))
+    assert cli.main(["betti"]) == 1
+    assert "golden match: FAIL" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("coeffs_desc", [

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 import quadric_moduli.locus as locus_module
 from quadric_moduli.betti import (
-    grass_count, grass_poincare, poincare_moduli, projective_count, stratified_moduli_count,
+    SUPPORTED_PRIMES, XiPoly, grass_count, grass_poincare, poincare_moduli, projective_count,
+    stratified_moduli_count,
 )
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import QQ
@@ -63,6 +65,22 @@ def test_enumerated_bases_are_rref():
         assert lead0 < lead1
         assert rows[0][lead0] == 1 and rows[1][lead1] == 1
         assert rows[0][lead1] == 0  # pivot column cleared above
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_schubert_cells_sum_to_the_gaussian_binomial(p):
+    # a route to [4 choose 2]_xi that shares no code with the q-Pascal rule:
+    # the planes with echelon pivots (c1, c2) form an affine cell of p^d
+    # points, and the cells' xi^d sum to the Poincare polynomial
+    pivots = (plane_bases(p) != 0).argmax(axis=2)
+    cells, sizes = np.unique(pivots, axis=0, return_counts=True)
+    assert len(cells) == 6
+    census = XiPoly()
+    for size in sizes.tolist():
+        d = round(math.log(size, p))
+        assert p**d == size
+        census = census + XiPoly.monomial(d)
+    assert census == grass_poincare(2, 4)
 
 
 def test_plane_validation():
@@ -278,6 +296,20 @@ def test_gauge_invariance():
                     break
             assert detzero_count_for_basis(add(scale(f1, a), scale(f2, b)),
                                            add(scale(f1, c), scale(f2, d))) == reference
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_join_does_not_depend_on_the_plane_basis(request, p):
+    # contracting the basis G B of every plane instead of its echelon rows
+    # moves K and the action, but not the join's count (_join_counts)
+    sweep = request.getfixturevalue(f"sweep{p}")
+    bases = plane_bases(p)
+    assert sweep.plane_index.tolist() == list(range(len(bases)))
+    matrices, k_bases = action_matrices(p, np.array([[1, 1], [1, 2]]) @ bases % p)
+    dims, pivots = _k_pivots(p, k_bases)
+    assert (dims == 2).all()
+    assert _factoring_ok(p, matrices, k_bases).all()
+    assert list(_join_counts(p, matrices, pivots)) == sweep.detzero_counts.tolist()
 
 
 # -- raw oracle ---------------------------------------------------------------------
