@@ -6,11 +6,11 @@ bundle over the Grassmannian of 2-planes in the 4-dimensional space of
 is the projectivization of the 12-dimensional coefficient space of first
 columns modulo the 2-dimensional subspace K of columns that factor through
 the second column.  This module enumerates the planes over a prime field
-into one table of bases, classifies them all at once by their rank-one
-structure, counts determinant-zero points in every fiber, and checks each
-count, the five orbit tallies and the total X on which the point counts rest.
-The closed formulas it checks against, and the supported primes, live in
-betti, so that only a sweep loads numpy.
+into one int16 table of bases, classifies them block by block by their
+rank-one structure, counts determinant-zero points in every fiber, and
+checks each count, the five orbit tallies and the total X on which the
+point counts rest.  The closed formulas it checks against, and the
+supported primes, live in betti, so that only a sweep loads numpy.
 A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
@@ -23,18 +23,18 @@ failure line and no row, so a bad plane never stops a sweep.
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
 each block of planes of a prime in one int16 product; that one contraction
-feeds both count routes, so a sweep holds one block's matrices at a time.
+feeds both count routes, so a sweep holds one block's kinds and matrices.
 The kernel route counts from the rank of the action, row-reducing a
 block's stack of matrices together in int16 and reducing mod p only each
 cleared column and its pivot row.  The enumeration route
 counts the vectors of a complement of K on which the determinant vanishes,
 by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
-the images of the p^5 vectors of each half are keyed in base p for a block
-of planes at once, and the coinciding keys are counted plane by plane.  The
-raw oracle keys and joins all p^12 first-column pairs the same way, for all
-its target planes at once.  Its maps come from a second table of unit form
-products, which shares nothing with the action tensors, so no sweep
-multiplies forms per plane.  Every sweep runs in one process, over the
+the images of the p^5 vectors of each half are keyed in base p (int32 up
+to p = 5) for a block of planes at once, and the coinciding keys are
+counted plane by plane.  The raw oracle keys and joins all p^12 first-column
+pairs the same way, for all its target planes at once.  Its maps come from a
+second table of unit form products, which shares nothing with the action
+tensors, so no sweep multiplies forms per plane.  Every sweep runs in one process, over the
 planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
@@ -61,8 +61,8 @@ RAW_SWEEP_PRIMES = (2, 3)
 ENUMERATION_PRIMES = (2, 3)
 #: Most half-vectors whose images the enumeration route keys at once, and
 #: most action-matrix entries the kernel route row-reduces at once: a sweep
-#: block holds every plane of the join at p = 2, 3, 20 planes of it at
-#: p = 5, and 455 planes of the kernel route.
+#: classifies, contracts and counts one block at a time, every plane of the
+#: join at p = 2, 3, 20 planes of it at p = 5, and 455 of the kernel route.
 KEY_BLOCK = 2**16
 
 GENERIC = "generic"
@@ -101,7 +101,7 @@ def expected_detzero(p: int) -> np.ndarray:
 
 def plane_bases(p: int) -> np.ndarray:
     """The reduced-row-echelon bases of every 2-plane of the (1, 1)-forms
-    over F_p, exactly once each, as an (N, 2, 4) int64 table in a fixed
+    over F_p, exactly once each, as an (N, 2, 4) int16 table in a fixed
     deterministic order: by pivot columns c1 < c2, then by the free
     coefficients, the first varying slowest."""
     _check_prime(p)
@@ -110,7 +110,7 @@ def plane_bases(p: int) -> np.ndarray:
         free = ([(0, c) for c in range(c1 + 1, 4) if c != c2]
                 + [(1, c) for c in range(c2 + 1, 4)])
         values = _affine_vectors(p, len(free))
-        block = np.zeros((len(values), 2, 4), dtype=np.int64)
+        block = np.zeros((len(values), 2, 4), dtype=np.int16)
         block[:, 0, c1] = block[:, 1, c2] = 1
         for k, (row, col) in enumerate(free):
             block[:, row, col] = values[:, k]
@@ -121,20 +121,21 @@ def plane_bases(p: int) -> np.ndarray:
 def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify N planes, given by their basis rows (f1, f2) of shape
     (N, 2, 4), by the binary quadratic q(s, t) = det of the coefficient
-    matrix of s*B1 + t*B2, computed for all planes at once.  Returns kind
-    codes indexing KINDS, rank1_lines and (N, 2) shared points (zero where
-    there is none).  Nonzero q means a generic plane, whose rank1_lines are
-    the projective roots of q.  Identically zero q means a rank-one plane:
-    it shares the right factor where the four (z, w) rows of B1 and B2 are
-    proportional, the left where their (x, y) columns are, and code -1,
-    which a sweep records, marks one that shares neither."""
-    bases = _reduce(np.array(bases, dtype=np.int64), p)  # a copy: the caller's stays
+    matrix of s*B1 + t*B2, computed for all planes at once in int32 (its
+    sums stay below p**3).  Returns kind codes indexing KINDS, rank1_lines
+    and (N, 2) shared points (zero where there is none).  Nonzero q means a
+    generic plane, whose rank1_lines are the projective roots of q.
+    Identically zero q means a rank-one plane: it shares the right factor
+    where the four (z, w) rows of B1 and B2 are proportional, the left where
+    their (x, y) columns are, and code -1, which a sweep records, marks one
+    that shares neither."""
+    bases = _reduce(np.array(bases, dtype=np.int32), p)  # a copy: the caller's stays
     (xz1, xw1, yz1, yw1), (xz2, xw2, yz2, yw2) = bases.transpose(1, 2, 0)
     qa = _reduce(xz1 * yw1 - xw1 * yz1, p)
     qb = _reduce(xz1 * yw2 + xz2 * yw1 - xw1 * yz2 - xw2 * yz1, p)
     qc = _reduce(xz2 * yw2 - xw2 * yz2, p)
     # roots (s, t) = (1, t) of qa*s^2 + qb*s*t + qc*t^2, plus (0, 1) where qc = 0
-    t = np.arange(p)
+    t = np.arange(p, dtype=np.int32)
     values = _reduce(qa[:, None] + qb[:, None] * t + qc[:, None] * t * t, p)
     rank1_lines = (values == 0).sum(axis=1) + (qc == 0)
     kinds = np.where((qa | qb | qc) == 0, -1, KINDS.index(GENERIC))
@@ -156,9 +157,12 @@ def _shared_factor(p: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ~_reduce(minors, p).any(axis=1), lead
 
 
+@functools.cache
 def _inverses(p: int) -> np.ndarray:
-    """The inverse of each residue mod p, indexed by it (0 at 0)."""
-    return np.array([0] + [pow(a, -1, p) for a in range(1, p)])
+    """The inverse of each residue mod p, indexed by it (0 at 0); read-only."""
+    inverses = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int16)
+    inverses.flags.writeable = False
+    return inverses
 
 
 # -- the det2 action on first columns and the fiber model -------------------
@@ -215,18 +219,20 @@ def _k_pivots(p: int, k_bases) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _affine_vectors(p: int, dim: int) -> np.ndarray:
-    """All p^dim vectors of F_p^dim, one per row, as int64."""
-    return np.indices((p,) * dim, dtype=np.int64).reshape(dim, p**dim).T
+    """All p^dim vectors of F_p^dim, one per row, as int16."""
+    return np.indices((p,) * dim, dtype=np.int16).reshape(dim, p**dim).T
 
 
 def _image_keys(p: int, vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Base-p int64 keys, (..., V), of the images mod p of the rows of a (V, d)
+    """Base-p keys, (..., V), of the images mod p of the rows of a (V, d)
     array under a stack of (w, d) canonical matrices: one int16 einsum over
-    the stack per image coordinate (sums below d * (p - 1)**2), then Horner."""
+    the stack per image coordinate (sums below d * (p - 1)**2), then Horner
+    in int32 where p**w < 2**31 (p <= 5 at w = 12), else in int64."""
     width = maps.shape[-2]
     assert p**width < 2**63, "base-p image keys must fit in int64"
-    vectors, maps = vectors.astype(np.int16), maps.astype(np.int16)
-    keys = np.zeros(maps.shape[:-2] + vectors.shape[:1], dtype=np.int64)
+    vectors, maps = np.asarray(vectors, dtype=np.int16), np.asarray(maps, dtype=np.int16)
+    dtype = np.int32 if p**width < 2**31 else np.int64
+    keys = np.zeros(maps.shape[:-2] + vectors.shape[:1], dtype=dtype)
     for w in reversed(range(width)):
         coordinate = np.einsum("vd,...d->...v", vectors, maps[..., w, :])
         keys *= p
@@ -316,7 +322,7 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     n, _, cols = stack.shape
     if p + cols * (p - 1) ** 2 >= 2**15:
         raise ValueError(f"int16 elimination needs p + cols * (p - 1)**2 < 2**15, got p = {p}")
-    inverse = _inverses(p).astype(np.int16)
+    inverse = _inverses(p)
     m = stack.transpose(2, 1, 0).astype(np.int16, order="C")
     rank = np.zeros(n, dtype=np.intp)
     for c in range(cols):
@@ -346,26 +352,27 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
 
 def _raw_products() -> np.ndarray:
     """BiForm's products of the six (1, 2)-monomials with the four unit
-    (1, 1)-forms over QQ, as a (4, 6, 12) table: [u, k] holds the
+    (1, 1)-forms over QQ, as a (4, 6, 12) int16 table: [u, k] holds the
     coefficients of the k-th monomial times the u-th unit.  A product of
     monomials is a monomial, so every entry is 0 or 1."""
     units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
     monomials = _first_column_monomials(QQ)
-    return np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int64)
+    return np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int16)
 
 
 def raw_oracle_maps(p: int, bases) -> np.ndarray:
     """The maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms of N planes
     with basis rows (f1, f2), an (N, 2, 4) array-like, as an (N, 2, 12, 6)
     stack of canonical matrices in _image_keys' layout: the products are
-    linear in the rows, so one einsum contracts them with _raw_products."""
+    linear in the rows, so one int16 einsum (4-term sums below 4 * p)
+    contracts them with _raw_products, reduced mod p once."""
     products = _raw_products()
     # a product of two monomials is one monomial; a product that lost its
     # term instead breaks the coset identity, which the sweep records
     assert np.isin(products, (0, 1)).all() and (products.sum(axis=2) <= 1).all(), (
         "each raw product must be at most one monomial")
-    bases = np.asarray(bases, dtype=np.int64).reshape(-1, 2, 4)
-    return np.einsum("nfu,ukc->nfck", bases[:, ::-1], products) % p
+    bases = np.asarray(bases, dtype=np.int16).reshape(-1, 2, 4)
+    return _reduce(np.einsum("nfu,ukc->nfck", bases[:, ::-1], products), p)
 
 
 def raw_oracle_counts(p: int, bases) -> list[int]:
@@ -451,14 +458,14 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     planes at p = 2, the first plane of each kind at p = 3) and switch
     p = 5 to full fiber enumeration.
 
-    Both routes start from plane_bases and classify_planes over the whole
-    table, then take it in blocks of KEY_BLOCK // p**5 planes (the join) or
-    KEY_BLOCK // 144 (the kernel route), so a sweep holds one block's action
-    matrices at a time.  Each block gets one contraction of the action
-    tensors and one _k_pivots pass, whose dimensions feed the mask and whose
-    pivots the join.  The mask holds back each plane whose kind is unknown,
-    whose K does not have dimension 2, or whose K leaves the kernel of its
-    action: it gets one line in `failures`, in plane order, and no row, and
+    Both routes take plane_bases' int16 table in blocks of KEY_BLOCK // p**5
+    planes (the join) or KEY_BLOCK // 144 (the kernel route), so a sweep
+    holds one block's kinds and action matrices at a time.  Each block gets
+    one classify_planes pass, one contraction of the action tensors and one
+    _k_pivots pass, whose dimensions feed the mask and whose pivots the
+    join.  The mask holds back each plane whose kind is unknown, whose K
+    does not have dimension 2, or whose K leaves the kernel of its action:
+    it gets one line in `failures`, in plane order, and no row, and
     neither route counts it.  The kernel route row-reduces the block's stack
     of the others; the enumeration route keys it and joins plane by plane.
     The raw oracle takes its targets' basis rows.  Every sweep runs in this
@@ -470,20 +477,21 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     """
     _check_prime(p)
     bases = plane_bases(p)
-    kinds, rank1_lines, shared_points = classify_planes(p, bases)
     method = sweep_method(p, full_oracle)
     step = KEY_BLOCK // (p**5 if method == "enumerate" else 144)
-    rows, counts, failures, worker_failure = [], [], [], None
+    columns, counts, failures, worker_failure = [], [], [], None
     for start in range(0, len(bases), step):
-        matrices, k_bases = action_matrices(p, bases[start:start + step])
+        block = bases[start:start + step]
+        kinds, rank1_lines, shared_points = classify_planes(p, block)
+        matrices, k_bases = action_matrices(p, block)
         dims, pivots = _k_pivots(p, k_bases)
-        countable = (kinds[start:start + step] >= 0) & (dims == 2)
+        countable = (kinds >= 0) & (dims == 2)
         countable &= _factoring_ok(p, matrices, k_bases)
         for offset in np.flatnonzero(~countable).tolist():
-            index, plane = start + offset, f"plane {start + offset}: "
-            if kinds[index] < 0:
+            plane = f"plane {start + offset}: "
+            if kinds[offset] < 0:
                 failures.append(plane + "rank-one plane with basis rows "
-                                f"{bases[index].tolist()} shares neither factor")
+                                f"{block[offset].tolist()} shares neither factor")
             elif dims[offset] != 2:
                 failures.append(plane + f"factoring subspace K has dimension {dims[offset]}")
             else:
@@ -491,16 +499,17 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         kept = np.flatnonzero(countable)
         if not countable.all():  # copy the stacks only where a plane is held back
             matrices, pivots = matrices[kept], pivots[kept]
-        rows.extend((start + kept).tolist())
+        columns.append((start + kept, block[kept], kinds[kept], rank1_lines[kept],
+                        shared_points[kept]))
         try:
             counts.extend(_kernel_counts(p, matrices).tolist() if method == "kernel"
                           else _join_counts(p, matrices, pivots))
         except Exception as exc:  # extend kept the planes the join counted so far
+            rows = np.concatenate([column[0] for column in columns])
             worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"
             break
-    rows = np.array(rows[:len(counts)], dtype=np.int64)
-    sweep = LocusSweep(p, method, rows, bases[rows], kinds[rows], rank1_lines[rows],
-                       shared_points[rows], np.asarray(counts, dtype=np.int64),
+    sweep = LocusSweep(p, method, *(np.concatenate(c)[:len(counts)] for c in zip(*columns)),
+                       np.asarray(counts, dtype=np.int64),
                        failures=failures, worker_failure=worker_failure)
     if worker_failure is not None:
         sweep.failures.append(worker_failure)
@@ -508,7 +517,7 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
 
     if full_oracle and p in RAW_SWEEP_PRIMES:
         first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]
-        targets = range(len(rows)) if p == 2 else sorted(first_of_each_kind.tolist())
+        targets = range(len(counts)) if p == 2 else sorted(first_of_each_kind.tolist())
         raw = raw_oracle_counts(p, sweep.bases[targets])
         sweep.raw_counts = dict(zip(targets, raw))
     _collect_failures(sweep)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import quadric_moduli.cli as cli
+import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
 from quadric_moduli.betti import projective_count
@@ -19,7 +20,7 @@ from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
     _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
     _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
-    raw_oracle_counts,
+    raw_oracle_counts, sweep_locus,
 )
 from form_reference import GF
 from plane_reference import (
@@ -88,6 +89,37 @@ def test_image_keys_do_not_wrap_past_int16():
     keys = _image_keys(p, left, identity)
     assert keys.tolist() == [7, 7 + 2**16]
     assert _coinciding_pairs(keys, keys[1:]) == 1
+
+
+@pytest.mark.parametrize("p,width,dtype", [
+    (2, 30, np.int32), (2, 31, np.int64), (3, 19, np.int32), (3, 20, np.int64),
+    (5, 12, np.int32), (7, 11, np.int32), (7, 12, np.int64), (37, 12, np.int64)])
+def test_image_keys_are_int32_exactly_below_2_to_the_31(p, width, dtype):
+    # the largest key, p**width - 1, of every width-vector
+    top = p**width - 1
+    vectors = np.array([[top // p**w % p for w in range(width)], [0] * width])
+    keys = _image_keys(p, vectors, np.eye(width, dtype=np.int16))
+    assert keys.dtype == dtype and keys.tolist() == [top, 0]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_full_oracle_sweep_keys_are_int32_horner_sums(monkeypatch, p):
+    # up to p = 5 every key of the join, and of the raw oracle, is int32 and
+    # equals the int64 sum of its image coordinates times powers of p
+    real, planes = locus_module._image_keys, []
+
+    def checked(p, vectors, maps):
+        keys = real(p, vectors, maps)
+        images = np.einsum("vd,...wd->...wv", vectors.astype(np.int64), maps.astype(np.int64)) % p
+        expected = np.einsum("w,...wv->...v", p ** np.arange(12, dtype=np.int64), images)
+        assert keys.dtype == np.int32 and np.array_equal(keys, expected)
+        planes.append(len(maps))
+        return keys
+
+    monkeypatch.setattr(locus_module, "_image_keys", checked)
+    sweep = sweep_locus(p, full_oracle=True)
+    assert sweep.ok and sweep.method == "enumerate"
+    assert sum(planes) == len(plane_bases(p)) + len(sweep.raw_counts)
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -12,6 +12,7 @@ import pytest
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
+from quadric_moduli.betti import SUPPORTED_PRIMES
 from quadric_moduli.biform import BiForm
 from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
@@ -79,6 +80,15 @@ def test_cached_action_tensors_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             tensor[0, 0, 0] = 1
     assert cached() is cached()
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_cached_inverses_are_read_only_int16_inverses(p):
+    inverses = locus_module._inverses(p)
+    assert inverses is locus_module._inverses(p) and inverses.dtype == np.int16
+    assert inverses.tolist() == [0] + [pow(a, -1, p) for a in range(1, p)]
+    with pytest.raises(ValueError, match="read-only"):
+        inverses[0] = 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -164,15 +174,21 @@ KERNEL_BLOCK = KEY_BLOCK // 144
 
 
 def test_sweep_memory_is_bounded_by_a_block():
-    # the p = 7 sweep contracts and row-reduces at most 455 of its 2,850
-    # planes at a time, which keeps it near 1 MB; all at once take 3 MB
+    # the p = 7 sweep classifies, contracts and row-reduces at most 455 of
+    # its 2,850 planes at a time (0.71 MB traced; 0.98 MB with the whole
+    # table classified at once, 3 MB with it all contracted at once); the
+    # join keys all 130 planes at p = 3 (0.66 MB) and 20 at p = 5 with
+    # full_oracle (1.15 MB), in int32 (0.95 and 1.79 MB in int64)
     _integer_action_tensors()
-    tracemalloc.start()
-    try:
-        sweep_locus(7)
-        assert tracemalloc.get_traced_memory()[1] < 1.5e6
-    finally:
-        tracemalloc.stop()
+    peaks = {}
+    for p, full_oracle, bound in ((3, False, 0.8e6), (5, True, 1.35e6), (7, False, 0.8e6)):
+        tracemalloc.start()
+        try:
+            sweep_locus(p, full_oracle=full_oracle)
+            peaks[p, full_oracle] = tracemalloc.get_traced_memory()[1], bound
+        finally:
+            tracemalloc.stop()
+    assert all(peak < bound for peak, bound in peaks.values()), peaks
 
 
 def zero_k_in_blocks(monkeypatch, *faults):

@@ -526,6 +526,32 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
     assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
 
 
+@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
+def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p, full_oracle):
+    # the sweep classifies one block of planes at a time; on every plane its
+    # kinds, rank1_lines and shared points equal one classify_planes pass
+    # over the whole table, and so do passes over blocks of 7 planes
+    bases = plane_bases(p)
+    whole = classify_planes(p, bases)
+    sevens = [np.concatenate(column) for column in zip(
+        *(classify_planes(p, bases[start:start + 7]) for start in range(0, len(bases), 7)))]
+    real, calls = locus_module.classify_planes, []
+
+    def counting(p, block):
+        calls.append(len(block))
+        return real(p, block)
+
+    monkeypatch.setattr(locus_module, "classify_planes", counting)
+    sweep = sweep_locus(p, full_oracle=full_oracle)
+    assert sum(calls) == len(bases) and sweep.ok
+    assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
+    assert sweep.plane_index.tolist() == list(range(len(bases)))
+    columns = (sweep.kinds, sweep.rank1_lines, sweep.shared_points)
+    for column, expected, in_sevens in zip(columns, whole, sevens, strict=True):
+        assert column.dtype == expected.dtype
+        assert np.array_equal(column, expected) and np.array_equal(in_sevens, expected)
+
+
 def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
     assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
