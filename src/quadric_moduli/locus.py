@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -122,9 +121,10 @@ def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Classify N planes, given by their basis rows (f1, f2) of shape
     (N, 2, 4), by the binary quadratic q(s, t) = det of the coefficient
     matrix of s*B1 + t*B2, computed for all planes at once in int32 (its
-    sums stay below p**3).  Returns kind codes indexing KINDS, rank1_lines
-    and (N, 2) shared points (zero where there is none).  Nonzero q means a
-    generic plane, whose rank1_lines are the projective roots of q.
+    sums stay below p**3).  Returns kind codes indexing KINDS and
+    rank1_lines, as int8, and (N, 2) int16 shared points (zero where there
+    is none).  Nonzero q means a generic plane, whose rank1_lines are the
+    projective roots of q.
     Identically zero q means a rank-one plane: it shares the right factor
     where the four (z, w) rows of B1 and B2 are proportional, the left where
     their (x, y) columns are, and code -1, which a sweep records, marks one
@@ -145,7 +145,9 @@ def classify_planes(p: int, bases) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for kind, order in ((SHARED_RIGHT, [0, 1, 2, 3]), (SHARED_LEFT, [0, 2, 1, 3])):
         shares, point = _shared_factor(p, bases[rank_one][:, :, order].reshape(-1, 4, 2))
         kinds[rank_one[shares]], shared_points[rank_one[shares]] = KINDS.index(kind), point[shares]
-    return kinds, rank1_lines, shared_points
+    # narrowed at the end: int8 arithmetic above pages in numpy loops that no other
+    # step runs, which measured more peak RSS than these three casts
+    return kinds.astype(np.int8), rank1_lines.astype(np.int8), shared_points.astype(np.int16)
 
 
 def _shared_factor(p: int, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,28 +397,28 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
 # -- whole-Grassmannian sweeps ----------------------------------------------
 
 
-@dataclass
 class LocusSweep:
     """Outcome of sweeping every plane over F_p: one row per plane that meets
     the preconditions of the counts, in plane_bases order, holding its index
-    in plane_bases(p), basis, kind code, rank1_lines, shared point and
-    det-zero count.  raw_counts
-    maps the rows the raw oracle ran on to their raw counts; everything
-    else is derived from these columns.  worker_failure names the per-plane
+    in plane_bases(p) (int32), basis (int16), kind code and rank1_lines
+    (int8), shared point (int16) and det-zero count (int64).  raw_counts
+    maps the rows the raw oracle ran on to their raw counts; everything else
+    is derived from these columns.  worker_failure names the per-plane
     count that raised, if one did: the sweep then stops there and holds the
-    planes counted before it."""
+    planes counted before it.  A plain class, so that no command imports
+    dataclasses."""
 
-    p: int
-    method: str
-    plane_index: np.ndarray
-    bases: np.ndarray
-    kinds: np.ndarray
-    rank1_lines: np.ndarray
-    shared_points: np.ndarray
-    detzero_counts: np.ndarray
-    raw_counts: dict[int, int] = dataclass_field(default_factory=dict)
-    failures: list[str] = dataclass_field(default_factory=list)
-    worker_failure: str | None = None
+    __slots__ = ("p", "method", "plane_index", "bases", "kinds", "rank1_lines",
+                 "shared_points", "detzero_counts", "raw_counts", "failures", "worker_failure")
+
+    def __init__(self, p: int, method: str, plane_index, bases, kinds, rank1_lines,
+                 shared_points, detzero_counts, failures: list[str],
+                 worker_failure: str | None = None):
+        self.p, self.method, self.plane_index, self.bases = p, method, plane_index, bases
+        self.kinds, self.rank1_lines, self.shared_points = kinds, rank1_lines, shared_points
+        self.detzero_counts, self.failures = detzero_counts, failures
+        self.worker_failure = worker_failure
+        self.raw_counts: dict[int, int] = {}
 
     @property
     def ok(self) -> bool:
@@ -499,8 +501,8 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         kept = np.flatnonzero(countable)
         if not countable.all():  # copy the stacks only where a plane is held back
             matrices, pivots = matrices[kept], pivots[kept]
-        columns.append((start + kept, block[kept], kinds[kept], rank1_lines[kept],
-                        shared_points[kept]))
+        columns.append(((start + kept).astype(np.int32), block[kept], kinds[kept],
+                        rank1_lines[kept], shared_points[kept]))
         try:
             counts.extend(_kernel_counts(p, matrices).tolist() if method == "kernel"
                           else _join_counts(p, matrices, pivots))
@@ -516,8 +518,8 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         return sweep
 
     if full_oracle and p in RAW_SWEEP_PRIMES:
-        first_of_each_kind = np.unique(sweep.kinds, return_index=True)[1]
-        targets = range(len(counts)) if p == 2 else sorted(first_of_each_kind.tolist())
+        kinds = sweep.kinds.tolist()  # not np.unique: its stable argsort pages in sort code
+        targets = range(len(counts)) if p == 2 else sorted(map(kinds.index, set(kinds)))
         raw = raw_oracle_counts(p, sweep.bases[targets])
         sweep.raw_counts = dict(zip(targets, raw))
     _collect_failures(sweep)

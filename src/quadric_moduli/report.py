@@ -128,25 +128,27 @@ def to_json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# A fiber as to_json_text renders it in the verify-locus document, by kind.
+# A fiber as to_json_text renders it in the verify-locus document, by kind:
+# led by its separator from what comes before it and closed after its raw tail.
 _BASIS_ROW = '          [\n' + ',\n'.join(['            %s'] * 4) + '\n          ]'
-_FIBER_HEAD = ('    {\n      "detzero_count": %s,\n      "expected": %s,\n      "ok": %s,\n'
+_FIBER_HEAD = ('%s    {\n      "detzero_count": %s,\n      "expected": %s,\n      "ok": %s,\n'
                '      "plane": {\n        "basis": [\n' + _BASIS_ROW + ',\n' + _BASIS_ROW
                + '\n        ],\n        "p": %s\n      },\n      "plane_index": %s,\n'
                '      "plane_type": {\n        "kind": "%s",\n')
-_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": %s\n      }'
+_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": %s\n      }%s\n    }'
 _SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          %s,\n          %s\n'
-                 '        ]\n      }')
+                 '        ]\n      }%s\n    }')
 _RAW_TAIL = ',\n      "raw_count": %s,\n      "raw_ok": %s'
 #: Fibers rendered per chunk: the render holds one block, never the document.
-FIBER_BLOCK = 256
+FIBER_BLOCK = 64
 
 
 def locus_document_chunks(sweep: LocusSweep, summary: dict):
     """Yield to_json_text of a verify-locus document in pieces: the canonical
     text up to the fiber list, the fibers in blocks of FIBER_BLOCK written
-    from slices of the sweep's columns, then the rest of the document."""
-    from .locus import GENERIC, KINDS
+    from slices of the sweep's columns, then the rest of the document.  Each
+    fiber is formatted once, with its separator, and each block joined once."""
+    from .locus import GENERIC, KINDS, expected_detzero
     doc = {"fibers": [], "prime": sweep.p, "summary": summary,
            "worker_failure": sweep.worker_failure}
     text = to_json_text({key: value for key, value in doc.items() if value is not None})
@@ -158,21 +160,22 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     yield opening + "["
     raw_tails = {row: _RAW_TAIL % (sweep.raw_counts[row], str(ok).lower())
                  for row, ok in sweep.raw_ok().items()}
-    expected_counts = sweep.expected_counts
+    expected_by_kind = expected_detzero(sweep.p).tolist()
     for start in range(0, len(sweep.plane_index), FIBER_BLOCK):
         block = slice(start, start + FIBER_BLOCK)
         fibers = []
-        for row, (index, basis, kind, lines, point, count, expected) in enumerate(zip(
+        for row, (index, basis, kind, lines, point, count) in enumerate(zip(
                 sweep.plane_index[block].tolist(), sweep.bases[block].reshape(-1, 8).tolist(),
                 sweep.kinds[block].tolist(), sweep.rank1_lines[block].tolist(),
-                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist(),
-                expected_counts[block].tolist()), start):
-            head = (count, expected, str(count == expected).lower(), *basis, sweep.p, index,
-                    KINDS[kind])
-            fiber = (_GENERIC_FIBER % (*head, lines) if KINDS[kind] == GENERIC
-                     else _SHARED_FIBER % (*head, *point))
-            fibers.append(fiber + raw_tails.get(row, "") + "\n    }")
-        yield (",\n" if start else "\n") + ",\n".join(fibers)
+                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist()),
+                start):
+            expected = expected_by_kind[kind]
+            head = (",\n" if row else "\n", count, expected, str(count == expected).lower(),
+                    *basis, sweep.p, index, KINDS[kind])
+            tail = raw_tails.get(row, "")
+            fibers.append(_GENERIC_FIBER % (*head, lines, tail) if KINDS[kind] == GENERIC
+                          else _SHARED_FIBER % (*head, *point, tail))
+        yield "".join(fibers)
     yield "\n  ]" + closing
 
 

@@ -576,6 +576,20 @@ def test_only_sweeps_load_numpy(argv, loaded):
     assert result.stderr == " ".join(loaded)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-locus", "--prime", "2"],
+    ["verify", "--primes", "2", "--full-oracle"],
+], ids=["verify-locus", "verify-full-oracle"])
+def test_sweeps_import_no_dataclasses(argv):
+    # in a child process: this one has dataclasses from the test helpers
+    code = ("import sys\n"
+            "from quadric_moduli import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "assert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_entry_point_freezes_the_heap_the_sweeps_import():
     # verify imports numpy inside main: the collections at exit must skip its heap too
     code = ("import gc, sys\n"

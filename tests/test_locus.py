@@ -552,6 +552,17 @@ def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p,
         assert np.array_equal(column, expected) and np.array_equal(in_sevens, expected)
 
 
+@pytest.mark.parametrize("p", [2, 7])
+def test_sweep_keeps_narrow_columns(p):
+    # 26 bytes a kept plane: index, basis, kind, rank1_lines, shared point
+    sweep = sweep_locus(p)
+    columns = (sweep.plane_index, sweep.bases, sweep.kinds, sweep.rank1_lines,
+               sweep.shared_points)
+    assert [column.dtype for column in columns] == [np.int32, np.int16, np.int8, np.int8,
+                                                    np.int16]
+    assert sum(column[0].nbytes for column in columns) == 26
+
+
 def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
     assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
