@@ -6,16 +6,23 @@ doubles as its counting polynomial: evaluating at a prime power q gives the
 number of points over the field with q elements.  This module provides the
 polynomial arithmetic, the projective-space and (by the q-Pascal rule)
 Grassmannian polynomials, the five-stratum combination for the moduli space
-under study, and the same strata counted directly at a prime: the primes the
-sweeps support, the expected determinant-locus and orbit counts, and the
-stratified point count from a measured determinant-locus total.  It imports
-nothing, so the Betti and Hilbert checks run without the sweeps' array engine.
+under study, and the same strata counted directly at a prime: the route
+table of the sweeps, keyed by the primes they support, the expected
+determinant-locus and orbit counts, and the stratified point count from a
+measured determinant-locus total.  It imports nothing, so the Betti and
+Hilbert checks run without the sweeps' array engine.
 """
 
 from __future__ import annotations
 
+#: Per supported prime: the sweep's count route (the report's method) without
+#: and with --full-oracle, and the planes --full-oracle runs the raw oracle on.
+SWEEP_ROUTES = {2: ("enumerate", "enumerate", "every plane"),
+                3: ("enumerate", "enumerate", "first of each kind"),
+                5: ("kernel", "enumerate", None),
+                7: ("kernel", "kernel", None)}
 #: Primes accepted by the sweep machinery.
-SUPPORTED_PRIMES = (2, 3, 5, 7)
+SUPPORTED_PRIMES = tuple(SWEEP_ROUTES)
 
 
 class XiPoly:

@@ -17,7 +17,8 @@ Each subcommand imports only what it runs: betti and hilbert need the
 closed formulas of betti and the Hilbert arithmetic alone, and never
 load numpy or the sweep engine (locus), which verify-locus, verify and
 report import when they start a sweep.  The CLI pins BLAS to one thread:
-it sets OPENBLAS_NUM_THREADS before anything imports numpy.
+it sets OPENBLAS_NUM_THREADS before anything imports numpy.  Every stdout
+write goes through _emit, so a closed pipe exits 2 as a bad --out does.
 """
 
 from __future__ import annotations
@@ -49,19 +50,19 @@ def _status(ok: bool) -> str:
 
 
 def _emit(chunks, out_path: str | None):
-    """Write an iterable of text chunks to out_path, or to stdout without one.
-    Each chunk is written as it is rendered, so a document is never held
-    whole; rendering cannot fail once the first chunk is out, only I/O can."""
-    if out_path:
-        try:
+    """Write an iterable of text chunks to out_path, or to stdout without one,
+    and flush.  Each chunk is written as it is rendered, so a document is never
+    held whole; rendering cannot fail once the first chunk is out, only I/O
+    can, and a failed write, a closed pipe included, raises ValueError."""
+    try:
+        if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
-                for chunk in chunks:
-                    handle.write(chunk)
-        except OSError as exc:
-            raise ValueError(f"cannot write output file: {exc}") from exc
-    else:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
+                handle.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise ValueError(f"cannot write output{' file' if out_path else ''}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,12 +132,12 @@ def cmd_betti(args) -> int:
     golden = load_golden(args.golden)
     section = betti_section(golden)
     if args.json:
-        sys.stdout.write(to_json_text(section))
+        _emit([to_json_text(section)], None)
     else:
         coeffs = " ".join(str(c) for c in section["coeffs"])
-        print(f"coefficients (degree {section['degree']} -> 0): {coeffs}")
-        print(f"euler characteristic: {section['euler']}")
-        print(f"golden match: {_status(section['ok'])}")
+        _emit([f"coefficients (degree {section['degree']} -> 0): {coeffs}\n"
+               f"euler characteristic: {section['euler']}\n"
+               f"golden match: {_status(section['ok'])}\n"], None)
     return EXIT_OK if section["ok"] else EXIT_MISMATCH
 
 
@@ -146,7 +147,7 @@ def cmd_hilbert(args) -> int:
         try:
             with open(text, encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"cannot read resolution file: {exc}", file=sys.stderr)
             return EXIT_INVALID
     try:
@@ -163,11 +164,9 @@ def cmd_hilbert(args) -> int:
         doc = dict(poly.to_json())
         doc["chi"] = chi if isinstance(chi, int) else str(chi)
         doc["genus_if_structure_sheaf"] = g if isinstance(g, int) else str(g)
-        sys.stdout.write(to_json_text(doc))
+        _emit([to_json_text(doc)], None)
     else:
-        print(f"P = {poly}")
-        print(f"chi = {chi}")
-        print(f"genus (if a structure sheaf) = {g}")
+        _emit([f"P = {poly}\nchi = {chi}\ngenus (if a structure sheaf) = {g}\n"], None)
     return EXIT_OK
 
 
@@ -211,7 +210,7 @@ def _run_report(args) -> int:
     if args.out or args.json:
         _emit([to_json_text(report)], args.out)
     if not args.json:
-        sys.stdout.write(_human_report(report))
+        _emit([_human_report(report)], None)
     if "worker_failure" in report:
         return EXIT_WORKER
     return EXIT_OK if report["verdict"] else EXIT_MISMATCH
@@ -241,6 +240,10 @@ def entrypoint():
     gc.freeze()
     code = main()
     gc.freeze()
+    try:
+        sys.stdout.flush()
+    except OSError:  # a closed pipe, which main reported: keep exit's flush from exiting 120
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

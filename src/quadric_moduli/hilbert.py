@@ -29,9 +29,6 @@ class BiPoly:
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return self.c00, self.c01, self.c10, self.c11
 
-    def eval(self, m0, n0) -> Fraction:
-        return self.c00 + self.c01 * n0 + self.c10 * m0 + self.c11 * m0 * n0
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: "BiPoly") -> "BiPoly":
@@ -161,18 +158,17 @@ def hilb_combination(coeffs, twists, extra: BiPoly) -> BiPoly:
 
 
 def twist(P: BiPoly, a: int, b: int) -> BiPoly:
-    """P(m + a, n + b)."""
+    """P(m + a, n + b), whose constant coefficient is the value P(a, b)."""
     return BiPoly(P.c00 + b * P.c01 + a * P.c10 + a * b * P.c11,
                   P.c01 + a * P.c11, P.c10 + b * P.c11, P.c11)
 
 
 def euler_char(P: BiPoly):
-    """P(0, 0); an int when integral, else the exact Fraction."""
-    value = P.eval(0, 0)
+    """P(0, 0), the constant coefficient; an int when integral, else the exact Fraction."""
+    value = P.c00
     return int(value) if value.denominator == 1 else value
 
 
 def genus(P: BiPoly):
     """Arithmetic genus 1 - chi for the Hilbert polynomial of a structure sheaf."""
-    value = 1 - P.eval(0, 0)
-    return int(value) if value.denominator == 1 else value
+    return 1 - euler_char(P)

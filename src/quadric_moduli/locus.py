@@ -9,8 +9,8 @@ the second column.  This module enumerates the planes over a prime field
 into one int16 table of bases, classifies them block by block by their
 rank-one structure, counts determinant-zero points in every fiber, and
 checks each count, the five orbit tallies and the total X on which the
-point counts rest.  The closed formulas it checks against, and the
-supported primes, live in betti, so that only a sweep loads numpy.
+point counts rest.  The closed formulas it checks against, and the route
+table of the supported primes, live in betti, so that only a sweep loads numpy.
 A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
@@ -34,8 +34,8 @@ to p = 5) for a block of planes at once, and the coinciding keys are
 counted plane by plane.  The raw oracle keys and joins all p^12 first-column
 pairs the same way, for all its target planes at once.  Its maps come from a
 second table of unit form products, which shares nothing with the action
-tensors, so no sweep multiplies forms per plane.  Every sweep runs in one process, over the
-planes in their fixed order.
+tensors, so no sweep multiplies forms per plane.  Every sweep runs in one
+process, over the planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -48,16 +48,10 @@ import itertools
 
 import numpy as np
 
-from .betti import SUPPORTED_PRIMES, expected_x_count, generic_orbit_sizes
+from .betti import SUPPORTED_PRIMES, SWEEP_ROUTES, expected_x_count, generic_orbit_sizes
 from .biform import BiForm
 from .field import QQ
 
-#: Primes at which the raw p^12 oracle runs; fixed, because --full-oracle
-#: reports carry raw counts at exactly these primes.
-RAW_SWEEP_PRIMES = (2, 3)
-#: Primes whose full 10-dimensional fiber enumeration runs by default;
-#: larger primes use the kernel-dimension count unless explicitly asked.
-ENUMERATION_PRIMES = (2, 3)
 #: Most half-vectors whose images the enumeration route keys at once, and
 #: most action-matrix entries the kernel route row-reduces at once: a sweep
 #: classifies, contracts and counts one block at a time, every plane of the
@@ -421,10 +415,6 @@ class LocusSweep:
         self.raw_counts: dict[int, int] = {}
 
     @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
     def x_count(self) -> int:
         return int(self.detzero_counts.sum())
 
@@ -449,16 +439,12 @@ class LocusSweep:
                 for row, raw in self.raw_counts.items()}
 
 
-def sweep_method(p: int, full_oracle: bool) -> str:
-    return "enumerate" if p in ENUMERATION_PRIMES or (p == 5 and full_oracle) else "kernel"
-
-
 # `workers` is accepted and ignored: bench/run.py's _sweep_time is the only caller passing it
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
-    totals.  With full_oracle, additionally run the raw p^12 oracle (all
-    planes at p = 2, the first plane of each kind at p = 3) and switch
-    p = 5 to full fiber enumeration.
+    totals, by the routes of the prime's SWEEP_ROUTES row: its count route
+    without or with full_oracle, and under full_oracle the raw p^12 oracle
+    on the row's planes, every plane or the first plane of each kind.
 
     Both routes take plane_bases' int16 table in blocks of KEY_BLOCK // p**5
     planes (the join) or KEY_BLOCK // 144 (the kernel route), so a sweep
@@ -479,7 +465,8 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     """
     _check_prime(p)
     bases = plane_bases(p)
-    method = sweep_method(p, full_oracle)
+    plain, oracle, raw_planes = SWEEP_ROUTES[p]
+    method = oracle if full_oracle else plain
     step = KEY_BLOCK // (p**5 if method == "enumerate" else 144)
     columns, counts, failures, worker_failure = [], [], [], None
     for start in range(0, len(bases), step):
@@ -517,9 +504,10 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         sweep.failures.append(worker_failure)
         return sweep
 
-    if full_oracle and p in RAW_SWEEP_PRIMES:
+    if full_oracle and raw_planes is not None:
         kinds = sweep.kinds.tolist()  # not np.unique: its stable argsort pages in sort code
-        targets = range(len(counts)) if p == 2 else sorted(map(kinds.index, set(kinds)))
+        targets = (range(len(counts)) if raw_planes == "every plane"
+                   else sorted(map(kinds.index, set(kinds))))
         raw = raw_oracle_counts(p, sweep.bases[targets])
         sweep.raw_counts = dict(zip(targets, raw))
     _collect_failures(sweep)

@@ -85,7 +85,7 @@ def load_golden(path: str | None = None) -> dict:
             path = os.path.join(os.path.dirname(__file__), "data", "golden.json")
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GoldenError(f"cannot read golden file: {exc}") from exc
     try:
         data = json.loads(text)

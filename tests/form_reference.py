@@ -1,15 +1,18 @@
 """Field and form reference code that only the tests call.
 
 The commands build their tables from BiForm products over the rationals and
-reduce them mod p in arrays.  The tests also need the prime fields GF(p),
-the rest of the form arithmetic, and the 2 x 2 matrices of forms with their
-determinant, rank-one and factorization tests, one form at a time.
+reduce them mod p in arrays.  The tests also need the rest of a field's
+interface over the rationals, the prime fields GF(p), the rest of the form
+arithmetic, and the 2 x 2 matrices of forms with their determinant, rank-one
+and factorization tests, one form at a time.
 """
 
 import functools
+from fractions import Fraction
 
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
+from quadric_moduli.field import RationalField
 
 
 def is_prime(n: int) -> bool:
@@ -88,6 +91,41 @@ class PrimeField:
 
 #: The prime field with p elements: one shared PrimeField per p.
 GF = functools.cache(PrimeField)
+
+
+class Rationals(RationalField):
+    """The package's rationals with the rest of the field interface, which
+    only the tests use.  It equals the package's QQ, so forms over either
+    multiply together."""
+
+    __slots__ = ()
+
+    @property
+    def char(self) -> int:
+        return 0
+
+    def sub(self, a, b):
+        return a - b
+
+    def inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        return Fraction(1) / a
+
+    def div(self, a, b):
+        return self.mul(a, self.inv(self.canon(b)))
+
+    def elements(self):
+        raise TypeError("the rationals are not enumerable")
+
+    def random(self, rng, bound: int = 5) -> Fraction:
+        num = rng.randrange(-bound, bound + 1)
+        den = rng.randrange(1, bound + 1)
+        return Fraction(num, den)
+
+
+#: The rationals as the tests use them.
+QQ = Rationals()
 
 
 # -- form arithmetic beyond products -------------------------------------------

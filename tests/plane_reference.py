@@ -104,7 +104,7 @@ def moduli_point_count(p: int) -> int:
     det-zero locus at p.  Raises VerificationError, naming every failure,
     if the sweep records any."""
     sweep = sweep_locus(p)
-    if not sweep.ok:
+    if sweep.failures:
         raise VerificationError("; ".join(sweep.failures))
     return stratified_moduli_count(p, sweep.x_count)
 

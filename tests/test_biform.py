@@ -7,9 +7,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import QQ
 from form_reference import (
-    GF, PhiMatrix, add, det2, factorization_test, is_zero, linear_xy, linearly_independent,
+    GF, QQ, PhiMatrix, add, det2, factorization_test, is_zero, linear_xy, linearly_independent,
     mul_right_linear, rank1_test, scale,
 )
 

@@ -120,6 +120,14 @@ def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     assert "golden data error" in capsys.readouterr().err
 
 
+def test_non_utf8_golden_exits_2(tmp_path, capsys):
+    bad = tmp_path / "golden.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert cli.main(["report", "--primes", "2", "--golden", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("golden data error: cannot read golden file: 'utf-8' codec")
+
+
 def test_verify_accepts_fraction_golden_coefficients(tmp_path, capsys):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -184,6 +192,13 @@ def test_hilbert_inline_json_that_is_not_an_object_exits_2(capsys, spec):
 def test_hilbert_missing_file_exit_2(tmp_path):
     result = run_cli("hilbert", str(tmp_path / "nope.json"))
     assert result.returncode == 2
+
+
+def test_hilbert_non_utf8_file_exits_2(tmp_path, capsys):
+    spec_file = tmp_path / "bad.json"
+    spec_file.write_bytes(b"\xff\xfe{")
+    assert cli.main(["hilbert", str(spec_file)]) == 2
+    assert capsys.readouterr().err.startswith("cannot read resolution file: 'utf-8' codec")
 
 
 #: SHA-256 of the `hilbert --json` stdout of each resolution in the golden file.
@@ -473,6 +488,48 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "cannot write output file" in err
     assert "internal error" not in err
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: the named method raises BrokenPipeError."""
+
+    def __init__(self, failing: str):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["verify-locus", "--prime", "7"], ["verify", "--primes", "2"], ["report", "--primes", "2"],
+    ["betti"], ["hilbert", RES_OPEN_JSON],
+], ids=["verify-locus", "verify", "report", "betti", "hilbert"])
+def test_closed_stdout_exits_2(monkeypatch, capsys, argv, failing):
+    # a write or the flush after the last write fails: every command reports it alike
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(failing))
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+def test_entry_point_exits_2_when_the_reader_closes_the_pipe():
+    # the verify-locus document at p = 7 is 1.2 MB, far past a pipe's buffer
+    child = subprocess.Popen([sys.executable, "-m", "quadric_moduli.cli", "verify-locus",
+                              "--prime", "7"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(child.stdout.read(10)) == 10
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 2  # not 120, a failed flush at exit
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_verification_mismatch_exit_1(monkeypatch, capsys):

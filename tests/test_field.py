@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quadric_moduli.field import QQ
-from form_reference import GF, PrimeField, is_prime
+from form_reference import GF, QQ, PrimeField, is_prime
 
 
 def test_primality_guard():
@@ -71,3 +70,13 @@ def test_random_elements_are_canonical():
     for _ in range(50):
         value = QQ.random(rng)
         assert isinstance(value, Fraction)
+
+
+def test_reference_rationals_are_the_package_rationals():
+    # the tests' QQ adds methods only: forms over it and over the package's
+    # QQ compare equal and multiply together
+    from quadric_moduli import field
+    from quadric_moduli.biform import BiForm
+    assert QQ == field.QQ and field.QQ == QQ and repr(QQ) == "QQ"
+    product = BiForm.monomial(QQ, 1, 1, 0, 0) * BiForm.monomial(field.QQ, 0, 1, 0, 1)
+    assert product == BiForm.monomial(field.QQ, 1, 2, 0, 1)

@@ -151,8 +151,17 @@ def test_integer_valuedness_on_grid():
     batteries += [hilb_line(a, b) for a in range(-3, 4) for b in range(-3, 4)]
     for P in batteries:
         for m0, n0 in itertools.product(range(-3, 4), repeat=2):
-            value = P.eval(m0, n0)
+            value = twist(P, m0, n0).c00  # P(m0, n0)
             assert value.denominator == 1
+
+
+def test_values_off_the_origin_by_hand():
+    # P(m0, n0) as the constant coefficient of twist(P, m0, n0), against the
+    # polynomials written out by hand on the grid -3..3
+    for m0, n0 in itertools.product(range(-3, 4), repeat=2):
+        assert twist(MODULI_POLY, m0, n0).c00 == 3 * m0 + 2 * n0 + 2
+        for a, b in ((0, 0), (-1, -1), (-2, -3), (1, -2), (3, 2)):
+            assert twist(hilb_line(a, b), m0, n0).c00 == (m0 + a + 1) * (n0 + b + 1)
 
 
 # -- the BiPoly type -----------------------------------------------------------------

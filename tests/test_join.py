@@ -118,7 +118,7 @@ def test_full_oracle_sweep_keys_are_int32_horner_sums(monkeypatch, p):
 
     monkeypatch.setattr(locus_module, "_image_keys", checked)
     sweep = sweep_locus(p, full_oracle=True)
-    assert sweep.ok and sweep.method == "enumerate"
+    assert not sweep.failures and sweep.method == "enumerate"
     assert sum(planes) == len(plane_bases(p)) + len(sweep.raw_counts)
 
 

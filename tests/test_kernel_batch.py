@@ -14,12 +14,11 @@ import quadric_moduli.locus as locus_module
 from quadric_moduli import linalg
 from quadric_moduli.betti import SUPPORTED_PRIMES
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
     KEY_BLOCK, _factoring_ok, _integer_action_tensors, _k_pivots, _k_rows, _kernel_counts,
     _ranks_mod_p, _reduce, action_matrices, classify_planes, det_action_matrix, sweep_locus,
 )
-from form_reference import GF
+from form_reference import GF, QQ
 from plane_reference import enumerate_planes
 
 

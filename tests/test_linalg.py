@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from quadric_moduli.field import QQ
 from quadric_moduli.linalg import rank, rref, solve
-from form_reference import GF
+from form_reference import GF, QQ
 
 
 def test_rref_identity_and_pivots():

@@ -7,11 +7,10 @@ import pytest
 
 import quadric_moduli.locus as locus_module
 from quadric_moduli.betti import (
-    SUPPORTED_PRIMES, XiPoly, grass_count, grass_poincare, poincare_moduli, projective_count,
-    stratified_moduli_count,
+    SUPPORTED_PRIMES, SWEEP_ROUTES, XiPoly, grass_count, grass_poincare, poincare_moduli,
+    projective_count, stratified_moduli_count,
 )
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import QQ
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
@@ -21,7 +20,7 @@ from quadric_moduli.locus import (
     _factoring_ok, _join_counts, _k_pivots, _k_rows, _kernel_counts, det_action_matrix,
 )
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
-from form_reference import GF, add, from_terms, is_zero, rank1_test, scale
+from form_reference import GF, QQ, add, from_terms, is_zero, rank1_test, scale
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
     moduli_point_count, plane_from_forms, raw_oracle_count, raw_oracle_maps_of,
@@ -268,7 +267,6 @@ def test_detzero_count_guards():
     xz = BiForm.monomial(field, 1, 1, 0, 0)
     with pytest.raises(ValueError):
         detzero_count_for_basis(xz, xz)  # dependent basis
-    from quadric_moduli.field import QQ
     xz_q = BiForm.monomial(QQ, 1, 1, 0, 0)
     xw_q = BiForm.monomial(QQ, 1, 1, 0, 1)
     with pytest.raises(ValueError):
@@ -359,7 +357,7 @@ def test_raw_oracle_maps_equal_per_plane_form_products(p, step):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_raw_oracle_past_the_sweep_primes(p):
-    # the sweep runs the raw oracle at RAW_SWEEP_PRIMES only; the oracle takes any prime
+    # no SWEEP_ROUTES row runs the raw oracle at p = 5, 7; the oracle takes any prime
     sweep = sweep_locus(p)
     rows = sorted(np.unique(sweep.kinds, return_index=True)[1].tolist())
     raw = raw_oracle_counts(p, sweep.bases[rows])
@@ -372,7 +370,7 @@ def test_raw_oracle_past_the_sweep_primes(p):
 # -- totals and the stratified count ---------------------------------------------
 
 def test_total_x_counts(sweep2, sweep3):
-    assert sweep2.ok and sweep3.ok
+    assert not sweep2.failures and not sweep3.failures
     assert sweep2.x_count == 12 == expected_x_count(2)
     assert sweep3.x_count == 20 == expected_x_count(3)
 
@@ -406,17 +404,23 @@ def test_expected_x_is_the_sum_over_kinds():
 
 
 def test_sweep_method_gating():
-    from quadric_moduli.locus import sweep_method
-    assert sweep_method(2, False) == "enumerate"
-    assert sweep_method(3, False) == "enumerate"
-    assert sweep_method(5, False) == "kernel"
-    assert sweep_method(5, True) == "enumerate"  # the gated full sweep
-    assert sweep_method(7, True) == "kernel"     # never enumerable at p = 7
+    # a sweep takes its count route, and under full_oracle the raw oracle's
+    # planes, from its prime's SWEEP_ROUTES row; the report digests pin the rows
+    assert SUPPORTED_PRIMES == tuple(SWEEP_ROUTES)
+    for p in (2, 3, 5):
+        plain, oracle, raw_planes = SWEEP_ROUTES[p]
+        for full_oracle, method in ((False, plain), (True, oracle)):
+            sweep = sweep_locus(p, full_oracle=full_oracle)
+            assert sweep.method == method and not sweep.failures
+            targets = {"every plane": range(len(sweep.kinds)),
+                       "first of each kind": np.unique(sweep.kinds, return_index=True)[1],
+                       None: []}[raw_planes if full_oracle else None]
+            assert sorted(sweep.raw_counts) == sorted(targets)
 
 
 def test_total_x_count_p5_kernel_route(sweep5):
     assert sweep5.method == "kernel"
-    assert sweep5.ok
+    assert not sweep5.failures
     assert sweep5.x_count == 42 == expected_x_count(5)
     assert sweep5.tallies[SHARED_RIGHT] == 6
     assert sweep5.tallies[SHARED_LEFT] == 6
@@ -487,7 +491,7 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
 
     monkeypatch.setattr(locus_module, "raw_oracle_maps", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
-    assert sweep.ok
+    assert not sweep.failures
     assert len(sweep.raw_counts) == targets
     assert calls == ([sweep.bases[sorted(sweep.raw_counts)].tolist()] if targets else [])
 
@@ -504,7 +508,7 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
         return real(self, other)
 
     monkeypatch.setattr(BiForm, "__mul__", counting)
-    assert sweep_locus(p, full_oracle=True).ok
+    assert not sweep_locus(p, full_oracle=True).failures
     assert fields == [QQ] * 24
 
 
@@ -521,7 +525,7 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
 
     monkeypatch.setattr(locus_module, "_k_pivots", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
-    assert sweep.method == ("kernel" if p == 7 else "enumerate") and sweep.ok
+    assert sweep.method == ("kernel" if p == 7 else "enumerate") and not sweep.failures
     assert sum(calls) == grass_count(p)
     assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
 
@@ -543,7 +547,7 @@ def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p,
 
     monkeypatch.setattr(locus_module, "classify_planes", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
-    assert sum(calls) == len(bases) and sweep.ok
+    assert sum(calls) == len(bases) and not sweep.failures
     assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
     assert sweep.plane_index.tolist() == list(range(len(bases)))
     columns = (sweep.kinds, sweep.rank1_lines, sweep.shared_points)
@@ -567,7 +571,7 @@ def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
     assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
     assert all(sweep.raw_ok().values())
-    assert sweep.ok
+    assert not sweep.failures
 
 
 def test_sweep_full_oracle_p3_covers_each_type(sweep3):
@@ -594,7 +598,7 @@ def test_worker_failure_carries_partial_results(monkeypatch):
     assert partial.worker_failure == "worker failed on plane 10: injected failure"
     assert partial.failures[-1] == partial.worker_failure
     assert len(partial.plane_index) == 10
-    assert not partial.ok
+    assert partial.failures
 
 
 def test_fiber_report_json(sweep2):
@@ -617,7 +621,7 @@ def test_verification_error_on_forced_mismatch(monkeypatch):
 
     monkeypatch.setattr(locus_module, "_join_count", wrong)
     sweep = sweep_locus(2)
-    assert not sweep.ok
+    assert sweep.failures
     assert any("det-zero count" in f for f in sweep.failures)
 
     with pytest.raises(VerificationError):
@@ -637,7 +641,7 @@ def test_unclassifiable_plane_is_recorded_not_raised(monkeypatch, capsys):
 
     monkeypatch.setattr(locus_module, "classify_planes", unclassifiable)
     sweep = sweep_locus(2)
-    assert not sweep.ok
+    assert sweep.failures
     assert any("shares neither factor" in f for f in sweep.failures)
     assert ("plane 0: rank-one plane with basis rows [[1, 0, 0, 0], [0, 1, 0, 0]] "
             "shares neither factor") in sweep.failures
