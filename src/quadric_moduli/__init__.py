@@ -1,7 +1,7 @@
 """Exact-arithmetic verification of the moduli space of semistable sheaves
 with Hilbert polynomial 3m + 2n + 2 on the quadric surface.
 
-The package computes, over the rationals and over small prime fields, the
+The package computes, over the integers and over small prime fields, the
 classification data of these sheaves: Hilbert polynomials of their
 locally free resolutions, the Poincare polynomial of the moduli space, and
 exhaustive finite-field sweeps of the determinant locus inside the

@@ -10,7 +10,7 @@ and then z-degree:
 This layout is shared by every module in the package.  Linear forms on the
 second factor are the bidegree (0, 1) case, so products like f * (1 tensor u)
 are ordinary form multiplication.  The sweeps build their tables from the
-products defined here.
+products defined here, over the integers ZZ.
 
 All values are immutable after construction and every operation is a pure
 function.
@@ -18,9 +18,40 @@ function.
 
 from __future__ import annotations
 
+import operator
+
+
+class IntegerRing:
+    """The integers with Python int arithmetic: the constants and the
+    operations of BiForm's products and negation.  Every coefficient of a
+    sweep table is a product of monomials, so it never needs a fraction."""
+
+    __slots__ = ()
+    zero = 0
+    one = 1
+    canon = operator.index  # a builtin, so not bound: a TypeError for every non-integer
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IntegerRing)
+
+    def __repr__(self) -> str:
+        return "ZZ"
+
+
+ZZ = IntegerRing()
+
 
 class BiForm:
-    """Dense bihomogeneous form of bidegree (a, b) over an exact field."""
+    """Dense bihomogeneous form of bidegree (a, b) over an exact ring."""
 
     __slots__ = ("field", "a", "b", "coeffs")
 

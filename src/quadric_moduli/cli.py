@@ -156,14 +156,17 @@ def cmd_hilbert(args) -> int:
         print(f"invalid resolution JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)
         return EXIT_INVALID
+    except ValueError as exc:  # an int past the int-string limit
+        print(f"invalid resolution JSON: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     spec = ResolutionSpec.from_json(data)
     poly = hilb_resolution(spec)
     chi = euler_char(poly)
     g = genus(poly)
     if args.json:
-        doc = dict(poly.to_json())
-        doc["chi"] = chi if isinstance(chi, int) else str(chi)
-        doc["genus_if_structure_sheaf"] = g if isinstance(g, int) else str(g)
+        doc = poly.to_json()
+        doc["chi"] = chi
+        doc["genus_if_structure_sheaf"] = g
         _emit([to_json_text(doc)], None)
     else:
         _emit([f"P = {poly}\nchi = {chi}\ngenus (if a structure sheaf) = {g}\n"], None)

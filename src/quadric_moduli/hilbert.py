@@ -5,28 +5,24 @@ line bundle O(a, b) has P(m, n) = (m + a + 1)(n + b + 1), and a locally
 free resolution by direct sums of line bundles determines the Hilbert
 polynomial of the resolved sheaf through the alternating sum over its
 terms.  Every polynomial here is such a sum, so it is bilinear in (m, n):
-four rational coefficients, added, subtracted and scaled, never multiplied
+four integer coefficients, added, subtracted and scaled, never multiplied
 together.  Nothing here touches sheaves directly: the module is exact
 polynomial bookkeeping.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class BiPoly:
     """Exact bilinear polynomial c00 + c01*n + c10*m + c11*mn in the two
-    Hilbert variables (m, n), with Fraction coefficients."""
+    Hilbert variables (m, n), with int coefficients."""
 
     __slots__ = ("c00", "c01", "c10", "c11")
 
     def __init__(self, c00=0, c01=0, c10=0, c11=0):
-        # a Fraction is kept as it is: they are immutable, and Fraction(x) is slow
-        self.c00, self.c01, self.c10, self.c11 = (
-            c if type(c) is Fraction else Fraction(c) for c in (c00, c01, c10, c11))
+        self.c00, self.c01, self.c10, self.c11 = c00, c01, c10, c11
 
-    def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def coeffs(self) -> tuple[int, int, int, int]:
         return self.c00, self.c01, self.c10, self.c11
 
     # -- arithmetic ------------------------------------------------------
@@ -78,9 +74,7 @@ class BiPoly:
             rows.pop()
         if not any(row[-1] for row in rows):
             rows = [row[:1] for row in rows]
-        return {"coeffs": [[int(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-                            for c in row] for row in rows],
-                "display": str(self)}
+        return {"coeffs": rows, "display": str(self)}
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
@@ -149,12 +143,9 @@ def hilb_resolution(res: ResolutionSpec) -> BiPoly:
 
 
 def hilb_combination(coeffs, twists, extra: BiPoly) -> BiPoly:
-    """extra + sum of coeffs[i] * hilb_line(*twists[i])."""
-    coeffs = list(coeffs)
-    twists = list(twists)
-    if len(coeffs) != len(twists):
-        raise ValueError(f"{len(coeffs)} coefficients vs {len(twists)} twists")
-    return sum((Fraction(c) * hilb_line(a, b) for c, (a, b) in zip(coeffs, twists)), extra)
+    """extra + sum of coeffs[i] * hilb_line(*twists[i]); ValueError unless
+    there is one coefficient per twist."""
+    return sum((c * hilb_line(a, b) for c, (a, b) in zip(coeffs, twists, strict=True)), extra)
 
 
 def twist(P: BiPoly, a: int, b: int) -> BiPoly:
@@ -163,12 +154,11 @@ def twist(P: BiPoly, a: int, b: int) -> BiPoly:
                   P.c01 + a * P.c11, P.c10 + b * P.c11, P.c11)
 
 
-def euler_char(P: BiPoly):
-    """P(0, 0), the constant coefficient; an int when integral, else the exact Fraction."""
-    value = P.c00
-    return int(value) if value.denominator == 1 else value
+def euler_char(P: BiPoly) -> int:
+    """P(0, 0), the constant coefficient."""
+    return P.c00
 
 
-def genus(P: BiPoly):
+def genus(P: BiPoly) -> int:
     """Arithmetic genus 1 - chi for the Hilbert polynomial of a structure sheaf."""
     return 1 - euler_char(P)

@@ -49,8 +49,7 @@ import itertools
 import numpy as np
 
 from .betti import SUPPORTED_PRIMES, SWEEP_ROUTES, expected_x_count, generic_orbit_sizes
-from .biform import BiForm
-from .field import QQ
+from .biform import ZZ, BiForm
 
 #: Most half-vectors whose images the enumeration route keys at once, and
 #: most action-matrix entries the kernel route row-reduces at once: a sweep
@@ -176,7 +175,7 @@ def det_action_matrix(f1: BiForm, f2: BiForm) -> np.ndarray:
     phi11*f2 - phi21*f1, the determinant against the fixed second column
     (phi12, phi22) = (f1, f2).  Column j is the image of the j-th basis
     first-column; entries are canonical representatives mod p, and exact
-    integers over QQ."""
+    integers over ZZ."""
     field = f1.field
     columns = []
     for mono in _first_column_monomials(field):
@@ -274,11 +273,11 @@ def _integer_action_tensors() -> tuple[np.ndarray, np.ndarray]:
     """det_action_matrix and _k_rows as linear maps of the 8 coefficients
     (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) read-only
     integer tensor, built once by evaluating both functions on the unit
-    bases over QQ, so that BiForm stays the one definition of the monomial
-    layout.  Over QQ their entries are exact integers: -1, 0 and 1, which
-    action_matrices' int16 bound rests on."""
-    zero = BiForm.zero(QQ, 1, 1)
-    units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
+    bases over ZZ, so that BiForm stays the one definition of the monomial
+    layout.  Their entries are -1, 0 and 1, which action_matrices' int16
+    bound rests on."""
+    zero = BiForm.zero(ZZ, 1, 1)
+    units = [BiForm.monomial(ZZ, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
     det = np.stack([det_action_matrix(f1, f2) for f1, f2 in bases])
     k = np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64)
@@ -348,11 +347,11 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
 
 def _raw_products() -> np.ndarray:
     """BiForm's products of the six (1, 2)-monomials with the four unit
-    (1, 1)-forms over QQ, as a (4, 6, 12) int16 table: [u, k] holds the
+    (1, 1)-forms over ZZ, as a (4, 6, 12) int16 table: [u, k] holds the
     coefficients of the k-th monomial times the u-th unit.  A product of
     monomials is a monomial, so every entry is 0 or 1."""
-    units = [BiForm.monomial(QQ, 1, 1, i, j) for i in range(2) for j in range(2)]
-    monomials = _first_column_monomials(QQ)
+    units = [BiForm.monomial(ZZ, 1, 1, i, j) for i in range(2) for j in range(2)]
+    monomials = _first_column_monomials(ZZ)
     return np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int16)
 
 

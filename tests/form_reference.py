@@ -1,10 +1,10 @@
 """Field and form reference code that only the tests call.
 
-The commands build their tables from BiForm products over the rationals and
-reduce them mod p in arrays.  The tests also need the rest of a field's
-interface over the rationals, the prime fields GF(p), the rest of the form
-arithmetic, and the 2 x 2 matrices of forms with their determinant, rank-one
-and factorization tests, one form at a time.
+The commands build their tables from BiForm products over the integers ZZ
+and reduce them mod p in arrays.  The tests also need the fields: the
+rationals and the prime fields GF(p), the rest of the form arithmetic, and
+the 2 x 2 matrices of forms with their determinant, rank-one and
+factorization tests, one form at a time.
 """
 
 import functools
@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from quadric_moduli import linalg
 from quadric_moduli.biform import BiForm
-from quadric_moduli.field import RationalField
 
 
 def is_prime(n: int) -> bool:
@@ -93,19 +92,32 @@ class PrimeField:
 GF = functools.cache(PrimeField)
 
 
-class Rationals(RationalField):
-    """The package's rationals with the rest of the field interface, which
-    only the tests use.  It equals the package's QQ, so forms over either
-    multiply together."""
+class Rationals:
+    """The rationals with exact Fraction arithmetic."""
 
     __slots__ = ()
+    #: Shared constants, not built per access: Fractions are immutable.
+    zero = Fraction(0)
+    one = Fraction(1)
 
     @property
     def char(self) -> int:
         return 0
 
+    def canon(self, x) -> Fraction:
+        return x if type(x) is Fraction else Fraction(x)  # Fractions are immutable
+
+    def add(self, a, b):
+        return a + b
+
     def sub(self, a, b):
         return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
 
     def inv(self, a):
         if a == 0:
@@ -122,6 +134,12 @@ class Rationals(RationalField):
         num = rng.randrange(-bound, bound + 1)
         den = rng.randrange(1, bound + 1)
         return Fraction(num, den)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Rationals)
+
+    def __repr__(self) -> str:
+        return "QQ"
 
 
 #: The rationals as the tests use them.

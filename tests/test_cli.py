@@ -98,12 +98,14 @@ DELETED = object()
     (("moduli_point_counts", "values", "7"), DELETED),
     (("hilbert", "twists", 0, "start_coeffs"), [[1, 0, 1]]),
     (("hilbert", "resolutions", 0, "expected_coeffs"), [[2, 2], [3], [0]]),
+    (("hilbert", "twists", 0, "expected_coeffs"), [["4/2", 2], ["6/2"]]),
 ], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
         "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
         "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
         "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
         "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists",
-        "missing-prime", "grid-row-above-bidegree-1-1", "grid-rows-above-bidegree-1-1"])
+        "missing-prime", "grid-row-above-bidegree-1-1", "grid-rows-above-bidegree-1-1",
+        "fraction-coefficient"])
 def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
     from quadric_moduli.report import load_golden
     golden = load_golden()
@@ -128,14 +130,29 @@ def test_non_utf8_golden_exits_2(tmp_path, capsys):
     assert err.startswith("golden data error: cannot read golden file: 'utf-8' codec")
 
 
-def test_verify_accepts_fraction_golden_coefficients(tmp_path, capsys):
+#: Past Python's int-string limit, json.loads raises a plain ValueError.
+needs_int_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or not sys.get_int_max_str_digits(),
+    reason="no int-string length limit")
+
+
+@needs_int_limit
+def test_golden_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
     from quadric_moduli.report import load_golden
     golden = load_golden()
-    golden["hilbert"]["twists"][0]["expected_coeffs"] = [["4/2", 2], ["6/2"]]
+    golden["betti"]["euler"] = "HUGE"  # json.dumps cannot write the integer itself
+    huge = "1" * (sys.get_int_max_str_digits() + 700)
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(golden), encoding="utf-8")
-    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 0
-    assert "verdict: PASS" in capsys.readouterr().out
+    path.write_text(json.dumps(golden).replace('"HUGE"', huge), encoding="utf-8")
+    assert cli.main(["betti", "--golden", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("golden data error: golden file is not valid JSON: ")
+
+
+@needs_int_limit
+def test_resolution_integer_past_the_digit_limit_exits_2(capsys):
+    huge = "1" * (sys.get_int_max_str_digits() + 700)
+    assert cli.main(["hilbert", f'{{"positions": [[[{huge}, 0]]]}}']) == 2
+    assert capsys.readouterr().err.startswith("invalid resolution JSON: ")
 
 
 def test_hilbert_inline():
@@ -636,13 +653,17 @@ def test_only_sweeps_load_numpy(argv, loaded):
 @pytest.mark.parametrize("argv", [
     ["verify-locus", "--prime", "2"],
     ["verify", "--primes", "2", "--full-oracle"],
-], ids=["verify-locus", "verify-full-oracle"])
+    ["betti", "--json"],
+    ["hilbert", RES_OPEN_JSON],
+], ids=["verify-locus", "verify-full-oracle", "betti-json", "hilbert"])
 def test_sweeps_import_no_dataclasses(argv):
-    # in a child process: this one has dataclasses from the test helpers
+    # no command imports dataclasses, fractions or decimal; in a child
+    # process, since this one has them from the test helpers
     code = ("import sys\n"
             "from quadric_moduli import cli\n"
             f"assert cli.main({argv!r}) == 0\n"
-            "assert 'dataclasses' not in sys.modules, 'dataclasses loaded'\n")
+            "loaded = [m for m in ('dataclasses', 'fractions', 'decimal') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 

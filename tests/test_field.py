@@ -72,11 +72,13 @@ def test_random_elements_are_canonical():
         assert isinstance(value, Fraction)
 
 
-def test_reference_rationals_are_the_package_rationals():
-    # the tests' QQ adds methods only: forms over it and over the package's
-    # QQ compare equal and multiply together
-    from quadric_moduli import field
-    from quadric_moduli.biform import BiForm
-    assert QQ == field.QQ and field.QQ == QQ and repr(QQ) == "QQ"
-    product = BiForm.monomial(QQ, 1, 1, 0, 0) * BiForm.monomial(field.QQ, 0, 1, 0, 1)
-    assert product == BiForm.monomial(field.QQ, 1, 2, 0, 1)
+def test_integer_ring():
+    # the package's ring: int coefficients, distinct from the tests' QQ
+    from quadric_moduli.biform import ZZ, BiForm
+    assert repr(ZZ) == "ZZ" and ZZ != QQ and QQ != ZZ
+    product = BiForm.monomial(ZZ, 1, 1, 0, 0) * BiForm.monomial(ZZ, 0, 1, 0, 1)
+    assert product == BiForm.monomial(ZZ, 1, 2, 0, 1)
+    assert all(type(c) is int for c in product.coeffs)
+    for value in (0.5, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            ZZ.canon(value)

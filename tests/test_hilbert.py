@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -128,7 +127,7 @@ def test_twist_examples():
 def test_twist_against_symbolic_substitution():
     rng = random.Random(17)
     for _ in range(40):
-        P = BiPoly(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)))
+        P = BiPoly(*(rng.randint(-3, 3) for _ in range(4)))
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
         shifted = twist(P, a, b)
         oracle = sympy.expand(to_sympy(P).subs({SM: SM + a, SN: SN + b}, simultaneous=True))
@@ -140,7 +139,7 @@ def test_twist_against_symbolic_substitution():
 def test_euler_and_genus():
     assert euler_char(MODULI_POLY) == 2
     assert euler_char(BiPoly()) == 0
-    assert euler_char(BiPoly(Fraction(1, 2))) == Fraction(1, 2)
+    assert euler_char(BiPoly(-7, 1, 2, 3)) == -7
     assert genus(3 * M + 2 * N - ONE) == 2
 
 
@@ -152,7 +151,7 @@ def test_integer_valuedness_on_grid():
     for P in batteries:
         for m0, n0 in itertools.product(range(-3, 4), repeat=2):
             value = twist(P, m0, n0).c00  # P(m0, n0)
-            assert value.denominator == 1
+            assert type(value) is int
 
 
 def test_values_off_the_origin_by_hand():
@@ -172,7 +171,7 @@ def test_bipoly_arithmetic_and_trimming():
     assert P.coeffs() == (1, 1, 1, 1)
     assert P - P == BiPoly()
     assert 2 * P == P + P == P * 2
-    assert Fraction(1, 2) * P == BiPoly(*[Fraction(1, 2)] * 4)
+    assert -3 * P == BiPoly(*[-3] * 4)
     assert P == P + BiPoly()
     # to_json trims zero trailing rows and columns of the 2 x 2 grid
     assert [P.to_json()["coeffs"] for P in (BiPoly(), ONE, N, M, MN, MODULI_POLY)] == [
@@ -184,15 +183,15 @@ def test_bipoly_display():
     assert str(3 * M + 2 * N - ONE) == "3m + 2n - 1"
     assert str(MN + M) == "mn + m"
     assert str(2 * N - MN) == "-mn + 2n"
-    assert str(Fraction(-3, 2) * MN - M) == "-3/2mn - m"
+    assert str(-3 * MN - M) == "-3mn - m"
     assert str(BiPoly()) == "0"
-    assert str(BiPoly(Fraction(1, 2))) == "1/2"
+    assert str(BiPoly(5)) == "5"
 
 
 def test_bipoly_json_roundtrip():
-    P = BiPoly(Fraction(1, 2), 2, 3)
+    P = BiPoly(-1, 2, 3)
     data = P.to_json()
-    assert data == {"coeffs": [["1/2", 2], [3, 0]], "display": "3m + 2n + 1/2"}
+    assert data == {"coeffs": [[-1, 2], [3, 0]], "display": "3m + 2n - 1"}
     assert BiPoly.from_json(data) == P
     # the golden file writes ragged grids: a left-out entry is zero
     assert BiPoly.from_json({"coeffs": [[2, 2], [3]]}) == MODULI_POLY

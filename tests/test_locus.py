@@ -10,7 +10,7 @@ from quadric_moduli.betti import (
     SUPPORTED_PRIMES, SWEEP_ROUTES, XiPoly, grass_count, grass_poincare, poincare_moduli,
     projective_count, stratified_moduli_count,
 )
-from quadric_moduli.biform import BiForm
+from quadric_moduli.biform import ZZ, BiForm
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
@@ -499,7 +499,7 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
     # past the cached action tensors, a full-oracle sweep multiplies forms
-    # only in the 24 unit products of the raw table, all over QQ
+    # only in the 24 unit products of the raw table, all over ZZ
     sweep_locus(p, full_oracle=True)
     real, fields = BiForm.__mul__, []
 
@@ -509,7 +509,7 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
 
     monkeypatch.setattr(BiForm, "__mul__", counting)
     assert not sweep_locus(p, full_oracle=True).failures
-    assert fields == [QQ] * 24
+    assert fields == [ZZ] * 24
 
 
 @pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
