@@ -33,7 +33,7 @@ import sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .betti import SUPPORTED_PRIMES
-from .hilbert import ResolutionSpec, euler_char, genus, hilb_resolution
+from .hilbert import euler_char, genus, hilb_resolution, resolution_from_json
 from .report import (
     GoldenError, betti_section, build_report, load_golden, locus_document_chunks, locus_summary,
     to_json_text,
@@ -159,14 +159,15 @@ def cmd_hilbert(args) -> int:
     except ValueError as exc:  # an int past the int-string limit
         print(f"invalid resolution JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    spec = ResolutionSpec.from_json(data)
-    poly = hilb_resolution(spec)
-    chi = euler_char(poly)
-    g = genus(poly)
-    if args.json:
+    poly = hilb_resolution(resolution_from_json(data))
+    try:
         doc = poly.to_json()
-        doc["chi"] = chi
-        doc["genus_if_structure_sheaf"] = g
+    except ValueError as exc:  # a coefficient past the int-string limit
+        print(f"invalid resolution: Hilbert polynomial too large: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    doc["chi"] = chi = euler_char(poly)
+    doc["genus_if_structure_sheaf"] = g = genus(poly)
+    if args.json:
         _emit([to_json_text(doc)], None)
     else:
         _emit([f"P = {poly}\nchi = {chi}\ngenus (if a structure sheaf) = {g}\n"], None)

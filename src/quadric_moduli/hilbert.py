@@ -2,12 +2,12 @@
 
 Numerical Hilbert polynomials P(m, n) of sheaves twisted by O(m, n).  The
 line bundle O(a, b) has P(m, n) = (m + a + 1)(n + b + 1), and a locally
-free resolution by direct sums of line bundles determines the Hilbert
-polynomial of the resolved sheaf through the alternating sum over its
-terms.  Every polynomial here is such a sum, so it is bilinear in (m, n):
-four integer coefficients, added, subtracted and scaled, never multiplied
-together.  Nothing here touches sheaves directly: the module is exact
-polynomial bookkeeping.
+free resolution by direct sums of line bundles, held as a plain tuple of
+positions of (a, b) labels, determines the Hilbert polynomial of the
+resolved sheaf through the alternating sum over its terms.  Every such
+sum is bilinear in (m, n): four integer coefficients, added, subtracted
+and scaled, never multiplied together.  Nothing here touches sheaves
+directly: the module is exact polynomial bookkeeping.
 """
 
 from __future__ import annotations
@@ -85,50 +85,28 @@ class BiPoly:
         return cls(c00, c01, c10, c11)
 
 
-class ResolutionSpec:
-    """Line-bundle summands of a resolution, one tuple of (a, b) labels per
-    homological position; position 0 is the term surjecting onto the sheaf.
-    Immutable, compared by its positions.  A plain class: the
-    dataclasses module would cost the betti and hilbert commands a third of
-    their imports."""
+def resolution(positions) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """A resolution's line-bundle summands as a canonical tuple, one tuple of
+    (a, b) labels per homological position, where position 0 is the term
+    surjecting onto the sheaf; ValueError unless every position has one."""
+    if not positions or not all(positions):
+        raise ValueError("a resolution needs at least one position, each with a summand")
+    return tuple(tuple((int(a), int(b)) for a, b in pos) for pos in positions)
 
-    __slots__ = ("positions",)
-    positions: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __init__(self, positions):
-        if not positions:
-            raise ValueError("a resolution needs at least one position")
-        canon = []
-        for pos in positions:
-            if not pos:
-                raise ValueError("every homological position needs at least one summand")
-            canon.append(tuple((int(a), int(b)) for a, b in pos))
-        object.__setattr__(self, "positions", tuple(canon))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.positions == other.positions
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ResolutionSpec":
-        if not isinstance(data, dict) or "positions" not in data:
-            raise ValueError('resolution JSON must be an object with a "positions" key')
-        positions = data["positions"]
-        if not isinstance(positions, list) or not all(isinstance(p, list) for p in positions):
-            raise ValueError('"positions" must be a list of lists of [a, b] labels')
-        for pos in positions:
-            for label in pos:
-                if not (isinstance(label, list) and len(label) == 2
-                        and all(type(c) is int for c in label)):  # rejects bools
-                    raise ValueError(f"bad line-bundle label {label!r}; expected [a, b]")
-        return cls(tuple(tuple(tuple(label) for label in pos) for pos in positions))
+def resolution_from_json(data: dict) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """resolution() of a {"positions": [[[a, b], ...], ...]} object, whose
+    labels must be pairs of JSON integers; ValueError otherwise."""
+    if not isinstance(data, dict) or "positions" not in data:
+        raise ValueError('resolution JSON must be an object with a "positions" key')
+    positions = data["positions"]
+    if not isinstance(positions, list) or not all(isinstance(p, list) for p in positions):
+        raise ValueError('"positions" must be a list of lists of [a, b] labels')
+    for label in [label for pos in positions for label in pos]:
+        if not (isinstance(label, list) and len(label) == 2
+                and all(type(c) is int for c in label)):  # rejects bools
+            raise ValueError(f"bad line-bundle label {label!r}; expected [a, b]")
+    return resolution(positions)
 
 
 def hilb_line(a: int, b: int) -> BiPoly:
@@ -136,10 +114,11 @@ def hilb_line(a: int, b: int) -> BiPoly:
     return BiPoly((a + 1) * (b + 1), a + 1, b + 1, 1)
 
 
-def hilb_resolution(res: ResolutionSpec) -> BiPoly:
-    """Alternating sum of line-bundle Hilbert polynomials over a resolution."""
+def hilb_resolution(positions) -> BiPoly:
+    """Alternating sum of line-bundle Hilbert polynomials over the positions
+    of a resolution, as resolution() gives them."""
     return sum(((-1) ** k * hilb_line(a, b)
-                for k, position in enumerate(res.positions) for a, b in position), BiPoly())
+                for k, position in enumerate(positions) for a, b in position), BiPoly())
 
 
 def hilb_combination(coeffs, twists, extra: BiPoly) -> BiPoly:

@@ -6,7 +6,7 @@ bundle over the Grassmannian of 2-planes in the 4-dimensional space of
 is the projectivization of the 12-dimensional coefficient space of first
 columns modulo the 2-dimensional subspace K of columns that factor through
 the second column.  This module enumerates the planes over a prime field
-into one int16 table of bases, classifies them block by block by their
+into one int16 table of bases, classifies them all at once by their
 rank-one structure, counts determinant-zero points in every fiber, and
 checks each count, the five orbit tallies and the total X on which the
 point counts rest.  The closed formulas it checks against, and the route
@@ -23,7 +23,7 @@ failure line and no row, so a bad plane never stops a sweep.
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
 each block of planes of a prime in one int16 product; that one contraction
-feeds both count routes, so a sweep holds one block's kinds and matrices.
+feeds both count routes, so a sweep holds one block's matrices at a time.
 The kernel route counts from the rank of the action, row-reducing a
 block's stack of matrices together in int16 and reducing mod p only each
 cleared column and its pivot row.  The enumeration route
@@ -53,7 +53,7 @@ from .biform import ZZ, BiForm
 
 #: Most half-vectors whose images the enumeration route keys at once, and
 #: most action-matrix entries the kernel route row-reduces at once: a sweep
-#: classifies, contracts and counts one block at a time, every plane of the
+#: contracts and counts one block at a time, every plane of the
 #: join at p = 2, 3, 20 planes of it at p = 5, and 455 of the kernel route.
 KEY_BLOCK = 2**16
 
@@ -338,11 +338,10 @@ def _factoring_ok(p: int, matrices: np.ndarray, k_bases: np.ndarray) -> np.ndarr
 
 def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     """Det-zero points of the fibers over a stack of action matrices, via
-    their ranks: the determinant is linear in the first column, so the
-    det-zero fiber points form the projectivization of (ker / K), of
-    dimension dim ker - 2."""
-    quotient_dim = 10 - _ranks_mod_p(matrices, p)
-    return (p ** np.maximum(quotient_dim, 0) - 1) // (p - 1)
+    their ranks: the det-zero fiber points form the projectivization of
+    (ker / K), of dimension dim ker - 2, as the determinant is linear in the
+    first column.  A rank above 10, which the sweep's mask rules out, raises."""
+    return (p ** (10 - _ranks_mod_p(matrices, p)) - 1) // (p - 1)
 
 
 def _raw_products() -> np.ndarray:
@@ -445,10 +444,11 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     without or with full_oracle, and under full_oracle the raw p^12 oracle
     on the row's planes, every plane or the first plane of each kind.
 
-    Both routes take plane_bases' int16 table in blocks of KEY_BLOCK // p**5
-    planes (the join) or KEY_BLOCK // 144 (the kernel route), so a sweep
-    holds one block's kinds and action matrices at a time.  Each block gets
-    one classify_planes pass, one contraction of the action tensors and one
+    A sweep has three stages: plane_bases' int16 table, one classify_planes
+    pass over all of it, and the counted blocks.  Both routes take the table
+    in blocks of KEY_BLOCK // p**5 planes (the join) or KEY_BLOCK // 144
+    (the kernel route), so a sweep holds one block's action matrices at a
+    time.  Each block gets one contraction of the action tensors and one
     _k_pivots pass, whose dimensions feed the mask and whose pivots the
     join.  The mask holds back each plane whose kind is unknown, whose K
     does not have dimension 2, or whose K leaves the kernel of its action:
@@ -462,42 +462,40 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     `failures`, no failure line of a later block and no raw oracle run;
     mismatches never raise here, they are recorded in `failures`.
     """
-    _check_prime(p)
     bases = plane_bases(p)
     plain, oracle, raw_planes = SWEEP_ROUTES[p]
     method = oracle if full_oracle else plain
-    step = KEY_BLOCK // (p**5 if method == "enumerate" else 144)
-    columns, counts, failures, worker_failure = [], [], [], None
+    kernel = method == "kernel"
+    step = KEY_BLOCK // (144 if kernel else p**5)
+    kinds, rank1_lines, shared_points = classify_planes(p, bases)
+    countable = kinds >= 0
+    counts, failures, worker_failure = [], [], None
     for start in range(0, len(bases), step):
-        block = bases[start:start + step]
-        kinds, rank1_lines, shared_points = classify_planes(p, block)
-        matrices, k_bases = action_matrices(p, block)
+        matrices, k_bases = action_matrices(p, bases[start:start + step])
         dims, pivots = _k_pivots(p, k_bases)
-        countable = (kinds >= 0) & (dims == 2)
-        countable &= _factoring_ok(p, matrices, k_bases)
-        for offset in np.flatnonzero(~countable).tolist():
+        kept = countable[start:start + step]  # a view: the mask is set block by block
+        kept &= (dims == 2) & _factoring_ok(p, matrices, k_bases)
+        for offset in np.flatnonzero(~kept).tolist():
             plane = f"plane {start + offset}: "
-            if kinds[offset] < 0:
+            if kinds[start + offset] < 0:
                 failures.append(plane + "rank-one plane with basis rows "
-                                f"{block[offset].tolist()} shares neither factor")
+                                f"{bases[start + offset].tolist()} shares neither factor")
             elif dims[offset] != 2:
                 failures.append(plane + f"factoring subspace K has dimension {dims[offset]}")
             else:
                 failures.append(plane + "factoring first-columns must have zero determinant")
-        kept = np.flatnonzero(countable)
-        if not countable.all():  # copy the stacks only where a plane is held back
+        if not kept.all():  # copy the stacks only where a plane is held back
             matrices, pivots = matrices[kept], pivots[kept]
-        columns.append(((start + kept).astype(np.int32), block[kept], kinds[kept],
-                        rank1_lines[kept], shared_points[kept]))
         try:
-            counts.extend(_kernel_counts(p, matrices).tolist() if method == "kernel"
+            counts.extend(_kernel_counts(p, matrices).tolist() if kernel
                           else _join_counts(p, matrices, pivots))
         except Exception as exc:  # extend kept the planes the join counted so far
-            rows = np.concatenate([column[0] for column in columns])
-            worker_failure = f"worker failed on plane {rows[len(counts)]}: {exc}"
+            index = np.flatnonzero(countable)[len(counts)]
+            worker_failure = f"worker failed on plane {index}: {exc}"
             break
-    sweep = LocusSweep(p, method, *(np.concatenate(c)[:len(counts)] for c in zip(*columns)),
-                       np.asarray(counts, dtype=np.int64),
+    rows = np.flatnonzero(countable)[:len(counts)]
+    sweep = LocusSweep(p, method, rows.astype(np.int32), bases[rows], kinds[rows],
+                       rank1_lines[rows], shared_points[rows], np.asarray(counts, dtype=np.int64),
                        failures=failures, worker_failure=worker_failure)
     if worker_failure is not None:
         sweep.failures.append(worker_failure)

@@ -19,7 +19,7 @@ import os
 
 from .betti import SUPPORTED_PRIMES, poincare_moduli, stratified_moduli_count
 from .hilbert import (
-    BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
+    BiPoly, euler_char, genus, hilb_combination, hilb_line, hilb_resolution, resolution_from_json,
     twist,
 )
 
@@ -43,8 +43,8 @@ def _list_of(check, length=None):
 
 def _is_resolution(value) -> bool:
     try:
-        return bool(ResolutionSpec.from_json({"positions": value}))
-    except ValueError:
+        return bool(str(hilb_resolution(resolution_from_json({"positions": value}))))
+    except ValueError:  # a bad label, or a coefficient past the int-string limit
         return False
 
 
@@ -201,8 +201,7 @@ def betti_section(golden: dict) -> dict:
 def hilbert_section(golden: dict) -> dict:
     checks = []
     for entry in golden["hilbert"]["resolutions"]:
-        spec = ResolutionSpec.from_json({"positions": entry["positions"]})
-        computed = hilb_resolution(spec)
+        computed = hilb_resolution(resolution_from_json({"positions": entry["positions"]}))
         expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
         ok = computed == expected and euler_char(computed) == entry["chi"]
         check = {

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from quadric_moduli.betti import grass_poincare, poincare_moduli, projective_count
 from quadric_moduli.biform import BiForm
 from quadric_moduli.hilbert import (
-    BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
+    BiPoly, euler_char, genus, hilb_combination, hilb_line, hilb_resolution, resolution,
 )
 from quadric_moduli.locus import (
     GENERIC, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, raw_oracle_counts, sweep_locus,
@@ -60,12 +60,12 @@ def test_criterion_1_poincare_polynomial():
 
 
 def hilbert_battery():
-    open_stratum = hilb_resolution(ResolutionSpec((((0, 0), (0, 0)), ((-1, -2), (-1, -1)))))
-    extension = hilb_resolution(ResolutionSpec((((-1, -1), (0, 1)), ((-2, -1), (-1, -2)))))
-    sections = [hilb_resolution(ResolutionSpec((((0, 0),), ((-1, -r),))))
+    open_stratum = hilb_resolution(resolution((((0, 0), (0, 0)), ((-1, -2), (-1, -1)))))
+    extension = hilb_resolution(resolution((((-1, -1), (0, 1)), ((-2, -1), (-1, -2)))))
+    sections = [hilb_resolution(resolution((((0, 0),), ((-1, -r),))))
                 for r in range(5)]
     combination = hilb_combination([3, -2], [(-1, -1), (0, 0)], open_stratum)
-    curve = hilb_resolution(ResolutionSpec((((0, 0),), ((-2, -3),))))
+    curve = hilb_resolution(resolution((((0, 0),), ((-2, -3),))))
     return open_stratum, extension, sections, combination, curve
 
 

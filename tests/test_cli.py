@@ -155,6 +155,35 @@ def test_resolution_integer_past_the_digit_limit_exits_2(capsys):
     assert capsys.readouterr().err.startswith("invalid resolution JSON: ")
 
 
+def polynomial_past_the_digit_limit() -> str:
+    """A resolution of one summand O(a, a) whose label is within the
+    int-string limit, while its Hilbert polynomial's (a + 1)**2 is past it."""
+    a = "1" * (sys.get_int_max_str_digits() * 7 // 10)
+    return f'{{"positions": [[[{a}, {a}]]]}}'
+
+
+@needs_int_limit
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_resolution_polynomial_past_the_digit_limit_exits_2(capsys, flags):
+    assert cli.main(["hilbert", polynomial_past_the_digit_limit(), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid resolution: Hilbert polynomial too large: ")
+    assert not captured.out
+
+
+@needs_int_limit
+def test_golden_resolution_polynomial_past_the_digit_limit_exits_2(tmp_path, capsys):
+    from quadric_moduli.report import load_golden
+    golden = load_golden()
+    resolution = json.loads(polynomial_past_the_digit_limit())
+    golden["hilbert"]["resolutions"][0]["positions"] = resolution["positions"]
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(golden), encoding="utf-8")
+    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "golden data error: golden hilbert resolutions[0] has the wrong shape\n")
+
+
 def test_hilbert_inline():
     result = run_cli("hilbert", RES_OPEN_JSON)
     assert result.returncode == 0

@@ -5,8 +5,8 @@ import pytest
 import sympy
 
 from quadric_moduli.hilbert import (
-    BiPoly, ResolutionSpec, euler_char, genus, hilb_combination, hilb_line, hilb_resolution,
-    twist,
+    BiPoly, euler_char, genus, hilb_combination, hilb_line, hilb_resolution, resolution,
+    resolution_from_json, twist,
 )
 
 # the four monomials of a bilinear polynomial, from explicit coefficients
@@ -14,9 +14,9 @@ ONE, N, M, MN = BiPoly(c00=1), BiPoly(c01=1), BiPoly(c10=1), BiPoly(c11=1)
 
 MODULI_POLY = 3 * M + 2 * N + 2 * ONE
 
-RES_OPEN = ResolutionSpec((((0, 0), (0, 0)), ((-1, -2), (-1, -1))))
-RES_EXTENSION = ResolutionSpec((((-1, -1), (0, 1)), ((-2, -1), (-1, -2))))
-RES_CURVE23 = ResolutionSpec((((0, 0),), ((-2, -3),)))
+RES_OPEN = resolution((((0, 0), (0, 0)), ((-1, -2), (-1, -1))))
+RES_EXTENSION = resolution((((-1, -1), (0, 1)), ((-2, -1), (-1, -2))))
+RES_CURVE23 = resolution((((0, 0),), ((-2, -3),)))
 
 SM, SN = sympy.symbols("m n")
 
@@ -53,7 +53,7 @@ def test_both_moduli_resolutions_agree():
 
 @pytest.mark.parametrize("r", range(5))
 def test_section_family(r):
-    res = ResolutionSpec((((0, 0),), ((-1, -r),)))
+    res = resolution((((0, 0),), ((-1, -r),)))
     assert hilb_resolution(res) == r * M + N + ONE
 
 
@@ -72,7 +72,7 @@ def test_alternating_sum_matches_direct_loop():
             tuple((rng.randint(-3, 2), rng.randint(-3, 2))
                   for _ in range(rng.randint(1, 3)))
             for _ in range(rng.randint(1, 4)))
-        res = ResolutionSpec(positions)
+        res = resolution(positions)
         expected = BiPoly()
         for k, pos in enumerate(positions):
             for a, b in pos:
@@ -93,8 +93,8 @@ def test_null_pair_insertion_keeps_value():
         ]
         extra = tuple((rng.randint(-2, 2), rng.randint(-2, 2))
                       for _ in range(rng.randint(1, 2)))
-        base = hilb_resolution(ResolutionSpec(tuple(positions)))
-        padded = hilb_resolution(ResolutionSpec(tuple(positions) + (extra, extra)))
+        base = hilb_resolution(resolution(tuple(positions)))
+        padded = hilb_resolution(resolution(tuple(positions) + (extra, extra)))
         assert base == padded
 
 
@@ -201,19 +201,23 @@ def test_bipoly_json_roundtrip():
             BiPoly.from_json({"coeffs": grid})
 
 
-# -- ResolutionSpec ---------------------------------------------------------------
+# -- resolutions ------------------------------------------------------------------
 
 def test_resolution_spec_validation():
+    # a resolution is its canonical tuple of positions, whatever sequences held it
+    assert resolution([[[0, 0], (-1, -2)]]) == (((0, 0), (-1, -2)),)
     with pytest.raises(ValueError):
-        ResolutionSpec(())
+        resolution(())
     with pytest.raises(ValueError):
-        ResolutionSpec((((0, 0),), ()))
+        resolution((((0, 0),), ()))
 
 
 def test_resolution_spec_json_roundtrip():
     data = {"positions": [[[0, 0], [0, 0]], [[-1, -2], [-1, -1]]]}
-    spec = ResolutionSpec.from_json(data)
+    spec = resolution_from_json(data)
     assert spec == RES_OPEN
-    assert [[list(label) for label in pos] for pos in spec.positions] == data["positions"]
+    assert [[list(label) for label in pos] for pos in spec] == data["positions"]
     with pytest.raises(ValueError):
-        ResolutionSpec.from_json({"rows": []})
+        resolution_from_json({"rows": []})
+    with pytest.raises(ValueError):
+        resolution_from_json({"positions": [[[0, True]]]})

@@ -407,6 +407,9 @@ def test_sweep_method_gating():
     # a sweep takes its count route, and under full_oracle the raw oracle's
     # planes, from its prime's SWEEP_ROUTES row; the report digests pin the rows
     assert SUPPORTED_PRIMES == tuple(SWEEP_ROUTES)
+    # sweep_locus picks both its block size and its counter by method == "kernel"
+    # and joins under any other name, so a mistyped route name must fail here
+    assert {route for row in SWEEP_ROUTES.values() for route in row[:2]} <= {"kernel", "enumerate"}
     for p in (2, 3, 5):
         plain, oracle, raw_planes = SWEEP_ROUTES[p]
         for full_oracle, method in ((False, plain), (True, oracle)):
@@ -532,28 +535,42 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
 
 @pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
 def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p, full_oracle):
-    # the sweep classifies one block of planes at a time; on every plane its
-    # kinds, rank1_lines and shared points equal one classify_planes pass
-    # over the whole table, and so do passes over blocks of 7 planes
+    # the sweep classifies the whole table in one classify_planes call and
+    # counts it block by block; passes over blocks of 7 planes, of
+    # classify_planes and of the sweep's counted blocks, give the same
+    # kinds, rank1_lines, shared points and counts
     bases = plane_bases(p)
     whole = classify_planes(p, bases)
     sevens = [np.concatenate(column) for column in zip(
         *(classify_planes(p, bases[start:start + 7]) for start in range(0, len(bases), 7)))]
     real, calls = locus_module.classify_planes, []
+    real_actions, blocks = locus_module.action_matrices, []
 
     def counting(p, block):
         calls.append(len(block))
         return real(p, block)
 
+    def counting_blocks(p, rows):
+        blocks.append(len(rows))
+        return real_actions(p, rows)
+
     monkeypatch.setattr(locus_module, "classify_planes", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
-    assert sum(calls) == len(bases) and not sweep.failures
-    assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
-    assert sweep.plane_index.tolist() == list(range(len(bases)))
-    columns = (sweep.kinds, sweep.rank1_lines, sweep.shared_points)
-    for column, expected, in_sevens in zip(columns, whole, sevens, strict=True):
-        assert column.dtype == expected.dtype
-        assert np.array_equal(column, expected) and np.array_equal(in_sevens, expected)
+    assert calls == [len(bases)] and not sweep.failures
+    monkeypatch.setattr(locus_module, "action_matrices", counting_blocks)
+    monkeypatch.setattr(locus_module, "KEY_BLOCK",
+                        7 * (p**5 if sweep.method == "enumerate" else 144))
+    in_blocks_of_7 = sweep_locus(p, full_oracle=full_oracle)
+    assert calls == [len(bases)] * 2 and not in_blocks_of_7.failures
+    assert blocks == [7] * (len(bases) // 7) + [len(bases) % 7] * (len(bases) % 7 > 0)
+    for swept in (sweep, in_blocks_of_7):
+        assert swept.plane_index.tolist() == list(range(len(bases)))
+        columns = (swept.kinds, swept.rank1_lines, swept.shared_points)
+        for column, expected, in_sevens in zip(columns, whole, sevens, strict=True):
+            assert column.dtype == expected.dtype
+            assert np.array_equal(column, expected) and np.array_equal(in_sevens, expected)
+    assert np.array_equal(in_blocks_of_7.detzero_counts, sweep.detzero_counts)
+    assert in_blocks_of_7.raw_counts == sweep.raw_counts
 
 
 @pytest.mark.parametrize("p", [2, 7])
