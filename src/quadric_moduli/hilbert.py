@@ -78,11 +78,23 @@ class BiPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "BiPoly":
-        """Inverse of to_json; a row or column left out is zero, and a grid
-        above bidegree (1, 1) raises ValueError."""
-        rows = [list(row) + [0] * (2 - len(row)) for row in data["coeffs"]]
+        """Inverse of to_json, a row or column left out being zero; ValueError
+        unless the grid is at most two lists of at most two JSON integers."""
+        grid = data["coeffs"]
+        if not isinstance(grid, list) or len(grid) > 2 or any(len(int_list(r)) > 2 for r in grid):
+            raise ValueError("a coefficient grid is at most two lists of at most two integers")
+        rows = [row + [0] * (2 - len(row)) for row in grid]
         (c00, c01), (c10, c11) = rows + [[0, 0]] * (2 - len(rows))
         return cls(c00, c01, c10, c11)
+
+
+def int_list(value, length=None) -> list:
+    """value, if it is a list of JSON integers (not booleans), of the given
+    length if one is given; ValueError otherwise."""
+    if not (isinstance(value, list) and length in (None, len(value))
+            and all(type(c) is int for c in value)):
+        raise ValueError("expected a list of integers")
+    return value
 
 
 def resolution(positions) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -3,13 +3,12 @@
 A report bundles the Betti-polynomial check, the Hilbert-polynomial
 battery, and the per-prime determinant-locus sweeps with the stratified
 point counts they give.  Golden values live in a versioned JSON data
-file; every entry carries an "origin" field telling whether it is an
-externally stated reference value or one derived by an independent
-in-repo computation.  Reports contain nothing run-dependent, so
-identical configurations produce byte-identical output.  The verify-locus
-document, one fiber per plane, is rendered as a stream of chunks, one
-fixed block of fibers each, so that its size never sets the memory its
-rendering takes.
+file; every entry carries an "origin": an externally stated "reference"
+value or one "derived" by an independent in-repo computation.  Its
+Hilbert entries have one reader, hilbert_section, which load_golden runs
+too.  Reports hold nothing run-dependent, so identical configurations
+give byte-identical output.  The verify-locus document is streamed in
+blocks of fibers, so its size never sets the memory its rendering takes.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ import os
 
 from .betti import SUPPORTED_PRIMES, poincare_moduli, stratified_moduli_count
 from .hilbert import (
-    BiPoly, euler_char, genus, hilb_combination, hilb_line, hilb_resolution, resolution_from_json,
-    twist,
+    BiPoly, euler_char, genus, hilb_combination, hilb_line, hilb_resolution, int_list,
+    resolution_from_json, twist,
 )
 
 TYPE_CHECKING = False  # type checkers read it as True; importing typing costs start-up
@@ -36,43 +35,8 @@ def _is_int(value) -> bool:
     return type(value) is int  # rejects JSON booleans, which isinstance accepts
 
 
-def _list_of(check, length=None):
-    return lambda value: (isinstance(value, list) and length in (None, len(value))
-                          and all(map(check, value)))
-
-
-def _is_resolution(value) -> bool:
-    try:
-        return bool(str(hilb_resolution(resolution_from_json({"positions": value}))))
-    except ValueError:  # a bad label, or a coefficient past the int-string limit
-        return False
-
-
-_COEFFS, _PAIR = _list_of(_is_int), _list_of(_is_int, 2)
-
-
-def _is_grid(value) -> bool:
-    """A BiPoly.to_json grid: at most two rows of at most two coefficients,
-    since every Hilbert polynomial of a resolution is bilinear."""
-    return (_list_of(_COEFFS)(value) and len(value) <= 2
-            and all(len(row) <= 2 for row in value))
-
-
-#: The keys of an entry of each golden hilbert list, besides the strings
-#: "id" and "origin", with a check of each value.
-_HILBERT_ENTRY_CHECKS = {
-    "resolutions": {"positions": _is_resolution, "expected_coeffs": _is_grid, "chi": _is_int,
-                    "genus": _is_int},
-    "combinations": {"coeffs": _COEFFS, "twists": _list_of(_PAIR), "extra_coeffs": _is_grid,
-                     "expected_coeffs": _is_grid, "equals_line_bundle": _PAIR},
-    "twists": {"start_coeffs": _is_grid, "shift": _PAIR, "expected_coeffs": _is_grid},
-}
-#: Hilbert entry keys that may be absent.
-_OPTIONAL_HILBERT_KEYS = ("genus", "equals_line_bundle")
-
-
 def load_golden(path: str | None = None) -> dict:
-    """Load the golden-value file and check the shape of every entry it reads."""
+    """Load the golden-value file; check each entry, the Hilbert ones by computing them."""
     try:
         if path is None:  # by path: importlib.resources would import zipfile and tempfile
             path = os.path.join(os.path.dirname(__file__), "data", "golden.json")
@@ -86,24 +50,11 @@ def load_golden(path: str | None = None) -> dict:
         raise GoldenError(f"golden file is not valid JSON: {exc}") from exc
     try:
         betti = data["betti"]
-        if (not _list_of(_is_int)(betti["coeffs_desc"])
-                or not _is_int(betti["euler"])
-                or not _is_int(betti["degree"])
+        if (not isinstance(betti["coeffs_desc"], list)
+                or not all(map(_is_int, [*betti["coeffs_desc"], betti["euler"], betti["degree"]]))
                 or not isinstance(betti["origin"], str)):
             raise GoldenError("golden betti section has the wrong shape")
-        for key, checks in _HILBERT_ENTRY_CHECKS.items():
-            entries = data["hilbert"][key]
-            if not isinstance(entries, list):
-                raise GoldenError(f"golden hilbert {key} must be a list")
-            for index, entry in enumerate(entries):
-                # a missing required key raises KeyError, reported below
-                if not (isinstance(entry, dict)
-                        and all(isinstance(entry[name], str) for name in ("id", "origin"))
-                        and all(check(entry[name]) for name, check in checks.items()
-                                if name in entry or name not in _OPTIONAL_HILBERT_KEYS)):
-                    raise GoldenError(f"golden hilbert {key}[{index}] has the wrong shape")
-                if key == "combinations" and len(entry["coeffs"]) != len(entry["twists"]):
-                    raise GoldenError(f"golden hilbert {key}[{index}] needs one coeff per twist")
+        hilbert_section(data)
         values = data["moduli_point_counts"]["values"]
         # locus_summary checks the count at every supported prime, and reads no other
         if (not isinstance(values, dict) or set(values) != {str(p) for p in SUPPORTED_PRIMES}
@@ -198,43 +149,55 @@ def betti_section(golden: dict) -> dict:
     }
 
 
+def _resolution_check(entry: dict) -> dict:
+    computed = hilb_resolution(resolution_from_json({"positions": entry["positions"]}))
+    expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
+    check = {"poly": str(computed), "chi": euler_char(computed), "expected_poly": str(expected),
+             "ok": int_list([entry["chi"]]) == [euler_char(computed)] and computed == expected}
+    if "genus" in entry:
+        check["genus"] = genus(computed)
+        check["ok"] = int_list([entry["genus"]]) == [genus(computed)] and check["ok"]
+    return check
+
+
+def _combination_check(entry: dict) -> dict:
+    if not isinstance(entry["twists"], list):  # {} or "" would read as no twists
+        raise ValueError("twists must be a list")
+    extra = BiPoly.from_json({"coeffs": entry["extra_coeffs"]})
+    twists = [int_list(t, 2) for t in entry["twists"]]
+    computed = hilb_combination(int_list(entry["coeffs"]), twists, extra)
+    expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
+    ok = computed == expected
+    if "equals_line_bundle" in entry:
+        ok = computed == hilb_line(*int_list(entry["equals_line_bundle"], 2)) and ok
+    return {"poly": str(computed), "expected_poly": str(expected), "ok": ok}
+
+
+def _twist_check(entry: dict) -> dict:
+    start = BiPoly.from_json({"coeffs": entry["start_coeffs"]})
+    computed = twist(start, *int_list(entry["shift"], 2))
+    expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
+    return {"poly": str(computed), "expected_poly": str(expected), "ok": computed == expected}
+
+
 def hilbert_section(golden: dict) -> dict:
+    """The checks of the golden hilbert lists, which only this function reads.
+    An entry it cannot compute, or whose polynomials cannot be written within
+    the int-string limit, raises GoldenError, so load_golden runs it too."""
     checks = []
-    for entry in golden["hilbert"]["resolutions"]:
-        computed = hilb_resolution(resolution_from_json({"positions": entry["positions"]}))
-        expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
-        ok = computed == expected and euler_char(computed) == entry["chi"]
-        check = {
-            "id": entry["id"],
-            "origin": entry["origin"],
-            "poly": str(computed),
-            "chi": euler_char(computed),
-            "expected_poly": str(expected),
-            "ok": ok,
-        }
-        if "genus" in entry:
-            check["genus"] = genus(computed)
-            check["ok"] = ok and genus(computed) == entry["genus"]
-        checks.append(check)
-    for entry in golden["hilbert"]["combinations"]:
-        extra = BiPoly.from_json({"coeffs": entry["extra_coeffs"]})
-        computed = hilb_combination(entry["coeffs"], [tuple(t) for t in entry["twists"]], extra)
-        expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
-        ok = computed == expected
-        if "equals_line_bundle" in entry:
-            a, b = entry["equals_line_bundle"]
-            ok = ok and computed == hilb_line(a, b)
-        checks.append({"id": entry["id"], "origin": entry["origin"],
-                       "poly": str(computed), "expected_poly": str(expected), "ok": ok})
-    for entry in golden["hilbert"]["twists"]:
-        start = BiPoly.from_json({"coeffs": entry["start_coeffs"]})
-        a, b = entry["shift"]
-        computed = twist(start, a, b)
-        expected = BiPoly.from_json({"coeffs": entry["expected_coeffs"]})
-        checks.append({"id": entry["id"], "origin": entry["origin"],
-                       "poly": str(computed), "expected_poly": str(expected),
-                       "ok": computed == expected})
-    return {"checks": checks, "ok": all(c["ok"] for c in checks)}
+    for key, read in (("resolutions", _resolution_check), ("combinations", _combination_check),
+                      ("twists", _twist_check)):
+        entries = golden["hilbert"][key]
+        if not isinstance(entries, list):
+            raise GoldenError(f"golden hilbert {key} must be a list")
+        for index, entry in enumerate(entries):
+            try:
+                if not (isinstance(entry["id"], str) and isinstance(entry["origin"], str)):
+                    raise ValueError("id and origin must be strings")
+                checks.append({"id": entry["id"], "origin": entry["origin"], **read(entry)})
+            except (KeyError, TypeError, ValueError) as exc:
+                raise GoldenError(f"golden hilbert {key}[{index}] has the wrong shape") from exc
+    return {"checks": checks, "ok": all(check["ok"] for check in checks)}
 
 
 def locus_summary(sweep: LocusSweep, golden: dict) -> dict:

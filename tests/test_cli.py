@@ -75,7 +75,7 @@ def test_verify_corrupt_golden_exits_2(tmp_path):
 DELETED = object()
 
 
-@pytest.mark.parametrize("keys,value", [
+MISTYPED_GOLDEN = [
     (("moduli_point_counts", "values", "2"), "58311"),
     (("moduli_point_counts", "values"), [58311]),
     (("betti", "euler"), True),
@@ -99,14 +99,23 @@ DELETED = object()
     (("hilbert", "twists", 0, "start_coeffs"), [[1, 0, 1]]),
     (("hilbert", "resolutions", 0, "expected_coeffs"), [[2, 2], [3], [0]]),
     (("hilbert", "twists", 0, "expected_coeffs"), [["4/2", 2], ["6/2"]]),
-], ids=["string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
-        "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
-        "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
-        "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
-        "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists",
-        "missing-prime", "grid-row-above-bidegree-1-1", "grid-rows-above-bidegree-1-1",
-        "fraction-coefficient"])
-def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
+]
+MISTYPED_GOLDEN_IDS = [
+    "string-total", "list-of-counts", "boolean-euler", "number-of-resolutions",
+    "no-betti-origin", "no-combinations", "zero-padded-prime", "resolution-without-positions",
+    "number-as-twist", "combination-without-coeffs", "null-coefficient", "short-twist",
+    "short-line-bundle", "boolean-shift", "non-numeric-coefficient",
+    "non-numeric-combination-coefficient", "boolean-label", "fewer-coeffs-than-twists",
+    "missing-prime", "grid-row-above-bidegree-1-1", "grid-rows-above-bidegree-1-1",
+    "fraction-coefficient"]
+
+
+# betti reads no Hilbert entry, yet rejects the same golden files as verify
+@pytest.mark.parametrize("keys,value,argv", [
+    pytest.param(keys, value, argv, id=name + suffix)
+    for (keys, value), name in zip(MISTYPED_GOLDEN, MISTYPED_GOLDEN_IDS)
+    for argv, suffix in ((["verify", "--primes", "2"], ""), (["betti"], "-betti"))])
+def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value, argv):
     from quadric_moduli.report import load_golden
     golden = load_golden()
     section = golden
@@ -118,7 +127,7 @@ def test_verify_mistyped_golden_values_exit_2(tmp_path, capsys, keys, value):
         section[keys[-1]] = value
     path = tmp_path / "golden.json"
     path.write_text(json.dumps(golden), encoding="utf-8")
-    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
+    assert cli.main([*argv, "--golden", str(path)]) == 2
     assert "golden data error" in capsys.readouterr().err
 
 
@@ -155,10 +164,15 @@ def test_resolution_integer_past_the_digit_limit_exits_2(capsys):
     assert capsys.readouterr().err.startswith("invalid resolution JSON: ")
 
 
+def label_past_half_the_digit_limit() -> str:
+    """A decimal integer within the int-string limit whose square is past it."""
+    return "1" * (sys.get_int_max_str_digits() * 7 // 10)
+
+
 def polynomial_past_the_digit_limit() -> str:
     """A resolution of one summand O(a, a) whose label is within the
     int-string limit, while its Hilbert polynomial's (a + 1)**2 is past it."""
-    a = "1" * (sys.get_int_max_str_digits() * 7 // 10)
+    a = label_past_half_the_digit_limit()
     return f'{{"positions": [[[{a}, {a}]]]}}'
 
 
@@ -172,16 +186,25 @@ def test_resolution_polynomial_past_the_digit_limit_exits_2(capsys, flags):
 
 
 @needs_int_limit
-def test_golden_resolution_polynomial_past_the_digit_limit_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [["verify", "--primes", "2"], ["betti"]],
+                         ids=["verify", "betti"])
+@pytest.mark.parametrize("key,fields", [
+    ("resolutions", {"positions": [[["A", "A"]]]}),
+    ("combinations", {"coeffs": ["A", -2], "twists": [["A", "A"], [0, 0]]}),
+    ("twists", {"start_coeffs": [[0, 0], [0, "A"]], "shift": ["A", "A"]}),
+], ids=["resolutions", "combinations", "twists"])
+def test_golden_resolution_polynomial_past_the_digit_limit_exits_2(
+        tmp_path, capsys, key, fields, argv):
+    # each integer A is within the int-string limit, the polynomial it gives is past it
     from quadric_moduli.report import load_golden
     golden = load_golden()
-    resolution = json.loads(polynomial_past_the_digit_limit())
-    golden["hilbert"]["resolutions"][0]["positions"] = resolution["positions"]
+    golden["hilbert"][key][0].update(fields)
     path = tmp_path / "golden.json"
-    path.write_text(json.dumps(golden), encoding="utf-8")
-    assert cli.main(["verify", "--primes", "2", "--golden", str(path)]) == 2
+    path.write_text(json.dumps(golden).replace('"A"', label_past_half_the_digit_limit()),
+                    encoding="utf-8")
+    assert cli.main([*argv, "--golden", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "golden data error: golden hilbert resolutions[0] has the wrong shape\n")
+        f"golden data error: golden hilbert {key}[0] has the wrong shape\n")
 
 
 def test_hilbert_inline():

@@ -12,6 +12,7 @@ import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
 import quadric_moduli.report as report_module
 from quadric_moduli.betti import XiPoly
+from quadric_moduli.hilbert import BiPoly
 from quadric_moduli.locus import GENERIC, KINDS, SHARED_LEFT
 
 
@@ -170,6 +171,19 @@ def test_gaussian_binomial_with_an_extra_term(monkeypatch, capsys):
                         lambda k, n: real(k, n) + XiPoly.monomial(2))
     assert cli.main(["betti"]) == 1
     assert "golden match: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", ["twist", "hilb_resolution", "hilb_combination"])
+def test_wrong_hilbert_arithmetic_flips_the_verdict(monkeypatch, capsys, name):
+    # load_golden computes the Hilbert checks as well: a wrong polynomial
+    # fails its check, and is never a golden file of the wrong shape
+    real = getattr(report_module, name)
+    monkeypatch.setattr(report_module, name, lambda *args: real(*args) + BiPoly(1))
+    code, out = run_verify(capsys)
+    assert code == 1
+    [row] = [line for line in out.splitlines() if line.startswith("hilbert ")]
+    assert row.endswith(" FAIL")
+    assert cli.main(["betti"]) == 0
 
 
 @pytest.mark.parametrize("coeffs_desc", [

@@ -196,7 +196,8 @@ def test_bipoly_json_roundtrip():
     # the golden file writes ragged grids: a left-out entry is zero
     assert BiPoly.from_json({"coeffs": [[2, 2], [3]]}) == MODULI_POLY
     assert BiPoly.from_json({"coeffs": []}) == BiPoly()
-    for grid in ([[1, 0, 1]], [[1], [0], [1]]):
+    for grid in ([[1, 0, 1]], [[1], [0], [1]], [[True]], [["x"]], [[None]], [[1.5]], [1, 2],
+                 "12"):
         with pytest.raises(ValueError):
             BiPoly.from_json({"coeffs": grid})
 
