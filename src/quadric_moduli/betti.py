@@ -16,11 +16,12 @@ Hilbert checks run without the sweeps' array engine.
 from __future__ import annotations
 
 #: Per supported prime: the sweep's count route (the report's method) without
-#: and with --full-oracle, and the planes --full-oracle runs the raw oracle on.
-SWEEP_ROUTES = {2: ("enumerate", "enumerate", "every plane"),
-                3: ("enumerate", "enumerate", "first of each kind"),
-                5: ("kernel", "enumerate", None),
-                7: ("kernel", "kernel", None)}
+#: and with --full-oracle, and whether --full-oracle also runs the raw oracle,
+#: which then checks every counted plane.
+SWEEP_ROUTES = {2: ("enumerate", "enumerate", True),
+                3: ("enumerate", "enumerate", True),
+                5: ("kernel", "enumerate", False),
+                7: ("kernel", "kernel", False)}
 #: Primes accepted by the sweep machinery.
 SUPPORTED_PRIMES = tuple(SWEEP_ROUTES)
 

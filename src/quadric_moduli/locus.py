@@ -32,9 +32,10 @@ by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p (int32 up
 to p = 5) for a block of planes at once, and the coinciding keys are
 counted plane by plane.  The raw oracle keys and joins all p^12 first-column
-pairs the same way, for all its target planes at once.  Its maps come from a
-second table of unit form products, which shares nothing with the action
-tensors, so no sweep multiplies forms per plane.  Every sweep runs in one
+pairs the same way, for every counted plane at once, and its counts are one
+more column.  Its maps come from a second table of unit form products,
+which shares nothing with the action tensors, so no sweep multiplies forms
+per plane.  Every sweep runs in one
 process, over the planes in their fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
@@ -375,8 +376,8 @@ def raw_oracle_counts(p: int, bases) -> list[int]:
     basis rows, an (N, 2, 4) array-like.  det2 = phi11*f2 - phi21*f1
     vanishes iff the two products coincide, so the p^12 pairs are counted
     exactly by joining the p^6 images phi11*f2 with the p^6 images
-    phi21*f1; the raw_oracle_maps stack of all planes is keyed at once, and
-    joined plane by plane.
+    phi21*f1; the raw_oracle_maps stack of all N planes is keyed at once,
+    and joined plane by plane.
 
     Against the fiber count N it must satisfy the coset identity
         raw = p^2 + N * (p - 1) * p^2
@@ -393,11 +394,11 @@ class LocusSweep:
     """Outcome of sweeping every plane over F_p: one row per plane that meets
     the preconditions of the counts, in plane_bases order, holding its index
     in plane_bases(p) (int32), basis (int16), kind code and rank1_lines
-    (int8), shared point (int16) and det-zero count (int64).  raw_counts
-    maps the rows the raw oracle ran on to their raw counts; everything else
-    is derived from these columns.  worker_failure names the per-plane
-    count that raised, if one did: the sweep then stops there and holds the
-    planes counted before it.  A plain class, so that no command imports
+    (int8), shared point (int16) and det-zero count (int64), and the raw
+    count (int64) where the raw oracle ran, None where it did not;
+    everything else is derived from these columns.  worker_failure names
+    the per-plane count that raised, if one did: the sweep then stops there
+    and holds the planes counted before it.  A plain class, so that no command imports
     dataclasses."""
 
     __slots__ = ("p", "method", "plane_index", "bases", "kinds", "rank1_lines",
@@ -410,7 +411,7 @@ class LocusSweep:
         self.kinds, self.rank1_lines, self.shared_points = kinds, rank1_lines, shared_points
         self.detzero_counts, self.failures = detzero_counts, failures
         self.worker_failure = worker_failure
-        self.raw_counts: dict[int, int] = {}
+        self.raw_counts: np.ndarray | None = None
 
     @property
     def x_count(self) -> int:
@@ -429,20 +430,22 @@ class LocusSweep:
         """Per row, the det-zero count that the plane's kind predicts."""
         return expected_detzero(self.p)[self.kinds]
 
-    def raw_ok(self) -> dict[int, bool]:
-        """Per raw-oracle row, whether its raw count meets the coset
-        identity of raw_oracle_counts against the row's det-zero count."""
+    @property
+    def raw_ok(self) -> np.ndarray:
+        """Per row, whether its raw count meets the coset identity of
+        raw_oracle_counts against its det-zero count; all true without raw counts."""
         p = self.p
-        return {row: raw == p * p + int(self.detzero_counts[row]) * (p - 1) * p * p
-                for row, raw in self.raw_counts.items()}
+        if self.raw_counts is None:
+            return np.ones(len(self.detzero_counts), dtype=bool)
+        return self.raw_counts == p * p + self.detzero_counts * (p - 1) * p * p
 
 
 # `workers` is accepted and ignored: bench/run.py's _sweep_time is the only caller passing it
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
     totals, by the routes of the prime's SWEEP_ROUTES row: its count route
-    without or with full_oracle, and under full_oracle the raw p^12 oracle
-    on the row's planes, every plane or the first plane of each kind.
+    without or with full_oracle, and, where the row says so, under
+    full_oracle the raw p^12 oracle on every counted plane.
 
     A sweep has three stages: plane_bases' int16 table, one classify_planes
     pass over all of it, and the counted blocks.  Both routes take the table
@@ -455,15 +458,16 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     it gets one line in `failures`, in plane order, and no row, and
     neither route counts it.  The kernel route row-reduces the block's stack
     of the others; the enumeration route keys it and joins plane by plane.
-    The raw oracle takes its targets' basis rows.  Every sweep runs in this
-    process.  If a count raises, the sweep stops at that plane (the kernel
-    route before the first plane of its block) and is returned partial,
-    with the rows counted before it, the message in `worker_failure` and in
-    `failures`, no failure line of a later block and no raw oracle run;
-    mismatches never raise here, they are recorded in `failures`.
+    The raw oracle takes the basis rows of all counted planes at once.
+    Every sweep runs in this process.  If a count raises, the sweep stops
+    at that plane (the kernel route before the first plane of its block)
+    and is returned partial, with the rows counted before it, the message
+    in `worker_failure` and in `failures`, no failure line of a later block
+    and no raw oracle run; mismatches never raise here, they are recorded
+    in `failures`.
     """
     bases = plane_bases(p)
-    plain, oracle, raw_planes = SWEEP_ROUTES[p]
+    plain, oracle, raw = SWEEP_ROUTES[p]
     method = oracle if full_oracle else plain
     kernel = method == "kernel"
     step = KEY_BLOCK // (144 if kernel else p**5)
@@ -501,26 +505,21 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
         sweep.failures.append(worker_failure)
         return sweep
 
-    if full_oracle and raw_planes is not None:
-        kinds = sweep.kinds.tolist()  # not np.unique: its stable argsort pages in sort code
-        targets = (range(len(counts)) if raw_planes == "every plane"
-                   else sorted(map(kinds.index, set(kinds))))
-        raw = raw_oracle_counts(p, sweep.bases[targets])
-        sweep.raw_counts = dict(zip(targets, raw))
+    if full_oracle and raw:
+        sweep.raw_counts = np.array(raw_oracle_counts(p, sweep.bases), dtype=np.int64)
     _collect_failures(sweep)
     return sweep
 
 
 def _collect_failures(sweep: LocusSweep):
     p = sweep.p
-    counts, expected = sweep.detzero_counts, sweep.expected_counts
-    broken = [row for row, ok in sweep.raw_ok().items() if not ok]
-    for row in sorted({*np.flatnonzero(counts != expected).tolist(), *broken}):
+    counts, expected, raw_ok = sweep.detzero_counts, sweep.expected_counts, sweep.raw_ok
+    for row in np.flatnonzero((counts != expected) | ~raw_ok).tolist():
         index = sweep.plane_index[row]
         if counts[row] != expected[row]:
             sweep.failures.append(f"plane {index} ({KINDS[sweep.kinds[row]]}): "
                                   f"det-zero count {counts[row]}, expected {expected[row]}")
-        if row in broken:
+        if not raw_ok[row]:
             sweep.failures.append(f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
                                   f"breaks the coset identity")
     # the five GL2 x GL2 orbits of planes

@@ -92,7 +92,7 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     text up to the fiber list, the fibers in blocks of FIBER_BLOCK written
     from slices of the sweep's columns, then the rest of the document.  Each
     fiber is formatted once, with its separator, and each block joined once."""
-    from .locus import GENERIC, KINDS, expected_detzero
+    from .locus import GENERIC, KINDS
     doc = {"fibers": [], "prime": sweep.p, "summary": summary,
            "worker_failure": sweep.worker_failure}
     text = to_json_text({key: value for key, value in doc.items() if value is not None})
@@ -102,21 +102,20 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     # "fibers" sorts first, so its [] is the first in the text
     opening, closing = text.split("[]", 1)
     yield opening + "["
-    raw_tails = {row: _RAW_TAIL % (sweep.raw_counts[row], str(ok).lower())
-                 for row, ok in sweep.raw_ok().items()}
-    expected_by_kind = expected_detzero(sweep.p).tolist()
+    expected, raw, raw_ok = sweep.expected_counts, sweep.raw_counts, sweep.raw_ok
     for start in range(0, len(sweep.plane_index), FIBER_BLOCK):
         block = slice(start, start + FIBER_BLOCK)
+        tails = ([""] * FIBER_BLOCK if raw is None else  # zip stops at the block's end
+                 [_RAW_TAIL % (count, str(ok).lower())
+                  for count, ok in zip(raw[block].tolist(), raw_ok[block].tolist())])
         fibers = []
-        for row, (index, basis, kind, lines, point, count) in enumerate(zip(
+        for row, (index, basis, kind, lines, point, count, wanted, tail) in enumerate(zip(
                 sweep.plane_index[block].tolist(), sweep.bases[block].reshape(-1, 8).tolist(),
                 sweep.kinds[block].tolist(), sweep.rank1_lines[block].tolist(),
-                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist()),
-                start):
-            expected = expected_by_kind[kind]
-            head = (",\n" if row else "\n", count, expected, str(count == expected).lower(),
+                sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist(),
+                expected[block].tolist(), tails), start):
+            head = (",\n" if row else "\n", count, wanted, str(count == wanted).lower(),
                     *basis, sweep.p, index, KINDS[kind])
-            tail = raw_tails.get(row, "")
             fibers.append(_GENERIC_FIBER % (*head, lines, tail) if KINDS[kind] == GENERIC
                           else _SHARED_FIBER % (*head, *point, tail))
         yield "".join(fibers)

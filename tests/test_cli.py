@@ -429,9 +429,9 @@ REPORT_DIGESTS = {
     # raw_count/raw_ok on every plane
     ("verify-locus", "--prime", "2", "--full-oracle"):
         "7fa40fe4c5ad3bd7db06aa2acdf126f718f2610431a35a75b6ecca955d60204f",
-    # one raw-oracle target per plane kind
+    # raw_count/raw_ok on every plane
     ("verify-locus", "--prime", "3", "--full-oracle"):
-        "c30b733daa2e3b0652c1ef611cf22da45a42982b9c40a3865d2bd784a83f0ca4",
+        "f21088cf0a208816608236a4897b050ae9ab7a5ad200233ab7af54512ee23b32",
     # full fiber enumeration at p = 5
     ("verify-locus", "--prime", "5", "--full-oracle"):
         "4e4d6f3b718b6a91945078731943f870efbd185a779d696baef33e15021f8033",

@@ -3,6 +3,7 @@ code 1 and name the check that caught it, or, where an internal invariant
 catches it first, stop the run with exit code 2."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,11 +74,9 @@ def test_inserted_raw_product_entry_stops_the_run(monkeypatch, capsys):
         assert err == "internal error: each raw product must be at most one monomial\n", entry
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the --full-oracle raw oracle at p = 3 does not see a perturbed raw_oracle_maps entry: "
-    "it runs only on the first plane of each kind, and their raw counts stay 81, 9 and 27, "
-    "although 94 of the 130 planes would see the change"))
 def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):
+    # 94 of the 130 raw counts change, but not that of the first plane of any
+    # kind, so only a raw oracle on every plane sees it
     real = locus_module.raw_oracle_maps
 
     def corrupted(p, bases):
@@ -88,6 +87,28 @@ def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):
     monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
     assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 1
     assert '"raw_ok": false' in capsys.readouterr().out
+
+
+def test_corrupted_raw_oracle_map_of_one_plane_p3(monkeypatch, capsys):
+    # plane 129 is shared-left but not the first plane of its kind, and a
+    # perturbed entry of its maps alone changes its raw count
+    bases = locus_module.plane_bases(3)
+    kinds = locus_module.classify_planes(3, bases)[0].tolist()
+    assert KINDS[kinds[129]] == SHARED_LEFT and kinds.index(kinds[129]) < 129
+    real = locus_module.raw_oracle_maps
+
+    def corrupted(p, rows):
+        maps = real(p, rows)
+        plane = np.flatnonzero((np.asarray(rows) == bases[129]).all(axis=(1, 2)))
+        maps[plane, 0, 0, 0] = (maps[plane, 0, 0, 0] + 1) % p
+        return maps
+
+    monkeypatch.setattr(locus_module, "raw_oracle_maps", corrupted)
+    assert cli.main(["verify", "--primes", "3", "--full-oracle"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"plane 129: raw sweep count \d+ breaks the coset identity", out)
+    assert out.count("breaks the coset identity") == 1
+    assert "verdict: FAIL" in out
 
 
 def test_wrong_expected_detzero(monkeypatch, capsys):

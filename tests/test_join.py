@@ -119,7 +119,8 @@ def test_full_oracle_sweep_keys_are_int32_horner_sums(monkeypatch, p):
     monkeypatch.setattr(locus_module, "_image_keys", checked)
     sweep = sweep_locus(p, full_oracle=True)
     assert not sweep.failures and sweep.method == "enumerate"
-    assert sum(planes) == len(plane_bases(p)) + len(sweep.raw_counts)
+    raw_planes = 0 if sweep.raw_counts is None else len(sweep.raw_counts)
+    assert sum(planes) == len(plane_bases(p)) + raw_planes
 
 
 @pytest.mark.parametrize("reverse", [False, True])

@@ -333,15 +333,14 @@ def test_raw_oracle_identity_one_plane_each_type_p3(sweep3):
         assert raw == 9 + int(sweep3.detzero_counts[row]) * 18
 
 
-@pytest.mark.parametrize("p,targets", [(2, 35), (3, 3)])
-def test_raw_oracle_batch_equals_batches_of_one(p, targets):
+@pytest.mark.parametrize("p,planes", [(2, 35), (3, 130)])
+def test_raw_oracle_batch_equals_batches_of_one(p, planes):
     sweep = sweep_locus(p, full_oracle=True)
-    rows = sorted(sweep.raw_counts)
-    assert len(rows) == targets
-    batch = raw_oracle_counts(p, sweep.bases[rows])
-    assert batch == [raw_oracle_count(plane_of(p, *sweep.bases[row].tolist())) for row in rows]
-    assert batch == [sweep.raw_counts[row] for row in rows]
-    assert batch == [p * p + int(sweep.detzero_counts[row]) * (p - 1) * p * p for row in rows]
+    assert sweep.raw_counts.dtype == np.int64 and len(sweep.raw_counts) == planes
+    batch = raw_oracle_counts(p, sweep.bases)
+    assert batch == [raw_oracle_count(plane_of(p, *rows)) for rows in sweep.bases.tolist()]
+    assert batch == sweep.raw_counts.tolist()
+    assert batch == [p * p + count * (p - 1) * p * p for count in sweep.detzero_counts.tolist()]
     assert raw_oracle_counts(p, []) == []
 
 
@@ -404,21 +403,23 @@ def test_expected_x_is_the_sum_over_kinds():
 
 
 def test_sweep_method_gating():
-    # a sweep takes its count route, and under full_oracle the raw oracle's
-    # planes, from its prime's SWEEP_ROUTES row; the report digests pin the rows
+    # a sweep takes its count route, and under full_oracle whether the raw
+    # oracle runs, from its prime's SWEEP_ROUTES row; the report digests pin the rows
     assert SUPPORTED_PRIMES == tuple(SWEEP_ROUTES)
     # sweep_locus picks both its block size and its counter by method == "kernel"
     # and joins under any other name, so a mistyped route name must fail here
     assert {route for row in SWEEP_ROUTES.values() for route in row[:2]} <= {"kernel", "enumerate"}
+    # the raw column is a bool: any other truthy value would read as True
+    assert all(type(row[2]) is bool for row in SWEEP_ROUTES.values())
     for p in (2, 3, 5):
-        plain, oracle, raw_planes = SWEEP_ROUTES[p]
+        plain, oracle, raw = SWEEP_ROUTES[p]
         for full_oracle, method in ((False, plain), (True, oracle)):
             sweep = sweep_locus(p, full_oracle=full_oracle)
             assert sweep.method == method and not sweep.failures
-            targets = {"every plane": range(len(sweep.kinds)),
-                       "first of each kind": np.unique(sweep.kinds, return_index=True)[1],
-                       None: []}[raw_planes if full_oracle else None]
-            assert sorted(sweep.raw_counts) == sorted(targets)
+            if full_oracle and raw:  # the raw oracle checks every counted plane
+                assert len(sweep.raw_counts) == len(sweep.plane_index) == grass_count(p)
+            else:
+                assert sweep.raw_counts is None
 
 
 def test_total_x_count_p5_kernel_route(sweep5):
@@ -474,17 +475,18 @@ def test_sweep_is_deterministic(sweep2):
     again = sweep_locus(2, workers=2)
     for column in COLUMNS:
         assert np.array_equal(getattr(again, column), getattr(sweep2, column)), column
-    assert (again.failures, again.raw_counts) == (sweep2.failures, sweep2.raw_counts) == ([], {})
+    assert again.failures == sweep2.failures == []
+    assert again.raw_counts is sweep2.raw_counts is None
     assert fibers_of(again) == fibers_of(sweep2)
     assert len(fibers_of(sweep2)) == grass_count(2)
 
 
 @pytest.mark.parametrize("p,full_oracle,targets", [
-    (7, False, 0), (5, False, 0), (5, True, 0), (2, False, 0), (2, True, 35), (3, True, 3),
+    (7, False, 0), (5, False, 0), (5, True, 0), (2, False, 0), (2, True, 35), (3, True, 130),
 ])
 def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, targets):
     # the sweep stays in columns: it builds the raw oracle's maps once, for
-    # its targets' basis rows alone, and only in a full-oracle sweep at 2, 3
+    # the basis rows of every counted plane, and only in a full-oracle sweep at 2, 3
     real = locus_module.raw_oracle_maps
     calls = []
 
@@ -495,8 +497,10 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
     monkeypatch.setattr(locus_module, "raw_oracle_maps", counting)
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert not sweep.failures
-    assert len(sweep.raw_counts) == targets
-    assert calls == ([sweep.bases[sorted(sweep.raw_counts)].tolist()] if targets else [])
+    if targets:
+        assert len(sweep.raw_counts) == targets and calls == [sweep.bases.tolist()]
+    else:
+        assert sweep.raw_counts is None and calls == []
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -586,16 +590,19 @@ def test_sweep_keeps_narrow_columns(p):
 
 def test_sweep_full_oracle_p2():
     sweep = sweep_locus(2, full_oracle=True)
-    assert sorted(sweep.raw_counts) == list(range(grass_count(2)))
-    assert all(sweep.raw_ok().values())
+    assert sweep.plane_index.tolist() == list(range(grass_count(2)))
+    assert len(sweep.raw_counts) == grass_count(2)
+    assert sweep.raw_ok.dtype == bool and sweep.raw_ok.all()
     assert not sweep.failures
 
 
 def test_sweep_full_oracle_p3_covers_each_type(sweep3):
     sweep = sweep_locus(3, full_oracle=True)
-    checked = sorted(sweep.raw_counts)
-    assert {KINDS[sweep.kinds[row]] for row in checked} == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-    assert all(sweep.raw_ok().values())
+    assert sweep.plane_index.tolist() == list(range(grass_count(3)))
+    assert len(sweep.raw_counts) == grass_count(3)
+    assert {KINDS[kind] for kind in sweep.kinds.tolist()} == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
+    assert sweep.raw_ok.dtype == bool and sweep.raw_ok.all()
+    assert not sweep.failures
     assert sweep.x_count == sweep3.x_count
 
 

@@ -31,8 +31,8 @@ def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
         fiber = {"plane_index": index, "plane": {"p": p, "basis": sweep.bases[row].tolist()},
                  "plane_type": plane_type, "detzero_count": count, "expected": expected,
                  "ok": count == expected}
-        if row in sweep.raw_counts:
-            raw = sweep.raw_counts[row]
+        if sweep.raw_counts is not None:
+            raw = int(sweep.raw_counts[row])
             # the coset identity of raw_oracle_counts
             fiber.update(raw_count=raw, raw_ok=raw == p * p + count * (p - 1) * p * p)
         fibers.append(fiber)
@@ -74,9 +74,10 @@ def fail_on_plane_0(monkeypatch):
     (3, ("--full-oracle",), None, 0, '"raw_ok": true'),
     (2, (), count_one_too_many, 1, '"ok": false'),
     (2, ("--full-oracle",), corrupt_raw_oracle_map, 1, '"raw_ok": false'),
+    (3, ("--full-oracle",), corrupt_raw_oracle_map, 1, '"raw_ok": false'),
     (2, (), fail_on_plane_0, 3, '"fibers": [],'),
 ], ids=["2", "3", "5", "7", "2-full-oracle", "3-full-oracle", "count-one-too-many",
-        "corrupt-raw-oracle-map", "fail-on-plane-0"])
+        "corrupt-raw-oracle-map", "corrupt-raw-oracle-map-3", "fail-on-plane-0"])
 def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, code, marker):
     if fault is not None:
         fault(monkeypatch)
