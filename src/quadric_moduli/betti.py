@@ -15,13 +15,13 @@ Hilbert checks run without the sweeps' array engine.
 
 from __future__ import annotations
 
-#: Per supported prime: the sweep's count route (the report's method) without
-#: and with --full-oracle, and whether --full-oracle also runs the raw oracle,
-#: which then checks every counted plane.
-SWEEP_ROUTES = {2: ("enumerate", "enumerate", True),
-                3: ("enumerate", "enumerate", True),
-                5: ("kernel", "enumerate", False),
-                7: ("kernel", "kernel", False)}
+#: Per supported prime: the routes a sweep runs, without and with --full-oracle,
+#: which only adds.  The first is a count route, "kernel" (the rank of the action)
+#: or "enumerate" (the fiber join), and the report's method; "raw" is the raw oracle.
+SWEEP_ROUTES = {2: (("enumerate", "kernel"), ("enumerate", "kernel", "raw")),
+                3: (("enumerate", "kernel"), ("enumerate", "kernel", "raw")),
+                5: (("kernel",), ("enumerate", "kernel")),
+                7: (("kernel",), ("kernel",))}
 #: Primes accepted by the sweep machinery.
 SUPPORTED_PRIMES = tuple(SWEEP_ROUTES)
 

@@ -3,8 +3,8 @@
 Subcommands: betti | hilbert | verify-locus | verify | report.
 Exit codes are total: 0 success, 1 verification mismatch (the report is
 written and its verdict is FAIL), 2 invalid input or environment, 3 a
-count raised (the sweep stopped at that plane, the kernel route before
-the first plane of its block; the partial report is still written).  A
+count raised (the sweep stopped there; the partial report is still
+written, with the planes that every route of the prime counted).  A
 sweep records every mismatch, a plane that breaks a precondition of the
 counts included, and raises only for invalid input.  Machine output is
 canonical JSON (sorted keys, indent 2); identical configurations produce
@@ -87,8 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_args(p):
         p.add_argument("--full-oracle", action="store_true",
-                       help="also run the raw pair sweeps (p = 2, 3) and full "
-                            "fiber enumeration at p = 5")
+                       help="also run the raw pair sweeps (p = 2, 3); adds the "
+                            "fiber join at p = 5")
         p.add_argument("--workers", type=int, default=1, metavar="N",
                        help="accepted for compatibility; must be at least 1 and "
                             "has no other effect (every sweep runs in one process)")

@@ -15,15 +15,16 @@ A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
 check of K) has one implementation, which works on arrays of planes.
-Before either route counts, one mask holds back every plane that breaks a
-precondition of the counts: its kind is unknown, its K does not have
-dimension 2, or K leaves the kernel of its action.  Such a plane gets one
-failure line and no row, so a bad plane never stops a sweep.
+Every route of a prime's row counts the same planes, each against the
+first.  Before any route counts, one mask holds back every plane that
+breaks a precondition of the counts: its kind is unknown, its K does not
+have dimension 2, or K leaves the kernel of its action.  Such a plane gets
+one failure line and no row, so a bad plane never stops a sweep.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
 each block of planes of a prime in one int16 product; that one contraction
-feeds both count routes, so a sweep holds one block's matrices at a time.
+feeds every count route, so a sweep holds one block's matrices at a time.
 The kernel route counts from the rank of the action, row-reducing a
 block's stack of matrices together in int16 and reducing mod p only each
 cleared column and its pivot row.  The enumeration route
@@ -35,8 +36,7 @@ counted plane by plane.  The raw oracle keys and joins all p^12 first-column
 pairs the same way, for every counted plane at once, and its counts are one
 more column.  Its maps come from a second table of unit form products,
 which shares nothing with the action tensors, so no sweep multiplies forms
-per plane.  Every sweep runs in one
-process, over the planes in their fixed order.
+per plane.  A sweep runs in one process, over the planes in fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -54,8 +54,8 @@ from .biform import ZZ, BiForm
 
 #: Most half-vectors whose images the enumeration route keys at once, and
 #: most action-matrix entries the kernel route row-reduces at once: a sweep
-#: contracts and counts one block at a time, every plane of the
-#: join at p = 2, 3, 20 planes of it at p = 5, and 455 of the kernel route.
+#: contracts and counts one block at a time, sized by its row's larger route
+#: block: every plane at p = 2, 3, 20 at p = 5 with the join, else 455.
 KEY_BLOCK = 2**16
 
 GENERIC = "generic"
@@ -333,7 +333,7 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
 
 def _factoring_ok(p: int, matrices: np.ndarray, k_bases: np.ndarray) -> np.ndarray:
     """Per plane, whether both K rows lie in the kernel of the action, as
-    they must: a count of either route is meaningful only where they do."""
+    they must: a count of any route is meaningful only where they do."""
     return ~_reduce(matrices @ k_bases.transpose(0, 2, 1), p).any(axis=(1, 2))
 
 
@@ -443,37 +443,38 @@ class LocusSweep:
 # `workers` is accepted and ignored: bench/run.py's _sweep_time is the only caller passing it
 def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
     """Classify every plane, count det-zero fiber points, and verify the
-    totals, by the routes of the prime's SWEEP_ROUTES row: its count route
-    without or with full_oracle, and, where the row says so, under
-    full_oracle the raw p^12 oracle on every counted plane.
+    totals, by every route of the prime's SWEEP_ROUTES row without or with
+    full_oracle: each count route on every counted plane, the first giving
+    the method and det-zero counts, and "raw" the raw p^12 oracle.
 
     A sweep has three stages: plane_bases' int16 table, one classify_planes
-    pass over all of it, and the counted blocks.  Both routes take the table
-    in blocks of KEY_BLOCK // p**5 planes (the join) or KEY_BLOCK // 144
-    (the kernel route), so a sweep holds one block's action matrices at a
-    time.  Each block gets one contraction of the action tensors and one
-    _k_pivots pass, whose dimensions feed the mask and whose pivots the
-    join.  The mask holds back each plane whose kind is unknown, whose K
-    does not have dimension 2, or whose K leaves the kernel of its action:
-    it gets one line in `failures`, in plane order, and no row, and
-    neither route counts it.  The kernel route row-reduces the block's stack
-    of the others; the enumeration route keys it and joins plane by plane.
-    The raw oracle takes the basis rows of all counted planes at once.
-    Every sweep runs in this process.  If a count raises, the sweep stops
-    at that plane (the kernel route before the first plane of its block)
-    and is returned partial, with the rows counted before it, the message
-    in `worker_failure` and in `failures`, no failure line of a later block
-    and no raw oracle run; mismatches never raise here, they are recorded
-    in `failures`.
+    pass over all of it, and the counted blocks of KEY_BLOCK // b planes,
+    where b is the row's largest route block: 144 action-matrix entries a
+    plane for the kernel route, p**5 half-vectors for the join.  Each block
+    gets one contraction of the action tensors and one _k_pivots pass,
+    whose dimensions feed the mask and whose pivots the join.  The mask
+    holds back each plane whose kind is unknown, whose K does not have
+    dimension 2, or whose K leaves the kernel of its action: it gets one
+    line in `failures`, in plane order, and no row, and no route counts it.
+    Every count route counts the kept planes, the first last; each plane
+    where another route's count differs from the first's gets one line.  The raw
+    oracle takes the basis rows of all counted planes at once.  If a count
+    raises, the sweep stops at that plane (the kernel route before the first
+    plane of its block) and is returned partial, with the rows that every
+    route counted, the message in `worker_failure` and in `failures`, no
+    failure line of a later block and no raw oracle run; mismatches never
+    raise here, they are recorded in `failures`.
     """
     bases = plane_bases(p)
-    plain, oracle, raw = SWEEP_ROUTES[p]
-    method = oracle if full_oracle else plain
-    kernel = method == "kernel"
-    step = KEY_BLOCK // (144 if kernel else p**5)
+    routes = SWEEP_ROUTES[p][full_oracle]
+    count_routes = {  # a plane's block entries; counts that look up module names per call
+        "kernel": (144, lambda matrices, pivots: _kernel_counts(p, matrices).tolist()),
+        "enumerate": (p**5, lambda matrices, pivots: _join_counts(p, matrices, pivots))}
+    counts = {route: [] for route in routes if route in count_routes}
+    step = KEY_BLOCK // max(count_routes[route][0] for route in counts)
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
     countable = kinds >= 0
-    counts, failures, worker_failure = [], [], None
+    failures, worker_failure = [], None
     for start in range(0, len(bases), step):
         matrices, k_bases = action_matrices(p, bases[start:start + step])
         dims, pivots = _k_pivots(p, k_bases)
@@ -490,22 +491,27 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
                 failures.append(plane + "factoring first-columns must have zero determinant")
         if not kept.all():  # copy the stacks only where a plane is held back
             matrices, pivots = matrices[kept], pivots[kept]
-        try:
-            counts.extend(_kernel_counts(p, matrices).tolist() if kernel
-                          else _join_counts(p, matrices, pivots))
-        except Exception as exc:  # extend kept the planes the join counted so far
-            index = np.flatnonzero(countable)[len(counts)]
+        try:  # the first route last, so that a join that raises keeps the planes it counted
+            for route in reversed(counts):
+                counts[route].extend(count_routes[route][1](matrices, pivots))
+        except Exception as exc:
+            index = np.flatnonzero(countable)[len(counts[route])]
             worker_failure = f"worker failed on plane {index}: {exc}"
             break
-    rows = np.flatnonzero(countable)[:len(counts)]
+    rows = np.flatnonzero(countable)[:min(map(len, counts.values()))]
+    method, *others = counts
+    first = counts[method][:len(rows)]
+    for route in others:
+        failures += [f"plane {rows[row]}: {method} count {a}, {route} count {b}"
+                     for row, (a, b) in enumerate(zip(first, counts[route])) if a != b]
     sweep = LocusSweep(p, method, rows.astype(np.int32), bases[rows], kinds[rows],
-                       rank1_lines[rows], shared_points[rows], np.asarray(counts, dtype=np.int64),
+                       rank1_lines[rows], shared_points[rows], np.asarray(first, dtype=np.int64),
                        failures=failures, worker_failure=worker_failure)
     if worker_failure is not None:
         sweep.failures.append(worker_failure)
         return sweep
 
-    if full_oracle and raw:
+    if "raw" in routes:
         sweep.raw_counts = np.array(raw_oracle_counts(p, sweep.bases), dtype=np.int64)
     _collect_failures(sweep)
     return sweep

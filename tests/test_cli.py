@@ -420,6 +420,9 @@ REPORT_DIGESTS = {
         "d79225d979623737aa1baaf4307d69fc721bc74cd3d7778fa8d079b33ae9789a",
     ("report", "--primes", "2,3", "--full-oracle"):
         "889e34acf7c5b2882b08203065b510b435b5ce8f38adc101dd143298736f94b9",
+    # every multi-route row of SWEEP_ROUTES
+    ("report", "--primes", "2,3,5,7", "--full-oracle"):
+        "b8061a651355f3ffbc0a95859f1519d27fb2c3929e01b85fa871213d8e1ed080",
     ("verify-locus", "--prime", "2"):
         "8f6431004632c2a3e0fff6456620593523c95900f00e2aab9949b9be00c1964d",
     ("verify-locus", "--prime", "3"):
@@ -432,7 +435,7 @@ REPORT_DIGESTS = {
     # raw_count/raw_ok on every plane
     ("verify-locus", "--prime", "3", "--full-oracle"):
         "f21088cf0a208816608236a4897b050ae9ab7a5ad200233ab7af54512ee23b32",
-    # full fiber enumeration at p = 5
+    # adds the fiber join at p = 5, whose counts the document carries
     ("verify-locus", "--prime", "5", "--full-oracle"):
         "4e4d6f3b718b6a91945078731943f870efbd185a779d696baef33e15021f8033",
     # --full-oracle adds nothing at p = 7: the same document as without it
@@ -508,8 +511,13 @@ def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
 
 
 def fail_kernel_route(monkeypatch):
-    def boom(*args):
-        raise RuntimeError("injected")
+    # at p = 7 only: the kernel route runs at every prime
+    real = locus_module._ranks_mod_p
+
+    def boom(stack, p):
+        if p == 7:
+            raise RuntimeError("injected")
+        return real(stack, p)
 
     monkeypatch.setattr(locus_module, "_ranks_mod_p", boom)
 

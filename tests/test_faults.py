@@ -111,6 +111,47 @@ def test_corrupted_raw_oracle_map_of_one_plane_p3(monkeypatch, capsys):
     assert "verdict: FAIL" in out
 
 
+def test_kernel_count_numerator_plus_one_is_caught_by_the_join(monkeypatch, capsys):
+    # p**d + 1 for p**d - 1 floors to the same count at p = 5, 7 (d <= 2), so
+    # only the join, which also counts every plane at p = 2, 3, catches it
+    def mutant(p, matrices):
+        return (p ** (10 - locus_module._ranks_mod_p(matrices, p)) + 1) // (p - 1)
+
+    monkeypatch.setattr(locus_module, "_kernel_counts", mutant)
+    assert cli.main(["verify", "--primes", "2,3,5,7"]) == 1
+    out = capsys.readouterr().out
+    assert "! plane 0: enumerate count 3, kernel count 5\n" in out
+    assert "det-zero count" not in out  # the method's counts are right
+    assert out.endswith("verdict: FAIL\n")
+
+
+def test_rank_one_short_at_p3_is_caught_by_the_join(monkeypatch, capsys):
+    real = locus_module._ranks_mod_p
+
+    def one_short(stack, p):
+        ranks = real(stack, p)
+        if p == 3:
+            ranks[100] -= 1
+        return ranks
+
+    monkeypatch.setattr(locus_module, "_ranks_mod_p", one_short)
+    assert cli.main(["verify", "--primes", "2,3,5,7"]) == 1
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if "!" in line] == [
+        f"{'':<13}! plane 100: enumerate count 0, kernel count 1"]
+    assert out.endswith("verdict: FAIL\n")
+
+
+def test_join_count_off_by_one_at_p5_is_caught_by_the_kernel_route(monkeypatch, capsys):
+    real = locus_module._join_count
+    monkeypatch.setattr(locus_module, "_join_count", lambda *args: real(*args) + 1)
+    assert cli.main(["verify", "--primes", "5", "--full-oracle"]) == 1
+    out = capsys.readouterr().out
+    assert "! plane 0: enumerate count 7, kernel count 6\n" in out
+    assert out.count(", kernel count ") == 806  # every plane at p = 5
+    assert out.endswith("verdict: FAIL\n")
+
+
 def test_wrong_expected_detzero(monkeypatch, capsys):
     real = locus_module.expected_detzero
 

@@ -402,21 +402,50 @@ def test_expected_x_is_the_sum_over_kinds():
                 + (p + 1) * by_kind[KINDS.index(SHARED_LEFT)]) == expected_x_count(p)
 
 
-def test_sweep_method_gating():
-    # a sweep takes its count route, and under full_oracle whether the raw
-    # oracle runs, from its prime's SWEEP_ROUTES row; the report digests pin the rows
+def route_block(p: int, full_oracle: bool) -> int:
+    """The largest block of the count routes a sweep runs at p: 144
+    action-matrix entries a plane for the kernel route, p**5 half-vectors
+    for the join."""
+    blocks = {"kernel": 144, "enumerate": p**5}
+    return max(blocks[route] for route in SWEEP_ROUTES[p][full_oracle] if route in blocks)
+
+
+def test_sweep_method_gating(monkeypatch):
+    # a sweep runs every route of its prime's SWEEP_ROUTES row, without or
+    # with full_oracle, on every counted plane; the first is the report's method
     assert SUPPORTED_PRIMES == tuple(SWEEP_ROUTES)
-    # sweep_locus picks both its block size and its counter by method == "kernel"
-    # and joins under any other name, so a mistyped route name must fail here
-    assert {route for row in SWEEP_ROUTES.values() for route in row[:2]} <= {"kernel", "enumerate"}
-    # the raw column is a bool: any other truthy value would read as True
-    assert all(type(row[2]) is bool for row in SWEEP_ROUTES.values())
-    for p in (2, 3, 5):
-        plain, oracle, raw = SWEEP_ROUTES[p]
-        for full_oracle, method in ((False, plain), (True, oracle)):
+    for row in SWEEP_ROUTES.values():
+        # two tuples of names, and no bool: sweep_locus looks each route up
+        # by name, so a mistyped name must fail here
+        assert len(row) == 2 and all(type(routes) is tuple for routes in row)
+        for routes in row:
+            assert set(routes) <= {"kernel", "enumerate", "raw"}
+            assert len(set(routes)) == len(routes)
+            assert routes[0] in ("kernel", "enumerate")  # the method is a count route
+            assert "kernel" in routes  # the kernel route runs at every prime
+        plain, oracle = row
+        assert set(plain) <= set(oracle)  # --full-oracle only adds routes
+    real_kernel, real_join, counted = locus_module._kernel_counts, locus_module._join_count, {}
+
+    def kernel_counts(p, matrices):
+        counted["kernel"] = counted.get("kernel", 0) + len(matrices)
+        return real_kernel(p, matrices)
+
+    def join_count(*args):
+        counted["enumerate"] = counted.get("enumerate", 0) + 1
+        return real_join(*args)
+
+    monkeypatch.setattr(locus_module, "_kernel_counts", kernel_counts)
+    monkeypatch.setattr(locus_module, "_join_count", join_count)
+    for p in SUPPORTED_PRIMES:
+        for full_oracle in (False, True):
+            routes = SWEEP_ROUTES[p][full_oracle]
+            counted.clear()
             sweep = sweep_locus(p, full_oracle=full_oracle)
-            assert sweep.method == method and not sweep.failures
-            if full_oracle and raw:  # the raw oracle checks every counted plane
+            assert sweep.method == routes[0] and not sweep.failures
+            # each count route counted each plane once
+            assert counted == {route: grass_count(p) for route in routes if route != "raw"}
+            if "raw" in routes:  # the raw oracle checks every counted plane
                 assert len(sweep.raw_counts) == len(sweep.plane_index) == grass_count(p)
             else:
                 assert sweep.raw_counts is None
@@ -534,7 +563,7 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert sweep.method == ("kernel" if p == 7 else "enumerate") and not sweep.failures
     assert sum(calls) == grass_count(p)
-    assert max(calls) <= KEY_BLOCK // (p**5 if sweep.method == "enumerate" else 144)
+    assert max(calls) <= KEY_BLOCK // route_block(p, full_oracle)
 
 
 @pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
@@ -562,8 +591,8 @@ def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p,
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert calls == [len(bases)] and not sweep.failures
     monkeypatch.setattr(locus_module, "action_matrices", counting_blocks)
-    monkeypatch.setattr(locus_module, "KEY_BLOCK",
-                        7 * (p**5 if sweep.method == "enumerate" else 144))
+    # blocks of 7 planes of the row's largest route block
+    monkeypatch.setattr(locus_module, "KEY_BLOCK", 7 * route_block(p, full_oracle))
     in_blocks_of_7 = sweep_locus(p, full_oracle=full_oracle)
     assert calls == [len(bases)] * 2 and not in_blocks_of_7.failures
     assert blocks == [7] * (len(bases) // 7) + [len(bases) % 7] * (len(bases) % 7 > 0)
