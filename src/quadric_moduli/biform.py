@@ -114,7 +114,7 @@ class BiForm:
                 out[idx] = field.add(out[idx], field.mul(c1, c2))
         return BiForm(field, a, b, out)
 
-    # -- equality, display -----------------------------------------------
+    # -- equality, repr --------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -125,22 +125,5 @@ class BiForm:
             and self.coeffs == other.coeffs
         )
 
-    def __str__(self) -> str:
-        parts = []
-        for (i, j), c in self.terms():
-            factors = []
-            for var, exp in (("x", self.a - i), ("y", i), ("z", self.b - j), ("w", j)):
-                if exp == 1:
-                    factors.append(var)
-                elif exp > 1:
-                    factors.append(f"{var}^{exp}")
-            if not factors:
-                parts.append(str(c))
-            elif c == self.field.one:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
-        return " + ".join(parts) if parts else "0"
-
     def __repr__(self) -> str:
-        return f"BiForm({self.field!r}, ({self.a}, {self.b}), {self})"
+        return f"BiForm({self.field!r}, {self.a}, {self.b}, {self.coeffs})"

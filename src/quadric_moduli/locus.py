@@ -33,10 +33,10 @@ by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p (int32 up
 to p = 5) for a block of planes at once, and the coinciding keys are
 counted plane by plane.  The raw oracle keys and joins all p^12 first-column
-pairs the same way, for every counted plane at once, and its counts are one
-more column.  Its maps come from a second table of unit form products,
-which shares nothing with the action tensors, so no sweep multiplies forms
-per plane.  A sweep runs in one process, over the planes in fixed order.
+pairs the same way, block by block like every other route, and its counts
+are one more column.  Its maps come from a second table of unit form
+products, which shares nothing with the action tensors, so no sweep
+multiplies forms per plane.  A sweep runs in one process, over the planes in fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -52,10 +52,11 @@ import numpy as np
 from .betti import SUPPORTED_PRIMES, SWEEP_ROUTES, expected_x_count, generic_orbit_sizes
 from .biform import ZZ, BiForm
 
-#: Most half-vectors whose images the enumeration route keys at once, and
-#: most action-matrix entries the kernel route row-reduces at once: a sweep
-#: contracts and counts one block at a time, sized by its row's larger route
-#: block: every plane at p = 2, 3, 20 at p = 5 with the join, else 455.
+#: Most half-vectors whose images the enumeration route or the raw oracle
+#: keys at once, and most action-matrix entries the kernel route row-reduces
+#: at once: a sweep contracts and counts one block at a time, sized by its
+#: row's largest route block: every plane at p = 2, and at p = 3 without the
+#: raw oracle, 89 at p = 3 with it, 20 at p = 5 with the join, else 455.
 KEY_BLOCK = 2**16
 
 GENERIC = "generic"
@@ -395,7 +396,7 @@ class LocusSweep:
     the preconditions of the counts, in plane_bases order, holding its index
     in plane_bases(p) (int32), basis (int16), kind code and rank1_lines
     (int8), shared point (int16) and det-zero count (int64), and the raw
-    count (int64) where the raw oracle ran, None where it did not;
+    count (int64) where the raw oracle runs, None where it does not;
     everything else is derived from these columns.  worker_failure names
     the per-plane count that raised, if one did: the sweep then stops there
     and holds the planes counted before it.  A plain class, so that no command imports
@@ -405,13 +406,12 @@ class LocusSweep:
                  "shared_points", "detzero_counts", "raw_counts", "failures", "worker_failure")
 
     def __init__(self, p: int, method: str, plane_index, bases, kinds, rank1_lines,
-                 shared_points, detzero_counts, failures: list[str],
+                 shared_points, detzero_counts, raw_counts, failures: list[str],
                  worker_failure: str | None = None):
         self.p, self.method, self.plane_index, self.bases = p, method, plane_index, bases
         self.kinds, self.rank1_lines, self.shared_points = kinds, rank1_lines, shared_points
-        self.detzero_counts, self.failures = detzero_counts, failures
-        self.worker_failure = worker_failure
-        self.raw_counts: np.ndarray | None = None
+        self.detzero_counts, self.raw_counts = detzero_counts, raw_counts
+        self.failures, self.worker_failure = failures, worker_failure
 
     @property
     def x_count(self) -> int:
@@ -450,33 +450,36 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
     A sweep has three stages: plane_bases' int16 table, one classify_planes
     pass over all of it, and the counted blocks of KEY_BLOCK // b planes,
     where b is the row's largest route block: 144 action-matrix entries a
-    plane for the kernel route, p**5 half-vectors for the join.  Each block
-    gets one contraction of the action tensors and one _k_pivots pass,
-    whose dimensions feed the mask and whose pivots the join.  The mask
+    plane for the kernel route, p**5 half-vectors for the join and p**6 for
+    the raw oracle.  Each block gets one contraction of the action tensors
+    and one _k_pivots pass, whose dimensions feed the mask and whose pivots
+    the join.  The mask
     holds back each plane whose kind is unknown, whose K does not have
     dimension 2, or whose K leaves the kernel of its action: it gets one
     line in `failures`, in plane order, and no row, and no route counts it.
-    Every count route counts the kept planes, the first last; each plane
-    where another route's count differs from the first's gets one line.  The raw
-    oracle takes the basis rows of all counted planes at once.  If a count
-    raises, the sweep stops at that plane (the kernel route before the first
-    plane of its block) and is returned partial, with the rows that every
-    route counted, the message in `worker_failure` and in `failures`, no
-    failure line of a later block and no raw oracle run; mismatches never
-    raise here, they are recorded in `failures`.
+    Every route counts the kept planes, the first last, the raw oracle from
+    their basis rows; each plane where another count route's count differs
+    from the first's gets one line.  If a count raises, the sweep stops at
+    that plane (the kernel route and the raw oracle before the first plane
+    of its block) and is returned partial, with the rows that every route
+    counted, the message in `worker_failure` and in `failures`, and no
+    failure line of a later block; an AssertionError, a broken table
+    invariant, propagates.  Mismatches never raise here, they are recorded
+    in `failures`.
     """
     bases = plane_bases(p)
-    routes = SWEEP_ROUTES[p][full_oracle]
-    count_routes = {  # a plane's block entries; counts that look up module names per call
-        "kernel": (144, lambda matrices, pivots: _kernel_counts(p, matrices).tolist()),
-        "enumerate": (p**5, lambda matrices, pivots: _join_counts(p, matrices, pivots))}
-    counts = {route: [] for route in routes if route in count_routes}
-    step = KEY_BLOCK // max(count_routes[route][0] for route in counts)
+    routes = {  # a plane's block entries, and counts from a block's kept rows, looked up per call
+        "kernel": (144, lambda block, matrices, pivots: _kernel_counts(p, matrices).tolist()),
+        "enumerate": (p**5, lambda block, matrices, pivots: _join_counts(p, matrices, pivots)),
+        "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block))}
+    counts = {route: [] for route in SWEEP_ROUTES[p][full_oracle]}
+    step = KEY_BLOCK // max(routes[route][0] for route in counts)
     kinds, rank1_lines, shared_points = classify_planes(p, bases)
     countable = kinds >= 0
     failures, worker_failure = [], None
     for start in range(0, len(bases), step):
-        matrices, k_bases = action_matrices(p, bases[start:start + step])
+        block = bases[start:start + step]
+        matrices, k_bases = action_matrices(p, block)
         dims, pivots = _k_pivots(p, k_bases)
         kept = countable[start:start + step]  # a view: the mask is set block by block
         kept &= (dims == 2) & _factoring_ok(p, matrices, k_bases)
@@ -484,21 +487,24 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
             plane = f"plane {start + offset}: "
             if kinds[start + offset] < 0:
                 failures.append(plane + "rank-one plane with basis rows "
-                                f"{bases[start + offset].tolist()} shares neither factor")
+                                f"{block[offset].tolist()} shares neither factor")
             elif dims[offset] != 2:
                 failures.append(plane + f"factoring subspace K has dimension {dims[offset]}")
             else:
                 failures.append(plane + "factoring first-columns must have zero determinant")
         if not kept.all():  # copy the stacks only where a plane is held back
-            matrices, pivots = matrices[kept], pivots[kept]
+            block, matrices, pivots = block[kept], matrices[kept], pivots[kept]
         try:  # the first route last, so that a join that raises keeps the planes it counted
             for route in reversed(counts):
-                counts[route].extend(count_routes[route][1](matrices, pivots))
+                counts[route].extend(routes[route][1](block, matrices, pivots))
+        except AssertionError:  # a broken table invariant is an internal error
+            raise
         except Exception as exc:
             index = np.flatnonzero(countable)[len(counts[route])]
             worker_failure = f"worker failed on plane {index}: {exc}"
             break
     rows = np.flatnonzero(countable)[:min(map(len, counts.values()))]
+    raw = counts.pop("raw", None)
     method, *others = counts
     first = counts[method][:len(rows)]
     for route in others:
@@ -506,13 +512,11 @@ def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> Locus
                      for row, (a, b) in enumerate(zip(first, counts[route])) if a != b]
     sweep = LocusSweep(p, method, rows.astype(np.int32), bases[rows], kinds[rows],
                        rank1_lines[rows], shared_points[rows], np.asarray(first, dtype=np.int64),
+                       None if raw is None else np.asarray(raw[:len(rows)], dtype=np.int64),
                        failures=failures, worker_failure=worker_failure)
     if worker_failure is not None:
         sweep.failures.append(worker_failure)
         return sweep
-
-    if "raw" in routes:
-        sweep.raw_counts = np.array(raw_oracle_counts(p, sweep.bases), dtype=np.int64)
     _collect_failures(sweep)
     return sweep
 

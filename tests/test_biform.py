@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from quadric_moduli.biform import BiForm
+from quadric_moduli.biform import ZZ, BiForm
 from form_reference import (
     GF, QQ, PhiMatrix, add, det2, factorization_test, is_zero, linear_xy, linearly_independent,
     mul_right_linear, rank1_test, scale,
@@ -76,6 +76,12 @@ def test_scale():
     assert scale(xz, Fraction(3, 2)).coeffs == (Fraction(3, 2), 0, 0, 0)
     assert is_zero(scale(xz, 0))
     assert scale(xz, 2) == add(xz, xz)
+
+
+def test_repr_round_trips_through_eval():
+    f = BiForm.monomial(ZZ, 1, 2, 0, 1)
+    assert repr(f) == "BiForm(ZZ, 1, 2, (0, 1, 0, 0, 0, 0))"
+    assert eval(repr(f), {"BiForm": BiForm, "ZZ": ZZ}) == f
 
 
 # -- multiplication -----------------------------------------------------------

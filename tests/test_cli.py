@@ -539,6 +539,42 @@ def test_verify_locus_kernel_route_failure_exit_3(monkeypatch, capsys):
     assert doc["worker_failure"] == "worker failed on plane 0: injected"
 
 
+def fail_raw_oracle(monkeypatch, calls_before: int) -> list:
+    # the raw oracle is a route of the block loop: it counts block by block,
+    # and a count that raises stops the sweep at its block
+    real, calls = locus_module.raw_oracle_counts, []
+
+    def flaky(p, rows):
+        calls.append(p)
+        if len(calls) > calls_before:
+            raise RuntimeError("injected")
+        return real(p, rows)
+
+    monkeypatch.setattr(locus_module, "raw_oracle_counts", flaky)
+    return calls
+
+
+def test_raw_oracle_failure_stops_the_run_exit_3(monkeypatch, capsys):
+    calls = fail_raw_oracle(monkeypatch, 0)
+    assert cli.main(["verify", "--primes", "2,3", "--full-oracle"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert "worker failure: worker failed on plane 0: injected" in lines
+    assert calls == [2] and not any(line.startswith("locus p=3") for line in lines)
+    assert lines[-1] == "verdict: FAIL"
+
+
+def test_raw_oracle_failure_in_a_later_block_keeps_earlier_blocks_exit_3(monkeypatch, capsys):
+    # at p = 3 the raw oracle counts 89 planes a block
+    calls = fail_raw_oracle(monkeypatch, 1)
+    assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == [3, 3]
+    assert doc["worker_failure"] == "worker failed on plane 89: injected"
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(89))
+    assert all(fiber["raw_ok"] is True for fiber in doc["fibers"])
+    assert doc["summary"]["ok"] is False
+
+
 @pytest.mark.parametrize("argv", list(PARTIAL_REPORT_DIGESTS),
                          ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
 def test_partial_report_bytes_are_pinned(monkeypatch, capsys, argv):

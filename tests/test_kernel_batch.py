@@ -178,10 +178,13 @@ def test_sweep_memory_is_bounded_by_a_block():
     # (0.56 MB traced; 0.61 MB with each block classified on its own, 0.71 MB
     # with 56-byte rows, 3 MB with it all contracted at once); the join keys
     # all 130 planes at p = 3 (0.65 MB) and 20 at p = 5 with full_oracle
-    # (1.08 MB), in int32 (0.95 and 1.79 MB in int64)
+    # (1.08 MB), in int32 (0.95 and 1.79 MB in int64); with full_oracle at
+    # p = 3 the raw oracle keys 89 planes at a time (1.12 MB; 1.63 MB with
+    # all 130 at once)
     _integer_action_tensors()
     peaks = {}
-    for p, full_oracle, bound in ((3, False, 0.8e6), (5, True, 1.35e6), (7, False, 0.7e6)):
+    for p, full_oracle, bound in ((3, False, 0.8e6), (3, True, 1.3e6), (5, True, 1.35e6),
+                                  (7, False, 0.7e6)):
         tracemalloc.start()
         try:
             sweep_locus(p, full_oracle=full_oracle)

@@ -403,11 +403,11 @@ def test_expected_x_is_the_sum_over_kinds():
 
 
 def route_block(p: int, full_oracle: bool) -> int:
-    """The largest block of the count routes a sweep runs at p: 144
-    action-matrix entries a plane for the kernel route, p**5 half-vectors
-    for the join."""
-    blocks = {"kernel": 144, "enumerate": p**5}
-    return max(blocks[route] for route in SWEEP_ROUTES[p][full_oracle] if route in blocks)
+    """The largest block of the routes a sweep runs at p: 144 action-matrix
+    entries a plane for the kernel route, p**5 half-vectors for the join and
+    p**6 for the raw oracle."""
+    blocks = {"kernel": 144, "enumerate": p**5, "raw": p**6}
+    return max(blocks[route] for route in SWEEP_ROUTES[p][full_oracle])
 
 
 def test_sweep_method_gating(monkeypatch):
@@ -514,8 +514,9 @@ def test_sweep_is_deterministic(sweep2):
     (7, False, 0), (5, False, 0), (5, True, 0), (2, False, 0), (2, True, 35), (3, True, 130),
 ])
 def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, targets):
-    # the sweep stays in columns: it builds the raw oracle's maps once, for
-    # the basis rows of every counted plane, and only in a full-oracle sweep at 2, 3
+    # the sweep stays in columns: it builds the raw oracle's maps block by
+    # block, for the basis rows of the counted planes, and only in a
+    # full-oracle sweep at 2, 3
     real = locus_module.raw_oracle_maps
     calls = []
 
@@ -527,7 +528,9 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
     sweep = sweep_locus(p, full_oracle=full_oracle)
     assert not sweep.failures
     if targets:
-        assert len(sweep.raw_counts) == targets and calls == [sweep.bases.tolist()]
+        assert len(sweep.raw_counts) == targets
+        assert sum(calls, []) == sweep.bases.tolist()
+        assert max(map(len, calls)) <= KEY_BLOCK // p**6
     else:
         assert sweep.raw_counts is None and calls == []
 
@@ -535,7 +538,8 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
     # past the cached action tensors, a full-oracle sweep multiplies forms
-    # only in the 24 unit products of the raw table, all over ZZ
+    # only in the 24 unit products of the raw table, all over ZZ, once per
+    # raw block: one block at p = 2, two at p = 3
     sweep_locus(p, full_oracle=True)
     real, fields = BiForm.__mul__, []
 
@@ -545,10 +549,11 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
 
     monkeypatch.setattr(BiForm, "__mul__", counting)
     assert not sweep_locus(p, full_oracle=True).failures
-    assert fields == [ZZ] * 24
+    assert fields == [ZZ] * 24 * {2: 1, 3: 2}[p]
 
 
-@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
+@pytest.mark.parametrize("p,full_oracle",
+                         [(2, False), (3, False), (3, True), (5, True), (7, False)])
 def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
     # every plane reaches _k_pivots exactly once, in the block whose pass
     # gives both the mask's dimensions and the join's pivots
@@ -566,7 +571,8 @@ def test_sweep_finds_k_pivots_once(monkeypatch, p, full_oracle):
     assert max(calls) <= KEY_BLOCK // route_block(p, full_oracle)
 
 
-@pytest.mark.parametrize("p,full_oracle", [(2, False), (3, False), (5, True), (7, False)])
+@pytest.mark.parametrize("p,full_oracle",
+                         [(2, False), (3, False), (3, True), (5, True), (7, False)])
 def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p, full_oracle):
     # the sweep classifies the whole table in one classify_planes call and
     # counts it block by block; passes over blocks of 7 planes, of
@@ -603,7 +609,10 @@ def test_sweep_classifies_block_by_block_as_over_the_whole_table(monkeypatch, p,
             assert column.dtype == expected.dtype
             assert np.array_equal(column, expected) and np.array_equal(in_sevens, expected)
     assert np.array_equal(in_blocks_of_7.detzero_counts, sweep.detzero_counts)
-    assert in_blocks_of_7.raw_counts == sweep.raw_counts
+    if sweep.raw_counts is None:
+        assert in_blocks_of_7.raw_counts is None
+    else:
+        assert np.array_equal(in_blocks_of_7.raw_counts, sweep.raw_counts)
 
 
 @pytest.mark.parametrize("p", [2, 7])
