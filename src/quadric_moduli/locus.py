@@ -15,11 +15,9 @@ A sweep's result stays in columns, one row per plane, from the table to
 the rendered fiber reports.  Each decision of the plane layer (the kind
 of a plane, the count its kind predicts, the kernel-route count and the
 check of K) has one implementation, which works on arrays of planes.
-Every route of a prime's row counts the same planes, each against the
-first.  Before any route counts, one mask holds back every plane that
-breaks a precondition of the counts: its kind is unknown, its K does not
-have dimension 2, or K leaves the kernel of its action.  Such a plane gets
-one failure line and no row, so a bad plane never stops a sweep.
+count_planes, the one block loop, counts any stack of planes by every named
+route, each against the first, after holding back each plane that breaks a
+precondition of the counts with one failure line, so it never stops a sweep.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -346,14 +344,17 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     return (p ** (10 - _ranks_mod_p(matrices, p)) - 1) // (p - 1)
 
 
+@functools.cache
 def _raw_products() -> np.ndarray:
     """BiForm's products of the six (1, 2)-monomials with the four unit
-    (1, 1)-forms over ZZ, as a (4, 6, 12) int16 table: [u, k] holds the
-    coefficients of the k-th monomial times the u-th unit.  A product of
-    monomials is a monomial, so every entry is 0 or 1."""
+    (1, 1)-forms over ZZ, as a read-only (4, 6, 12) int16 table, built once:
+    [u, k] holds the coefficients of the k-th monomial times the u-th unit.
+    A product of monomials is a monomial, so every entry is 0 or 1."""
     units = [BiForm.monomial(ZZ, 1, 1, i, j) for i in range(2) for j in range(2)]
     monomials = _first_column_monomials(ZZ)
-    return np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int16)
+    products = np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int16)
+    products.flags.writeable = False
+    return products
 
 
 def raw_oracle_maps(p: int, bases) -> np.ndarray:
@@ -440,108 +441,107 @@ class LocusSweep:
         return self.raw_counts == p * p + self.detzero_counts * (p - 1) * p * p
 
 
-# `workers` is accepted and ignored: bench/run.py's _sweep_time is the only caller passing it
-def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
-    """Classify every plane, count det-zero fiber points, and verify the
-    totals, by every route of the prime's SWEEP_ROUTES row without or with
-    full_oracle: each count route on every counted plane, the first giving
-    the method and det-zero counts, and "raw" the raw p^12 oracle.
-
-    A sweep has three stages: plane_bases' int16 table, one classify_planes
-    pass over all of it, and the counted blocks of KEY_BLOCK // b planes,
-    where b is the row's largest route block: 144 action-matrix entries a
-    plane for the kernel route, p**5 half-vectors for the join and p**6 for
-    the raw oracle.  Each block gets one contraction of the action tensors
-    and one _k_pivots pass, whose dimensions feed the mask and whose pivots
-    the join.  The mask
-    holds back each plane whose kind is unknown, whose K does not have
-    dimension 2, or whose K leaves the kernel of its action: it gets one
-    line in `failures`, in plane order, and no row, and no route counts it.
-    Every route counts the kept planes, the first last, the raw oracle from
-    their basis rows; each plane where another count route's count differs
-    from the first's gets one line.  If a count raises, the sweep stops at
-    that plane (the kernel route and the raw oracle before the first plane
-    of its block) and is returned partial, with the rows that every route
-    counted, the message in `worker_failure` and in `failures`, and no
-    failure line of a later block; an AssertionError, a broken table
-    invariant, propagates.  Mismatches never raise here, they are recorded
-    in `failures`.
-    """
-    bases = plane_bases(p)
-    routes = {  # a plane's block entries, and counts from a block's kept rows, looked up per call
+def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
+    """Count the fibers over an (N, 2, 4) int16 stack of plane bases,
+    echelon or not, with their kind codes, by each named route: "kernel" and
+    "enumerate" count det-zero points, "raw" the raw p^12 pairs.  The planes
+    run in blocks of KEY_BLOCK // b, b the largest route block: 144
+    action-matrix entries a plane for the kernel route, p**5 half-vectors
+    for the join, p**6 for the raw oracle.  Each block gets one contraction
+    of the action tensors and one _k_pivots pass, whose dimensions feed the
+    mask and whose pivots the join.  The mask holds back each plane whose
+    kind is unknown, whose K does not have dimension 2, or whose K leaves
+    the kernel of its action.  Every route counts the kept planes, the first
+    last, the raw oracle from their basis rows.  A count that raises stops
+    at that plane (the kernel route and the raw oracle before the first
+    plane of its block); an AssertionError, a broken table invariant,
+    propagates.  Returns (rows, counts, failures, worker_failure): the
+    indices into bases of the planes every route counted; per route, an
+    int64 column aligned with rows; a line per held-back plane in plane
+    order, then one per plane where another count route differs from the
+    first; and the message of the count that raised, or None."""
+    table = {  # a plane's block entries, and counts from a block's kept rows, looked up per call
         "kernel": (144, lambda block, matrices, pivots: _kernel_counts(p, matrices).tolist()),
         "enumerate": (p**5, lambda block, matrices, pivots: _join_counts(p, matrices, pivots)),
         "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block))}
-    counts = {route: [] for route in SWEEP_ROUTES[p][full_oracle]}
-    step = KEY_BLOCK // max(routes[route][0] for route in counts)
-    kinds, rank1_lines, shared_points = classify_planes(p, bases)
-    countable = kinds >= 0
+    columns = {route: [] for route in routes}
+    step = KEY_BLOCK // max(table[route][0] for route in routes)
+    kept = np.zeros(len(bases), dtype=bool)
     failures, worker_failure = [], None
     for start in range(0, len(bases), step):
         block = bases[start:start + step]
         matrices, k_bases = action_matrices(p, block)
         dims, pivots = _k_pivots(p, k_bases)
-        kept = countable[start:start + step]  # a view: the mask is set block by block
-        kept &= (dims == 2) & _factoring_ok(p, matrices, k_bases)
-        for offset in np.flatnonzero(~kept).tolist():
-            plane = f"plane {start + offset}: "
+        mask = (kinds[start:start + step] >= 0) & (dims == 2) & _factoring_ok(p, matrices, k_bases)
+        kept[start:start + step] = mask
+        for offset in np.flatnonzero(~mask).tolist():
             if kinds[start + offset] < 0:
-                failures.append(plane + "rank-one plane with basis rows "
-                                f"{block[offset].tolist()} shares neither factor")
+                reason = (f"rank-one plane with basis rows {block[offset].tolist()} "
+                          "shares neither factor")
             elif dims[offset] != 2:
-                failures.append(plane + f"factoring subspace K has dimension {dims[offset]}")
+                reason = f"factoring subspace K has dimension {dims[offset]}"
             else:
-                failures.append(plane + "factoring first-columns must have zero determinant")
-        if not kept.all():  # copy the stacks only where a plane is held back
-            block, matrices, pivots = block[kept], matrices[kept], pivots[kept]
+                reason = "factoring first-columns must have zero determinant"
+            failures.append(f"plane {start + offset}: {reason}")
+        if not mask.all():  # copy the stacks only where a plane is held back
+            block, matrices, pivots = block[mask], matrices[mask], pivots[mask]
         try:  # the first route last, so that a join that raises keeps the planes it counted
-            for route in reversed(counts):
-                counts[route].extend(routes[route][1](block, matrices, pivots))
+            for route in reversed(routes):
+                columns[route].extend(table[route][1](block, matrices, pivots))
         except AssertionError:  # a broken table invariant is an internal error
             raise
         except Exception as exc:
-            index = np.flatnonzero(countable)[len(counts[route])]
+            index = np.flatnonzero(kept)[len(columns[route])]
             worker_failure = f"worker failed on plane {index}: {exc}"
             break
-    rows = np.flatnonzero(countable)[:min(map(len, counts.values()))]
-    raw = counts.pop("raw", None)
-    method, *others = counts
-    first = counts[method][:len(rows)]
-    for route in others:
-        failures += [f"plane {rows[row]}: {method} count {a}, {route} count {b}"
-                     for row, (a, b) in enumerate(zip(first, counts[route])) if a != b]
-    sweep = LocusSweep(p, method, rows.astype(np.int32), bases[rows], kinds[rows],
-                       rank1_lines[rows], shared_points[rows], np.asarray(first, dtype=np.int64),
-                       None if raw is None else np.asarray(raw[:len(rows)], dtype=np.int64),
-                       failures=failures, worker_failure=worker_failure)
+    rows = np.flatnonzero(kept)[:min(map(len, columns.values()))]
+    counts = {route: np.array(column[:len(rows)], dtype=np.int64)
+              for route, column in columns.items()}
+    for route in routes[1:]:
+        if route != "raw":  # raw counts pairs, which the coset identity checks
+            failures += [f"plane {index}: {routes[0]} count {a}, {route} count {b}"
+                         for index, a, b in zip(rows.tolist(), counts[routes[0]], counts[route])
+                         if a != b]
+    return rows, counts, failures, worker_failure
+
+
+# `workers` is kept for bench/run.py's sweep_locus(workers=) call, which CI's smoke step runs
+def sweep_locus(p: int, *, workers: int = 1, full_oracle: bool = False) -> LocusSweep:
+    """Classify every plane, count det-zero fiber points, and verify the
+    totals, by every route of the prime's SWEEP_ROUTES row without or with
+    full_oracle: plane_bases' int16 table, one classify_planes pass over it,
+    and count_planes, whose first route gives the method and det-zero counts
+    and whose "raw" route the raw counts.  Then each row is checked against
+    its kind and the coset identity, and the orbit tallies and X against
+    their formulas, unless a count raised: the sweep is then returned
+    partial, its message in `worker_failure` and last in `failures`.
+    Mismatches never raise here, they are recorded in `failures`."""
+    bases = plane_bases(p)
+    kinds, rank1_lines, shared_points = classify_planes(p, bases)
+    routes = SWEEP_ROUTES[p][full_oracle]
+    rows, counts, failures, worker_failure = count_planes(p, bases, kinds, routes)
+    sweep = LocusSweep(p, routes[0], rows.astype(np.int32), bases[rows], kinds[rows],
+                       rank1_lines[rows], shared_points[rows], counts[routes[0]],
+                       counts.get("raw"), failures, worker_failure)
     if worker_failure is not None:
-        sweep.failures.append(worker_failure)
+        failures.append(worker_failure)
         return sweep
-    _collect_failures(sweep)
-    return sweep
-
-
-def _collect_failures(sweep: LocusSweep):
-    p = sweep.p
-    counts, expected, raw_ok = sweep.detzero_counts, sweep.expected_counts, sweep.raw_ok
-    for row in np.flatnonzero((counts != expected) | ~raw_ok).tolist():
+    detzero, expected, raw_ok = sweep.detzero_counts, sweep.expected_counts, sweep.raw_ok
+    for row in np.flatnonzero((detzero != expected) | ~raw_ok).tolist():
         index = sweep.plane_index[row]
-        if counts[row] != expected[row]:
-            sweep.failures.append(f"plane {index} ({KINDS[sweep.kinds[row]]}): "
-                                  f"det-zero count {counts[row]}, expected {expected[row]}")
+        if detzero[row] != expected[row]:
+            failures.append(f"plane {index} ({KINDS[sweep.kinds[row]]}): "
+                            f"det-zero count {detzero[row]}, expected {expected[row]}")
         if not raw_ok[row]:
-            sweep.failures.append(f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
-                                  f"breaks the coset identity")
+            failures.append(f"plane {index}: raw sweep count {sweep.raw_counts[row]} "
+                            f"breaks the coset identity")
     # the five GL2 x GL2 orbits of planes
     generic = np.bincount(sweep.rank1_lines[sweep.kinds == KINDS.index(GENERIC)], minlength=3)
     orbits = [(f"generic planes with rank1_lines = {lines}", generic[lines], size)
               for lines, size in generic_orbit_sizes(p).items()]
-    orbits += [(f"{kind} planes", sweep.tallies[kind], p + 1)
-               for kind in (SHARED_RIGHT, SHARED_LEFT)]
-    for label, count, size in orbits:
-        if count != size:
-            sweep.failures.append(f"{count} {label}, expected {size}")
+    orbits += [(f"{kind} planes", sweep.tallies[kind], p + 1) for kind in KINDS[1:]]
+    failures += [f"{count} {label}, expected {size}" for label, count, size in orbits
+                 if count != size]
     if sweep.x_count != sweep.expected_x:
-        sweep.failures.append(
-            f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
-
+        failures.append(f"det-zero total {sweep.x_count}, expected {sweep.expected_x}")
+    return sweep

@@ -45,7 +45,7 @@ def test_dropped_raw_product_entry(monkeypatch, capsys, entry):
     real = locus_module._raw_products
 
     def dropped():
-        table = real()
+        table = real().copy()
         table[entry] = 0
         return table
 
@@ -63,7 +63,7 @@ def test_inserted_raw_product_entry_stops_the_run(monkeypatch, capsys):
     assert len(zeros) == 264
     for entry in zeros:
         def inserted(entry=entry):
-            table = real()
+            table = real().copy()
             table[entry] = 1
             return table
 

@@ -18,9 +18,8 @@ from quadric_moduli.biform import BiForm
 from quadric_moduli.betti import projective_count
 from quadric_moduli.locus import (
     GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, _affine_vectors, _coinciding_pairs,
-    _factoring_ok, _image_keys, _join_counts, _k_pivots, _k_rows,
-    _kernel_counts, action_matrices, classify_planes, det_action_matrix, plane_bases,
-    raw_oracle_counts, sweep_locus,
+    _image_keys, _k_pivots, _k_rows, action_matrices, classify_planes, count_planes,
+    det_action_matrix, plane_bases, raw_oracle_counts, sweep_locus,
 )
 from form_reference import GF
 from plane_reference import (
@@ -138,20 +137,29 @@ def test_complement_columns_equal_echelon_pivots(reverse):
     assert _k_pivots(p, degenerate)[0].tolist() == [1, 0]
 
 
-def test_join_counts_over_a_partial_last_block():
-    # the sweep hands the join blocks of 20 planes at p = 5, so its 806
-    # planes under --full-oracle end in a partial block of 6; 45 planes
-    # likewise leave 5, and the join counts any number of planes at once
+def test_join_counts_over_a_partial_last_block(monkeypatch):
+    # the join takes blocks of KEY_BLOCK // p**5 = 20 planes at p = 5, so the
+    # sweep's 806 planes under --full-oracle end in a partial block of 6;
+    # 45 planes likewise run as blocks of 20, 20 and 5
     p = 5
     bases = plane_bases(p)
     kinds = classify_planes(p, bases)[0]
     rows = np.sort(np.concatenate([np.flatnonzero(kinds != 0), np.flatnonzero(kinds == 0)[:33]]))
     assert len(rows) == 45 and len(rows) % (KEY_BLOCK // p**5) == 5
-    matrices, k_bases = action_matrices(p, bases[rows])
+    real, blocks = locus_module._join_counts, []
+
+    def counting(p, matrices, pivots):
+        blocks.append(len(matrices))
+        return real(p, matrices, pivots)
+
+    monkeypatch.setattr(locus_module, "_join_counts", counting)
+    counted, counts, failures, _ = count_planes(p, bases[rows], kinds[rows], ("enumerate",))
+    assert blocks == [20, 20, 5]
+    assert counted.tolist() == list(range(45)) and failures == []
     planes = [Plane(p, bases[row].tolist()) for row in rows]
-    counts = list(_join_counts(p, matrices, _k_pivots(p, k_bases)[1]))
-    assert counts == [detzero_count_for_basis(*plane.basis()) for plane in planes]
-    assert sorted(set(counts)) == [0, 1, 6]
+    assert counts["enumerate"].tolist() == [detzero_count_for_basis(*plane.basis())
+                                            for plane in planes]
+    assert sorted(set(counts["enumerate"].tolist())) == [0, 1, 6]
 
 
 def test_canonical_vector_tables():
@@ -177,10 +185,10 @@ def test_fiber_join_equals_kernel_route(p, sample):
     planes = list(enumerate_planes(p))
     if sample is not None:
         planes = random.Random(p).sample(planes, sample)
-    matrices, k_bases = action_matrices(p, [plane.rows for plane in planes])
-    assert _factoring_ok(p, matrices, k_bases).all()
-    counts = _kernel_counts(p, matrices)
-    assert [fiber_detzero_count(plane) for plane in planes] == counts.tolist()
+    bases = np.array([plane.rows for plane in planes], dtype=np.int16)
+    rows, counts, failures, _ = count_planes(p, bases, classify_planes(p, bases)[0], ("kernel",))
+    assert rows.tolist() == list(range(len(planes))) and failures == []
+    assert [fiber_detzero_count(plane) for plane in planes] == counts["kernel"].tolist()
 
 
 def test_raw_join_equals_pairwise_comparison():

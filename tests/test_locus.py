@@ -12,12 +12,12 @@ from quadric_moduli.betti import (
 )
 from quadric_moduli.biform import ZZ, BiForm
 from quadric_moduli.locus import (
-    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, action_matrices, classify_planes,
+    GENERIC, KEY_BLOCK, KINDS, SHARED_LEFT, SHARED_RIGHT, classify_planes, count_planes,
     expected_detzero, expected_x_count, generic_orbit_sizes, plane_bases, raw_oracle_counts,
     raw_oracle_maps, sweep_locus,
 )
 from quadric_moduli.locus import (
-    _factoring_ok, _join_counts, _k_pivots, _k_rows, _kernel_counts, det_action_matrix,
+    _join_counts, _k_pivots, _k_rows, det_action_matrix,
 )
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
 from form_reference import GF, QQ, add, from_terms, is_zero, rank1_test, scale
@@ -255,9 +255,10 @@ def test_fiber_count_canonical_examples():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_enumeration_agrees_with_kernel_route(p):
-    matrices, k_bases = action_matrices(p, plane_bases(p))
-    assert _factoring_ok(p, matrices, k_bases).all()
-    kernel_counts = _kernel_counts(p, matrices).tolist()
+    bases = plane_bases(p)
+    rows, counts, failures, _ = count_planes(p, bases, classify_planes(p, bases)[0], ("kernel",))
+    assert rows.tolist() == list(range(len(bases))) and failures == []
+    kernel_counts = counts["kernel"].tolist()
     for plane, kernel_count in zip(enumerate_planes(p), kernel_counts, strict=True):
         assert fiber_detzero_count(plane) == kernel_count
 
@@ -297,17 +298,69 @@ def test_gauge_invariance():
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_join_does_not_depend_on_the_plane_basis(request, p):
+def test_join_does_not_depend_on_the_plane_basis(p):
     # contracting the basis G B of every plane instead of its echelon rows
-    # moves K and the action, but not the join's count (_join_counts)
-    sweep = request.getfixturevalue(f"sweep{p}")
+    # moves K and the action, but neither the plane's kind nor any route's count
+    sweep = sweep_locus(p, full_oracle=True)
     bases = plane_bases(p)
     assert sweep.plane_index.tolist() == list(range(len(bases)))
-    matrices, k_bases = action_matrices(p, np.array([[1, 1], [1, 2]]) @ bases % p)
-    dims, pivots = _k_pivots(p, k_bases)
-    assert (dims == 2).all()
-    assert _factoring_ok(p, matrices, k_bases).all()
-    assert list(_join_counts(p, matrices, pivots)) == sweep.detzero_counts.tolist()
+    moved = (np.array([[1, 1], [1, 2]]) @ bases % p).astype(np.int16)
+    kinds = classify_planes(p, moved)[0]
+    assert np.array_equal(kinds, sweep.kinds)
+    rows, counts, failures, worker_failure = count_planes(
+        p, moved, kinds, ("enumerate", "kernel", "raw"))
+    assert rows.tolist() == sweep.plane_index.tolist()
+    assert failures == [] and worker_failure is None
+    assert counts["enumerate"].tolist() == sweep.detzero_counts.tolist()
+    assert counts["kernel"].tolist() == sweep.detzero_counts.tolist()
+    assert counts["raw"].tolist() == sweep.raw_counts.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_count_planes_holds_back_a_zero_basis_mid_stack(p):
+    # a zero basis has a zero K: one failure line names it, and every route
+    # counts every other plane of the stack
+    sweep = sweep_locus(p, full_oracle=True)
+    bases = plane_bases(p).copy()
+    zero = len(bases) // 2
+    bases[zero] = 0
+    routes = SWEEP_ROUTES[p][True]
+    rows, counts, failures, worker_failure = count_planes(
+        p, bases, classify_planes(p, bases)[0], routes)
+    assert failures == [f"plane {zero}: factoring subspace K has dimension 0"]
+    assert worker_failure is None
+    others = [index for index in range(len(bases)) if index != zero]
+    assert rows.tolist() == others
+    assert set(counts) == set(routes)
+    for route, column in counts.items():
+        assert column.dtype == np.int64
+        expected = sweep.raw_counts if route == "raw" else sweep.detzero_counts
+        assert column.tolist() == expected[others].tolist()
+
+
+def test_count_planes_stops_at_the_raw_block_that_raises(monkeypatch):
+    # at p = 3 every route counts blocks of 89 planes, the raw oracle's;
+    # its count raising on the second block keeps the first block's rows
+    p, calls = 3, []
+    real = locus_module.raw_oracle_counts
+    sweep = sweep_locus(p, full_oracle=True)
+
+    def flaky(p, rows):
+        calls.append(len(rows))
+        if len(calls) > 1:
+            raise RuntimeError("injected")
+        return real(p, rows)
+
+    monkeypatch.setattr(locus_module, "raw_oracle_counts", flaky)
+    bases = plane_bases(p)
+    rows, counts, failures, worker_failure = count_planes(
+        p, bases, classify_planes(p, bases)[0], SWEEP_ROUTES[p][True])
+    assert calls == [89, 41]
+    assert rows.tolist() == list(range(89))
+    assert failures == [] and worker_failure == "worker failed on plane 89: injected"
+    for route, column in counts.items():
+        expected = sweep.raw_counts if route == "raw" else sweep.detzero_counts
+        assert column.tolist() == expected[:89].tolist()
 
 
 # -- raw oracle ---------------------------------------------------------------------
@@ -538,9 +591,10 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
     # past the cached action tensors, a full-oracle sweep multiplies forms
-    # only in the 24 unit products of the raw table, all over ZZ, once per
-    # raw block: one block at p = 2, two at p = 3
+    # only in the 24 unit products of the raw table, all over ZZ, once for
+    # every raw block (one at p = 2, two at p = 3), and not on a warm sweep
     sweep_locus(p, full_oracle=True)
+    locus_module._raw_products.cache_clear()
     real, fields = BiForm.__mul__, []
 
     def counting(self, other):
@@ -549,7 +603,10 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
 
     monkeypatch.setattr(BiForm, "__mul__", counting)
     assert not sweep_locus(p, full_oracle=True).failures
-    assert fields == [ZZ] * 24 * {2: 1, 3: 2}[p]
+    assert fields == [ZZ] * 24
+    fields.clear()
+    assert not sweep_locus(p, full_oracle=True).failures
+    assert fields == []
 
 
 @pytest.mark.parametrize("p,full_oracle",
