@@ -239,9 +239,10 @@ def main(argv=None) -> int:
 
 def entrypoint():
     """The qmoduli console script, also run by python -m quadric_moduli.cli."""
-    # objects alive at a freeze live until exit: keep every later collection
-    # off them, and again after main, which imports numpy for the sweeps
-    gc.freeze()
+    # a run builds no reference cycles, so the cyclic collector stays off for
+    # it: its passes over the numpy import that main makes for the sweeps were
+    # pure cost.  Freezing after main keeps the collections at exit off that heap
+    gc.disable()
     code = main()
     gc.freeze()
     try:

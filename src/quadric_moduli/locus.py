@@ -29,12 +29,13 @@ cleared column and its pivot row.  The enumeration route
 counts the vectors of a complement of K on which the determinant vanishes,
 by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
 the images of the p^5 vectors of each half are keyed in base p (int32 up
-to p = 5) for a block of planes at once, and the coinciding keys are
-counted plane by plane.  The raw oracle keys and joins all p^12 first-column
-pairs the same way, block by block like every other route, and its counts
-are one more column.  Its maps come from a second table of unit form
-products, which shares nothing with the action tensors, so no sweep
-multiplies forms per plane.  A sweep runs in one process, over the planes in fixed order.
+to p = 5) for a block of planes at once, and the coinciding keys of the
+whole block are counted by one sort of each plane's tagged keys.  The raw
+oracle keys and joins all p^12 first-column pairs the same way, block by
+block like every other route, and its counts are one more column.  Its
+maps come from a second table of unit form products, which shares nothing
+with the action tensors, so no sweep multiplies forms per plane.  A sweep
+runs in one process, over the planes in fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -235,10 +236,33 @@ def _image_keys(p: int, vectors: np.ndarray, maps: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _coinciding_pairs(left: np.ndarray, right: np.ndarray) -> int:
-    """Number of pairs (i, j) with left[i] == right[j] in two rows of keys."""
-    right = np.sort(right)
-    return int((np.searchsorted(right, left, "right") - np.searchsorted(right, left)).sum())
+def _coinciding_pairs(keys: np.ndarray) -> np.ndarray:
+    """Per plane of an (N, 2, V) stack of left and right rows of
+    non-negative keys, as _image_keys returns it, the number of pairs
+    (i, j) with left[i] == right[j], as an int64 column.  The stack is
+    overwritten: read unsigned, so that no key wraps, each key is shifted up
+    one bit and tagged with its side, 1 on the right, and each plane's 2V
+    tagged keys are sorted once, so a run of one key holds its lefts, then
+    its rights.  Only the runs of two or more keys are visited: one of L
+    lefts and R rights splits once, after its last left, and adds L * R."""
+    n, _, v = keys.shape
+    tagged = keys.view(np.dtype(f"u{keys.itemsize}"))
+    tagged <<= 1
+    tagged[:, 1] |= 1
+    tagged = tagged.reshape(n, 2 * v)
+    tagged.sort(axis=1)
+    flat = tagged.reshape(-1)
+    same = (flat[1:] ^ flat[:-1]) <= 1  # element e + 1 has the key of element e
+    same[2 * v - 1::2 * v] = False  # no run crosses into the next plane
+    at = np.flatnonzero(same)
+    first, last = np.diff(at, prepend=-2) != 1, np.diff(at, append=-2) != 1  # of each run
+    run = np.cumsum(first) - 1
+    start, end = at[first][run], at[last][run] + 1
+    split = flat[at] != flat[at + 1]
+    at, start, end = at[split], start[split], end[split]
+    pairs = np.zeros(n, dtype=np.int64)
+    np.add.at(pairs, at // (2 * v), (at - start + 1) * (end - at))
+    return pairs
 
 
 def _join_counts(p: int, matrices, pivots):
@@ -252,20 +276,22 @@ def _join_counts(p: int, matrices, pivots):
     are the coinciding pairs of A a and B b over all p^5 + p^5 half-vectors,
     and the count is (S - 1)/(p - 1).  It is basis- and
     complement-independent, because column operations and scalings leave
-    the determinant locus unchanged.  Only _join_count runs per plane."""
+    the determinant locus unchanged.  _coinciding_pairs counts S for the
+    whole block; only _join_count runs per plane, so a count that raises
+    keeps the planes before it."""
     half = _affine_vectors(p, 5)
     keep = np.ones((len(pivots), 12), dtype=bool)
     np.put_along_axis(keep, pivots, False, 1)
     cols = np.nonzero(keep)[1].reshape(-1, 10)
     actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
     maps = np.stack([actions[..., :5], actions[..., 5:]], axis=1)  # a -> A a, b -> B b
-    for left, right in _image_keys(p, half, maps):
-        yield _join_count(p, left, right)
+    for pairs in _coinciding_pairs(_image_keys(p, half, maps)).tolist():
+        yield _join_count(p, pairs)
 
 
-def _join_count(p: int, left: np.ndarray, right: np.ndarray) -> int:
-    """A fiber's det-zero count from its half-image keys, of A a and B b."""
-    return (_coinciding_pairs(left, right) - 1) // (p - 1)
+def _join_count(p: int, pairs: int) -> int:
+    """A fiber's det-zero count from its S coinciding pairs of A a and B b."""
+    return (pairs - 1) // (p - 1)
 
 
 @functools.cache
@@ -372,21 +398,20 @@ def raw_oracle_maps(p: int, bases) -> np.ndarray:
     return _reduce(np.einsum("nfu,ukc->nfck", bases[:, ::-1], products), p)
 
 
-def raw_oracle_counts(p: int, bases) -> list[int]:
+def raw_oracle_counts(p: int, bases) -> np.ndarray:
     """Oracle: per plane, the number of ALL raw first-column pairs (phi11,
     phi21) in F_p^12 with vanishing determinant, for N planes given by their
     basis rows, an (N, 2, 4) array-like.  det2 = phi11*f2 - phi21*f1
     vanishes iff the two products coincide, so the p^12 pairs are counted
     exactly by joining the p^6 images phi11*f2 with the p^6 images
-    phi21*f1; the raw_oracle_maps stack of all N planes is keyed at once,
-    and joined plane by plane.
+    phi21*f1: the raw_oracle_maps stack of all N planes is keyed at once,
+    and _coinciding_pairs counts the whole stack into one int64 column.
 
     Against the fiber count N it must satisfy the coset identity
         raw = p^2 + N * (p - 1) * p^2
     (the p^2 factoring pairs, plus p^2 raw pairs for each of the (p - 1)
     nonzero scalings of each det-zero projective fiber point)."""
-    keys = _image_keys(p, _affine_vectors(p, 6), raw_oracle_maps(p, bases))
-    return [_coinciding_pairs(left, right) for left, right in keys]
+    return _coinciding_pairs(_image_keys(p, _affine_vectors(p, 6), raw_oracle_maps(p, bases)))
 
 
 # -- whole-Grassmannian sweeps ----------------------------------------------
@@ -450,8 +475,9 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
     for the join, p**6 for the raw oracle.  Each block gets one contraction
     of the action tensors and one _k_pivots pass, whose dimensions feed the
     mask and whose pivots the join.  The mask holds back each plane whose
-    kind is unknown, whose K does not have dimension 2, or whose K leaves
-    the kernel of its action.  Every route counts the kept planes, the first
+    kind is unknown, whose K does not have dimension 2, whose basis rows are
+    linearly dependent (every 2 x 2 minor zero mod p), or whose K leaves the
+    kernel of its action.  Every route counts the kept planes, the first
     last, the raw oracle from their basis rows.  A count that raises stops
     at that plane (the kernel route and the raw oracle before the first
     plane of its block); an AssertionError, a broken table invariant,
@@ -463,7 +489,7 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
     table = {  # a plane's block entries, and counts from a block's kept rows, looked up per call
         "kernel": (144, lambda block, matrices, pivots: _kernel_counts(p, matrices).tolist()),
         "enumerate": (p**5, lambda block, matrices, pivots: _join_counts(p, matrices, pivots)),
-        "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block))}
+        "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block).tolist())}
     columns = {route: [] for route in routes}
     step = KEY_BLOCK // max(table[route][0] for route in routes)
     kept = np.zeros(len(bases), dtype=bool)
@@ -472,7 +498,10 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
         block = bases[start:start + step]
         matrices, k_bases = action_matrices(p, block)
         dims, pivots = _k_pivots(p, k_bases)
-        mask = (kinds[start:start + step] >= 0) & (dims == 2) & _factoring_ok(p, matrices, k_bases)
+        outer = block[:, 0, :, None] * block[:, 1, None, :]  # [i, j] = f1_i * f2_j
+        independent = _reduce(outer - outer.transpose(0, 2, 1), p).any(axis=(1, 2))
+        mask = ((kinds[start:start + step] >= 0) & (dims == 2) & independent
+                & _factoring_ok(p, matrices, k_bases))
         kept[start:start + step] = mask
         for offset in np.flatnonzero(~mask).tolist():
             if kinds[start + offset] < 0:
@@ -480,6 +509,8 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
                           "shares neither factor")
             elif dims[offset] != 2:
                 reason = f"factoring subspace K has dimension {dims[offset]}"
+            elif not independent[offset]:
+                reason = "basis rows are linearly dependent"
             else:
                 reason = "factoring first-columns must have zero determinant"
             failures.append(f"plane {start + offset}: {reason}")

@@ -14,8 +14,8 @@ from quadric_moduli import linalg
 from quadric_moduli.betti import stratified_moduli_count
 from quadric_moduli.biform import BiForm
 from quadric_moduli.locus import (
-    _affine_vectors, _check_prime, _coinciding_pairs, _factoring_ok, _first_column_monomials,
-    _image_keys, _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases, sweep_locus,
+    _affine_vectors, _check_prime, _factoring_ok, _first_column_monomials, _image_keys,
+    _join_counts, _k_pivots, _k_rows, det_action_matrix, plane_bases, sweep_locus,
 )
 from form_reference import GF, linearly_independent
 
@@ -96,7 +96,15 @@ def raw_oracle_count(plane: Plane) -> int:
     p^6 images of each of its raw_oracle_maps_of maps."""
     p = plane.p
     left, right = _image_keys(p, _affine_vectors(p, 6), raw_oracle_maps_of(plane))
-    return _coinciding_pairs(left, right)
+    return coinciding_pairs(left, right)
+
+
+def coinciding_pairs(left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs (i, j) with left[i] == right[j] in two rows of keys,
+    by sorting the right row and searching it for each left key: the count
+    that _coinciding_pairs makes for a whole stack of rows at once."""
+    right = np.sort(right)
+    return int((np.searchsorted(right, left, "right") - np.searchsorted(right, left)).sum())
 
 
 def moduli_point_count(p: int) -> int:

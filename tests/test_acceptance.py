@@ -134,7 +134,7 @@ def test_criterion_5_cross_route_point_counts():
 def test_criterion_6_raw_oracle_identity():
     with criterion(6, "raw sweep identity: 4 + 4N on all 35 planes (p=2), 9 + 18N per type (p=3)"):
         planes = list(enumerate_planes(2))
-        raw = raw_oracle_counts(2, [plane.rows for plane in planes])
+        raw = raw_oracle_counts(2, [plane.rows for plane in planes]).tolist()
         assert raw == [4 + 4 * fiber_detzero_count(plane) for plane in planes]
         seen = {}
         planes3 = list(enumerate_planes(3))
@@ -146,7 +146,7 @@ def test_criterion_6_raw_oracle_identity():
             if len(seen) == 3:
                 break
         assert set(seen) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
-        raw = raw_oracle_counts(3, [plane.rows for plane in seen.values()])
+        raw = raw_oracle_counts(3, [plane.rows for plane in seen.values()]).tolist()
         assert raw == [9 + 18 * fiber_detzero_count(plane) for plane in seen.values()]
 
 

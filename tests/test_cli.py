@@ -764,15 +764,28 @@ def test_sweeps_import_no_dataclasses(argv):
     assert result.returncode == 0, result.stderr
 
 
-def test_entry_point_freezes_the_heap_the_sweeps_import():
-    # verify imports numpy inside main: the collections at exit must skip its heap too
+def test_entry_point_keeps_the_collector_off_and_freezes_the_heap():
+    # verify imports numpy inside main: no collection runs during main, and
+    # the collections at exit must skip numpy's heap too
     code = ("import gc, sys\n"
             "from quadric_moduli import cli\n"
             "sys.argv = ['qmoduli', 'verify', '--primes', '2']\n"
+            "collections, main = [], cli.main\n"
+            "def count(phase, info):\n"
+            "    if phase == 'start':\n"
+            "        collections.append(info['generation'])\n"
+            "def counted_main():\n"
+            "    gc.callbacks.append(count)\n"
+            "    try:\n"
+            "        return main()\n"
+            "    finally:\n"
+            "        gc.callbacks.remove(count)\n"
+            "cli.main = counted_main\n"
             "try:\n"
             "    cli.entrypoint()\n"
             "except SystemExit as exc:\n"
             "    assert exc.code == 0, exc.code\n"
+            "assert collections == [], collections\n"
             "import numpy\n"
             "assert not any(o is vars(numpy) for o in gc.get_objects()), 'numpy is not frozen'\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

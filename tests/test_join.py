@@ -1,6 +1,7 @@
 """The exact joins against the brute-force counts they replaced: the fiber
-join against enumerating every point of the projective fiber, and the raw
-oracle's join against comparing all p^6 x p^6 products pairwise.  The
+join against enumerating every point of the projective fiber, the raw
+oracle's join against comparing all p^6 x p^6 products pairwise, and the
+block count of coinciding keys against the per-row reference.  The
 array-wide complement choice is checked against echelon pivoting plane by
 plane, and the block-wise key build against the join on a stack of one."""
 
@@ -10,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
@@ -23,7 +25,8 @@ from quadric_moduli.locus import (
 )
 from form_reference import GF
 from plane_reference import (
-    Plane, detzero_count_for_basis, enumerate_planes, fiber_detzero_count, raw_oracle_count,
+    Plane, coinciding_pairs, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
+    raw_oracle_count,
 )
 
 
@@ -68,26 +71,73 @@ def paired_raw_count(plane) -> int:
 
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_coinciding_pairs_counts_repeated_rows(p):
+    # a stack of 4 planes whose rows repeat vectors on both sides, keyed by
+    # hand, then by _image_keys as the images of all p**3 vectors
     rng = np.random.default_rng(p)
-    left = rng.integers(0, p, size=(60, 3))
-    right = rng.integers(0, p, size=(50, 3))
-    expected = sum(1 for a in left.tolist() for b in right.tolist() if a == b)
-    weights = p ** np.arange(3)
-    assert _coinciding_pairs(left @ weights, right @ weights) == expected
-    identity = np.eye(3, dtype=np.int64)
-    assert _coinciding_pairs(_image_keys(p, left, identity),
-                             _image_keys(p, right, identity)) == expected
+    vectors = rng.integers(0, p, size=(4, 2, 60, 3))
+    expected = [sum(1 for a in left.tolist() for b in right.tolist() if a == b)
+                for left, right in vectors]
+    assert _coinciding_pairs(vectors @ p ** np.arange(3)).tolist() == expected
+    # the images of the p**3 vectors under random maps of rank at most 3
+    maps = rng.integers(0, p, size=(4, 2, 3, 3))
+    cube = _affine_vectors(p, 3)
+    images = np.einsum("vd,nswd->nsvw", cube, maps) % p
+    expected = [sum(1 for a in left.tolist() for b in right.tolist() if a == b)
+                for left, right in images]
+    assert _coinciding_pairs(_image_keys(p, cube, maps)).tolist() == expected
 
 
 def test_image_keys_do_not_wrap_past_int16():
     # at p = 3 the keys of 12-vectors reach 3**12 - 1; two that differ by
-    # 2**16 would coincide if the keys were formed in int16
+    # 2**16 would coincide if the keys were formed in int16, and the plane
+    # below would count 4 pairs
     p = 3
-    left = np.array([[key // p**w % p for w in range(12)] for key in (7, 7 + 2**16)])
+    vectors = np.array([[key // p**w % p for w in range(12)] for key in (7, 7 + 2**16)])
     identity = np.eye(12, dtype=np.int64)
-    keys = _image_keys(p, left, identity)
-    assert keys.tolist() == [7, 7 + 2**16]
-    assert _coinciding_pairs(keys, keys[1:]) == 1
+    keys = _image_keys(p, vectors, np.stack([identity, identity]))
+    assert keys.tolist() == [[7, 7 + 2**16]] * 2
+    keys[1, 0] = keys[1, 1]
+    assert _coinciding_pairs(keys[None]).tolist() == [2]
+
+
+@pytest.mark.parametrize("p,width", [(3, 19), (7, 11)])
+def test_coinciding_pairs_tag_int32_keys_without_wrapping(p, width):
+    # _image_keys keeps these in int32, yet 3**19 and 7**11 exceed 2**30, so
+    # a key shifted up for its tag in int32 would wrap past the sign bit and
+    # sort the largest key next to 0; the plane holds both on either side
+    top = p**width - 1
+    values = (top, top - 1, 2**30 - 1, 1, 0)
+    vectors = np.array([[key // p**w % p for w in range(width)] for key in values])
+    identity = np.eye(width, dtype=np.int16)
+    keys = _image_keys(p, vectors, np.stack([identity, identity])[None])
+    assert keys.dtype == np.int32 and keys.tolist() == [[list(values)] * 2]
+    keys[0, 1] = keys[0, 1, [0, 0, 4, 4, 4]]  # rights: top, top, 0, 0, 0
+    assert _coinciding_pairs(keys).tolist() == [2 + 3]
+    assert coinciding_pairs(list(values), [top, top, 0, 0, 0]) == 5
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([np.int32, np.int64]), st.integers(1, 5), st.integers(1, 40),
+       st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_coinciding_pairs_equal_the_reference_row_by_row(dtype, n, v, distinct, seed):
+    # keys drawn from a pool of `distinct` values, the extremes 0 and the
+    # dtype's maximum among them: a small pool repeats keys on both sides, a
+    # large one leaves rows with no coinciding pair
+    rng = np.random.default_rng(seed)
+    top = np.iinfo(dtype).max
+    pool = np.concatenate([[0, top], rng.integers(0, top, size=distinct, endpoint=True)])
+    keys = rng.choice(pool, size=(n, 2, v)).astype(dtype)
+    expected = [coinciding_pairs(left, right) for left, right in keys]
+    pairs = _coinciding_pairs(keys.copy())
+    assert pairs.dtype == np.int64 and pairs.tolist() == expected
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_coinciding_pairs_of_rows_with_no_coinciding_key(dtype):
+    # every left key even and every right key odd, across three planes
+    keys = np.arange(3 * 2 * 4, dtype=dtype).reshape(3, 4, 2).transpose(0, 2, 1).copy()
+    assert _coinciding_pairs(keys).tolist() == [0, 0, 0]
+    assert _coinciding_pairs(np.zeros((1, 2, 3), dtype=dtype)).tolist() == [9]
 
 
 @pytest.mark.parametrize("p,width,dtype", [
@@ -201,7 +251,7 @@ def test_raw_join_equals_pairwise_comparison():
     assert set(first_of_kind) == {GENERIC, SHARED_RIGHT, SHARED_LEFT}
     for p, targets in ((2, planes), (3, list(first_of_kind.values()))):
         paired = [paired_raw_count(plane) for plane in targets]
-        assert raw_oracle_counts(p, [plane.rows for plane in targets]) == paired
+        assert raw_oracle_counts(p, [plane.rows for plane in targets]).tolist() == paired
         assert [raw_oracle_count(plane) for plane in targets] == paired
 
 

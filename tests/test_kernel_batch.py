@@ -175,12 +175,13 @@ KERNEL_BLOCK = KEY_BLOCK // 144
 def test_sweep_memory_is_bounded_by_a_block():
     # the p = 7 sweep classifies its 2,850 planes at once, contracts and
     # row-reduces at most 455 of them at a time and keeps 26 bytes a plane
-    # (0.56 MB traced; 0.61 MB with each block classified on its own, 0.71 MB
+    # (0.58 MB traced; 0.61 MB with each block classified on its own, 0.71 MB
     # with 56-byte rows, 3 MB with it all contracted at once); the join keys
-    # all 130 planes at p = 3 (0.65 MB) and 20 at p = 5 with full_oracle
-    # (1.08 MB), in int32 (0.95 and 1.79 MB in int64); with full_oracle at
-    # p = 3 the raw oracle keys 89 planes at a time (1.12 MB; 1.63 MB with
-    # all 130 at once)
+    # all 130 planes at p = 3 (0.72 MB) and 20 at p = 5 with full_oracle
+    # (1.21 MB), in int32 (0.95 and 1.79 MB in int64); with full_oracle at
+    # p = 3 the raw oracle keys 89 planes at a time (1.21 MB; 1.63 MB with
+    # all 130 at once); counting a block's coinciding keys with one sort in
+    # place raised the last three by 0.07 to 0.13 MB
     _integer_action_tensors()
     peaks = {}
     for p, full_oracle, bound in ((3, False, 0.8e6), (3, True, 1.3e6), (5, True, 1.35e6),

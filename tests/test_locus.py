@@ -338,6 +338,26 @@ def test_count_planes_holds_back_a_zero_basis_mid_stack(p):
         assert column.tolist() == expected[others].tolist()
 
 
+def test_count_planes_holds_back_dependent_basis_rows():
+    # at p = 3 each of (f, f) with f = xz + yw, (f, f) with f = xz and
+    # (f, 2f) with f = xz + xw has a K of dimension 2 in the kernel of its
+    # action, but spans no plane: one failure line each, between two planes
+    # that every route counts as the sweep does
+    p = 3
+    sweep = sweep_locus(p, full_oracle=True)
+    routes = SWEEP_ROUTES[p][True]
+    for dependent in ([[1, 0, 0, 1], [1, 0, 0, 1]], [[1, 0, 0, 0], [1, 0, 0, 0]],
+                      [[1, 1, 0, 0], [2, 2, 0, 0]]):
+        bases = np.array([sweep.bases[0], dependent, sweep.bases[1]], dtype=np.int16)
+        rows, counts, failures, worker_failure = count_planes(
+            p, bases, classify_planes(p, bases)[0], routes)
+        assert failures == ["plane 1: basis rows are linearly dependent"], dependent
+        assert worker_failure is None and rows.tolist() == [0, 2]
+        for route, column in counts.items():
+            expected = sweep.raw_counts if route == "raw" else sweep.detzero_counts
+            assert column.tolist() == expected[:2].tolist()
+
+
 def test_count_planes_stops_at_the_raw_block_that_raises(monkeypatch):
     # at p = 3 every route counts blocks of 89 planes, the raw oracle's;
     # its count raising on the second block keeps the first block's rows
@@ -391,10 +411,12 @@ def test_raw_oracle_batch_equals_batches_of_one(p, planes):
     sweep = sweep_locus(p, full_oracle=True)
     assert sweep.raw_counts.dtype == np.int64 and len(sweep.raw_counts) == planes
     batch = raw_oracle_counts(p, sweep.bases)
+    assert batch.dtype == np.int64
+    batch = batch.tolist()
     assert batch == [raw_oracle_count(plane_of(p, *rows)) for rows in sweep.bases.tolist()]
     assert batch == sweep.raw_counts.tolist()
     assert batch == [p * p + count * (p - 1) * p * p for count in sweep.detzero_counts.tolist()]
-    assert raw_oracle_counts(p, []) == []
+    assert raw_oracle_counts(p, []).tolist() == []
 
 
 @pytest.mark.parametrize("p,step", [(2, 1), (3, 1), (5, 10), (7, 10)])
@@ -412,7 +434,7 @@ def test_raw_oracle_past_the_sweep_primes(p):
     # no SWEEP_ROUTES row runs the raw oracle at p = 5, 7; the oracle takes any prime
     sweep = sweep_locus(p)
     rows = sorted(np.unique(sweep.kinds, return_index=True)[1].tolist())
-    raw = raw_oracle_counts(p, sweep.bases[rows])
+    raw = raw_oracle_counts(p, sweep.bases[rows]).tolist()
     assert [KINDS[kind] for kind in sweep.kinds[rows]] == [SHARED_LEFT, GENERIC, SHARED_RIGHT]
     assert raw == [p**4, p**2, p**3]
     assert raw == [p * p + int(sweep.detzero_counts[row]) * (p - 1) * p * p for row in rows]
