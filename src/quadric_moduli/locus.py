@@ -18,6 +18,8 @@ check of K) has one implementation, which works on arrays of planes.
 count_planes, the one block loop, counts any stack of planes by every named
 route, each against the first, after holding back each plane that breaks a
 precondition of the counts with one failure line, so it never stops a sweep.
+Every route maps a block's kept planes to one int64 column, and a route that
+raises drops its whole block: the loop stops there, whatever the route.
 
 The determinant action is linear in the plane basis, so an 8 x 12 x 12
 tensor built once from the package's form arithmetic is contracted with
@@ -56,6 +58,7 @@ from .biform import ZZ, BiForm
 #: at once: a sweep contracts and counts one block at a time, sized by its
 #: row's largest route block: every plane at p = 2, and at p = 3 without the
 #: raw oracle, 89 at p = 3 with it, 20 at p = 5 with the join, else 455.
+#: A block holds one plane at least: the raw oracle keys 7^6 vectors a block at p = 7.
 KEY_BLOCK = 2**16
 
 GENERIC = "generic"
@@ -265,33 +268,25 @@ def _coinciding_pairs(keys: np.ndarray) -> np.ndarray:
     return pairs
 
 
-def _join_counts(p: int, matrices, pivots):
-    """Yield per plane the det-zero points of the projectivization of a
-    complement of K, a P^9, from (N, 12, 12) action matrices and the (N, 2)
-    echelon pivots of their K bases of dimension 2, as _k_pivots finds them:
-    the complement takes the other 10 coordinates.  The determinant is
-    linear on the complement, so they are the nonzero solutions of
-    A a + B b = 0 up to scaling, where A and B are the action on the two
-    halves of the 10 complement coordinates: the S affine solutions (a, -b)
-    are the coinciding pairs of A a and B b over all p^5 + p^5 half-vectors,
-    and the count is (S - 1)/(p - 1).  It is basis- and
-    complement-independent, because column operations and scalings leave
-    the determinant locus unchanged.  _coinciding_pairs counts S for the
-    whole block; only _join_count runs per plane, so a count that raises
-    keeps the planes before it."""
+def _join_counts(p: int, matrices, pivots) -> np.ndarray:
+    """Per plane, the det-zero points of the projectivization of a
+    complement of K, a P^9, as an int64 column, from (N, 12, 12) action
+    matrices and the (N, 2) echelon pivots of their K bases of dimension 2,
+    as _k_pivots finds them: the complement takes the other 10 coordinates.
+    The determinant is linear on the complement, so they are the nonzero
+    solutions of A a + B b = 0 up to scaling, where A and B are the action
+    on the two halves of the 10 complement coordinates: the S affine
+    solutions (a, -b) are the coinciding pairs of A a and B b over all
+    p^5 + p^5 half-vectors, and the count is (S - 1)/(p - 1).  It is basis-
+    and complement-independent, because column operations and scalings
+    leave the determinant locus unchanged."""
     half = _affine_vectors(p, 5)
     keep = np.ones((len(pivots), 12), dtype=bool)
     np.put_along_axis(keep, pivots, False, 1)
     cols = np.nonzero(keep)[1].reshape(-1, 10)
     actions = np.take_along_axis(matrices, cols[:, None, :], axis=2)
     maps = np.stack([actions[..., :5], actions[..., 5:]], axis=1)  # a -> A a, b -> B b
-    for pairs in _coinciding_pairs(_image_keys(p, half, maps)).tolist():
-        yield _join_count(p, pairs)
-
-
-def _join_count(p: int, pairs: int) -> int:
-    """A fiber's det-zero count from its S coinciding pairs of A a and B b."""
-    return (pairs - 1) // (p - 1)
+    return (_coinciding_pairs(_image_keys(p, half, maps)) - 1) // (p - 1)
 
 
 @functools.cache
@@ -424,9 +419,9 @@ class LocusSweep:
     (int8), shared point (int16) and det-zero count (int64), and the raw
     count (int64) where the raw oracle runs, None where it does not;
     everything else is derived from these columns.  worker_failure names
-    the per-plane count that raised, if one did: the sweep then stops there
-    and holds the planes counted before it.  A plain class, so that no command imports
-    dataclasses."""
+    the count that raised, if one did, at the first countable plane of its
+    block: the sweep then holds the blocks counted before it.  A plain
+    class, so that no command imports dataclasses."""
 
     __slots__ = ("p", "method", "plane_index", "bases", "kinds", "rank1_lines",
                  "shared_points", "detzero_counts", "raw_counts", "failures", "worker_failure")
@@ -470,28 +465,29 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
     """Count the fibers over an (N, 2, 4) int16 stack of plane bases,
     echelon or not, with their kind codes, by each named route: "kernel" and
     "enumerate" count det-zero points, "raw" the raw p^12 pairs.  The planes
-    run in blocks of KEY_BLOCK // b, b the largest route block: 144
-    action-matrix entries a plane for the kernel route, p**5 half-vectors
-    for the join, p**6 for the raw oracle.  Each block gets one contraction
-    of the action tensors and one _k_pivots pass, whose dimensions feed the
-    mask and whose pivots the join.  The mask holds back each plane whose
-    kind is unknown, whose K does not have dimension 2, whose basis rows are
-    linearly dependent (every 2 x 2 minor zero mod p), or whose K leaves the
-    kernel of its action.  Every route counts the kept planes, the first
-    last, the raw oracle from their basis rows.  A count that raises stops
-    at that plane (the kernel route and the raw oracle before the first
-    plane of its block); an AssertionError, a broken table invariant,
-    propagates.  Returns (rows, counts, failures, worker_failure): the
-    indices into bases of the planes every route counted; per route, an
-    int64 column aligned with rows; a line per held-back plane in plane
-    order, then one per plane where another count route differs from the
-    first; and the message of the count that raised, or None."""
-    table = {  # a plane's block entries, and counts from a block's kept rows, looked up per call
-        "kernel": (144, lambda block, matrices, pivots: _kernel_counts(p, matrices).tolist()),
+    run in blocks of KEY_BLOCK // b, b the largest route block, and of at
+    least one plane: 144 action-matrix entries a plane for the kernel route,
+    p**5 half-vectors for the join, p**6 for the raw oracle.  Each block gets
+    one contraction of the action tensors and one _k_pivots pass, whose
+    dimensions feed the mask and whose pivots the join.  The mask holds back
+    each plane whose kind is unknown, whose K does not have dimension 2,
+    whose basis rows are linearly dependent (every 2 x 2 minor zero mod p),
+    or whose K leaves the kernel of its action.  Every route maps the kept
+    planes of a block to one int64 column, in route order, the raw oracle
+    from their basis rows; a block with no kept plane runs none.  A count
+    that raises drops its whole block and ends the loop at the block's first
+    kept plane; an AssertionError, a broken table invariant, propagates.
+    Returns (rows, counts, failures, worker_failure): the indices into bases
+    of the planes every route counted; per route, an int64 column as long as
+    rows; a line per held-back plane in plane order, then one per plane
+    where another det-zero route differs from the first, route by route;
+    and the message of the count that raised, or None."""
+    table = {  # a plane's block entries, and the column of a block's kept rows, looked up per call
+        "kernel": (144, lambda block, matrices, pivots: _kernel_counts(p, matrices)),
         "enumerate": (p**5, lambda block, matrices, pivots: _join_counts(p, matrices, pivots)),
-        "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block).tolist())}
-    columns = {route: [] for route in routes}
-    step = KEY_BLOCK // max(table[route][0] for route in routes)
+        "raw": (p**6, lambda block, matrices, pivots: raw_oracle_counts(p, block))}
+    columns = {route: [np.zeros(0, dtype=np.int64)] for route in routes}
+    step = max(1, KEY_BLOCK // max(table[route][0] for route in routes))
     kept = np.zeros(len(bases), dtype=bool)
     failures, worker_failure = [], None
     for start in range(0, len(bases), step):
@@ -502,7 +498,6 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
         independent = _reduce(outer - outer.transpose(0, 2, 1), p).any(axis=(1, 2))
         mask = ((kinds[start:start + step] >= 0) & (dims == 2) & independent
                 & _factoring_ok(p, matrices, k_bases))
-        kept[start:start + step] = mask
         for offset in np.flatnonzero(~mask).tolist():
             if kinds[start + offset] < 0:
                 reason = (f"rank-one plane with basis rows {block[offset].tolist()} "
@@ -514,25 +509,28 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
             else:
                 reason = "factoring first-columns must have zero determinant"
             failures.append(f"plane {start + offset}: {reason}")
+        if not mask.any():
+            continue
         if not mask.all():  # copy the stacks only where a plane is held back
             block, matrices, pivots = block[mask], matrices[mask], pivots[mask]
-        try:  # the first route last, so that a join that raises keeps the planes it counted
-            for route in reversed(routes):
-                columns[route].extend(table[route][1](block, matrices, pivots))
+        try:
+            counted = [table[route][1](block, matrices, pivots) for route in routes]
         except AssertionError:  # a broken table invariant is an internal error
             raise
         except Exception as exc:
-            index = np.flatnonzero(kept)[len(columns[route])]
-            worker_failure = f"worker failed on plane {index}: {exc}"
+            worker_failure = f"worker failed on plane {start + mask.argmax()}: {exc}"
             break
-    rows = np.flatnonzero(kept)[:min(map(len, columns.values()))]
-    counts = {route: np.array(column[:len(rows)], dtype=np.int64)
-              for route, column in columns.items()}
-    for route in routes[1:]:
-        if route != "raw":  # raw counts pairs, which the coset identity checks
-            failures += [f"plane {index}: {routes[0]} count {a}, {route} count {b}"
-                         for index, a, b in zip(rows.tolist(), counts[routes[0]], counts[route])
-                         if a != b]
+        kept[start:start + step] = mask
+        for route, column in zip(routes, counted):
+            columns[route].append(column)
+    rows = np.flatnonzero(kept)
+    counts = {route: np.concatenate(column) for route, column in columns.items()}
+    # raw counts pairs, which the coset identity checks, not det-zero points
+    detzero = [route for route in routes if route != "raw"]
+    for route in detzero[1:]:
+        first, other = counts[detzero[0]], counts[route]
+        failures += [f"plane {rows[i]}: {detzero[0]} count {first[i]}, {route} count {other[i]}"
+                     for i in np.flatnonzero(first != other)]
     return rows, counts, failures, worker_failure
 
 

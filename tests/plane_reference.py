@@ -72,7 +72,7 @@ def detzero_count_for_basis(f1: BiForm, f2: BiForm) -> int:
     k_basis = np.array([_k_rows(f1, f2)], dtype=np.int64)
     if not _factoring_ok(p, matrix, k_basis)[0]:
         raise VerificationError("factoring first-columns must have zero determinant")
-    return next(_join_counts(p, matrix, _k_pivots(p, k_basis)[1]))
+    return int(_join_counts(p, matrix, _k_pivots(p, k_basis)[1])[0])
 
 
 def fiber_detzero_count(plane: Plane) -> int:

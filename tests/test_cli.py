@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import quadric_moduli.cli as cli
@@ -442,16 +443,16 @@ REPORT_DIGESTS = {
     ("verify-locus", "--prime", "7", "--full-oracle"):
         "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
 }
-#: SHA-256 of the partial verify-locus --prime 2 document of a worker that
-#: fails on its sixth plane.
-PARTIAL_LOCUS_DIGEST = "c666e79ed1866d86425fe0d112ce25c1691f4f8a072dce68fb4e87675f6d5785"
+#: SHA-256 of the partial verify-locus --prime 3 --full-oracle document of
+#: a route that raises on its second block: the same bytes for every route.
+PARTIAL_LOCUS_DIGEST = "2e238e214f8f26310cfa45fb2a5c71b7a4ad1a390a24d0929fd467fc2a6dd087"
 #: SHA-256 of the partial report and verify --primes 2,3 outputs, JSON and
-#: human, of a join that fails on its sixth call.
+#: human, of a join that raises on its second call, the one block at p = 3.
 PARTIAL_REPORT_DIGESTS = {
     ("report", "--primes", "2,3"):
-        "ad4874c6fe4ba4b3a635a1a694dcf62688f95b939dc61a2939d981d8a08cade6",
+        "af8088720a85f0da699a9b0071029f083f9967e0fffe023133f4b3fe4b70693a",
     ("verify", "--primes", "2,3"):
-        "23edb2c28e60f15ac6042618e65c94590d69d48be83ea0603ec833e5b529d017",
+        "9c803ad04ddd55f62bf1c820362c6f514966854fedf1d07a3e9a54d107faf7a7",
 }
 
 
@@ -478,7 +479,7 @@ def test_worker_failure_exit_3(monkeypatch, capsys, tmp_path):
     def boom(*args):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(locus_module, "_join_count", boom)
+    monkeypatch.setattr(locus_module, "_join_counts", boom)
     out = tmp_path / "partial.json"
     code = cli.main(["verify", "--primes", "2", "--workers", "1", "--out", str(out)])
     assert code == 3
@@ -489,25 +490,45 @@ def test_worker_failure_exit_3(monkeypatch, capsys, tmp_path):
     assert "worker failure" in human
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
-    calls = {"n": 0}
-    real = locus_module._join_count
+def fail_from_call(monkeypatch, name: str, call: int) -> list:
+    """Make the block count locus_module.<name>, which takes p first, raise
+    from its call-th call on; returns the p of each call."""
+    real, calls = getattr(locus_module, name), []
 
-    def flaky(*args):
-        calls["n"] += 1
-        if calls["n"] > 5:
+    def flaky(p, *args):
+        calls.append(p)
+        if len(calls) >= call:
             raise RuntimeError("injected")
-        return real(*args)
+        return real(p, *args)
 
-    monkeypatch.setattr(locus_module, "_join_count", flaky)
-    code = cli.main(["verify-locus", "--prime", "2", "--workers", workers])
-    assert code == 3
+    monkeypatch.setattr(locus_module, name, flaky)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["_kernel_counts", "_join_counts", "raw_oracle_counts"])
+def test_a_route_that_raises_drops_its_block_exit_3(monkeypatch, capsys, name):
+    # at p = 3 with the raw oracle every route counts two blocks of 89 and
+    # 41 planes; whichever route raises on the second, the first block stays
+    p, routes = 3, ("enumerate", "kernel", "raw")
+    with monkeypatch.context() as patch:
+        fail_from_call(patch, name, 2)
+        assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 3
     out = capsys.readouterr().out
     doc = json.loads(out)
-    assert doc["worker_failure"]
-    assert len(doc["fibers"]) == 5
+    assert doc["worker_failure"] == "worker failed on plane 89: injected"
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(89))
+    assert all(fiber["raw_ok"] is True for fiber in doc["fibers"])
+    assert doc["summary"]["ok"] is False
     assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_LOCUS_DIGEST
+    bases = locus_module.plane_bases(p)
+    kinds = locus_module.classify_planes(p, bases)[0]
+    fail_from_call(monkeypatch, name, 2)
+    rows, counts, failures, worker_failure = locus_module.count_planes(p, bases, kinds, routes)
+    assert rows.tolist() == list(range(89)) and failures == []
+    assert worker_failure == "worker failed on plane 89: injected"
+    assert list(counts) == list(routes)
+    assert all(column.dtype == np.int64 and len(column) == len(rows)
+               for column in counts.values())
 
 
 def fail_kernel_route(monkeypatch):
@@ -539,23 +560,8 @@ def test_verify_locus_kernel_route_failure_exit_3(monkeypatch, capsys):
     assert doc["worker_failure"] == "worker failed on plane 0: injected"
 
 
-def fail_raw_oracle(monkeypatch, calls_before: int) -> list:
-    # the raw oracle is a route of the block loop: it counts block by block,
-    # and a count that raises stops the sweep at its block
-    real, calls = locus_module.raw_oracle_counts, []
-
-    def flaky(p, rows):
-        calls.append(p)
-        if len(calls) > calls_before:
-            raise RuntimeError("injected")
-        return real(p, rows)
-
-    monkeypatch.setattr(locus_module, "raw_oracle_counts", flaky)
-    return calls
-
-
 def test_raw_oracle_failure_stops_the_run_exit_3(monkeypatch, capsys):
-    calls = fail_raw_oracle(monkeypatch, 0)
+    calls = fail_from_call(monkeypatch, "raw_oracle_counts", 1)
     assert cli.main(["verify", "--primes", "2,3", "--full-oracle"]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert "worker failure: worker failed on plane 0: injected" in lines
@@ -563,31 +569,10 @@ def test_raw_oracle_failure_stops_the_run_exit_3(monkeypatch, capsys):
     assert lines[-1] == "verdict: FAIL"
 
 
-def test_raw_oracle_failure_in_a_later_block_keeps_earlier_blocks_exit_3(monkeypatch, capsys):
-    # at p = 3 the raw oracle counts 89 planes a block
-    calls = fail_raw_oracle(monkeypatch, 1)
-    assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 3
-    doc = json.loads(capsys.readouterr().out)
-    assert calls == [3, 3]
-    assert doc["worker_failure"] == "worker failed on plane 89: injected"
-    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(89))
-    assert all(fiber["raw_ok"] is True for fiber in doc["fibers"])
-    assert doc["summary"]["ok"] is False
-
-
 @pytest.mark.parametrize("argv", list(PARTIAL_REPORT_DIGESTS),
                          ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
 def test_partial_report_bytes_are_pinned(monkeypatch, capsys, argv):
-    calls = {"n": 0}
-    real = locus_module._join_count
-
-    def flaky(*args):
-        calls["n"] += 1
-        if calls["n"] == 6:
-            raise RuntimeError("injected")
-        return real(*args)
-
-    monkeypatch.setattr(locus_module, "_join_count", flaky)
+    fail_from_call(monkeypatch, "_join_counts", 2)
     assert cli.main(list(argv)) == 3
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PARTIAL_REPORT_DIGESTS[argv]
@@ -646,12 +631,12 @@ def test_entry_point_exits_2_when_the_reader_closes_the_pipe():
 
 
 def test_verification_mismatch_exit_1(monkeypatch, capsys):
-    real = locus_module._join_count
+    real = locus_module._join_counts
 
     def wrong(*args):
         return real(*args) + 1
 
-    monkeypatch.setattr(locus_module, "_join_count", wrong)
+    monkeypatch.setattr(locus_module, "_join_counts", wrong)
     code = cli.main(["verify", "--primes", "2", "--workers", "1"])
     assert code == 1
     assert "verdict: FAIL" in capsys.readouterr().out

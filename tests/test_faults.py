@@ -143,8 +143,8 @@ def test_rank_one_short_at_p3_is_caught_by_the_join(monkeypatch, capsys):
 
 
 def test_join_count_off_by_one_at_p5_is_caught_by_the_kernel_route(monkeypatch, capsys):
-    real = locus_module._join_count
-    monkeypatch.setattr(locus_module, "_join_count", lambda *args: real(*args) + 1)
+    real = locus_module._join_counts
+    monkeypatch.setattr(locus_module, "_join_counts", lambda *args: real(*args) + 1)
     assert cli.main(["verify", "--primes", "5", "--full-oracle"]) == 1
     out = capsys.readouterr().out
     assert "! plane 0: enumerate count 7, kernel count 6\n" in out

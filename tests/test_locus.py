@@ -288,7 +288,7 @@ def test_gauge_invariance():
             reversed_pivots = _k_pivots(p, k_basis[..., ::-1])[1]
             assert not set(11 - reversed_pivots[0]) & set(_k_pivots(p, k_basis)[1][0])
             matrix = det_action_matrix(f1, f2)[None, :, ::-1]
-            assert next(_join_counts(p, matrix, reversed_pivots)) == reference
+            assert _join_counts(p, matrix, reversed_pivots).tolist() == [reference]
             while True:
                 a, b, c, d = (field.random(rng) for _ in range(4))
                 if field.sub(field.mul(a, d), field.mul(b, c)) != field.zero:
@@ -358,29 +358,41 @@ def test_count_planes_holds_back_dependent_basis_rows():
             assert column.tolist() == expected[:2].tolist()
 
 
-def test_count_planes_stops_at_the_raw_block_that_raises(monkeypatch):
-    # at p = 3 every route counts blocks of 89 planes, the raw oracle's;
-    # its count raising on the second block keeps the first block's rows
-    p, calls = 3, []
-    real = locus_module.raw_oracle_counts
-    sweep = sweep_locus(p, full_oracle=True)
-
-    def flaky(p, rows):
-        calls.append(len(rows))
-        if len(calls) > 1:
-            raise RuntimeError("injected")
-        return real(p, rows)
-
-    monkeypatch.setattr(locus_module, "raw_oracle_counts", flaky)
-    bases = plane_bases(p)
+def test_count_planes_takes_one_plane_a_block_for_the_raw_oracle_at_p7():
+    # 7**6 half-vectors a plane is past KEY_BLOCK: each block holds one plane
+    p = 7
+    assert p**6 > KEY_BLOCK
+    bases = plane_bases(p)[:2]
     rows, counts, failures, worker_failure = count_planes(
-        p, bases, classify_planes(p, bases)[0], SWEEP_ROUTES[p][True])
-    assert calls == [89, 41]
-    assert rows.tolist() == list(range(89))
-    assert failures == [] and worker_failure == "worker failed on plane 89: injected"
-    for route, column in counts.items():
-        expected = sweep.raw_counts if route == "raw" else sweep.detzero_counts
-        assert column.tolist() == expected[:89].tolist()
+        p, bases, classify_planes(p, bases)[0], ("raw", "kernel"))
+    assert rows.tolist() == [0, 1] and failures == [] and worker_failure is None
+    assert counts["kernel"].tolist() == [8, 0]  # a shared-left and a generic plane
+    assert counts["raw"].tolist() == (p * p + counts["kernel"] * (p - 1) * p * p).tolist()
+
+
+def add_one_to_every_join_count(monkeypatch):
+    real = locus_module._join_counts
+    monkeypatch.setattr(locus_module, "_join_counts", lambda *args: real(*args) + 1)
+
+
+@pytest.mark.parametrize("fault", [None, add_one_to_every_join_count], ids=["as-is", "join-plus-one"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_count_planes_does_not_depend_on_the_order_of_later_routes(monkeypatch, p, fault):
+    # kernel and raw swapped behind the first route: the same rows, columns
+    # and failure lines, mismatch lines included where the join is one off
+    if fault is not None:
+        fault(monkeypatch)
+    bases = plane_bases(p)
+    kinds = classify_planes(p, bases)[0]
+    routes = SWEEP_ROUTES[p][True]
+    assert routes == ("enumerate", "kernel", "raw")
+    rows, counts, failures, worker_failure = count_planes(p, bases, kinds, routes)
+    swapped = count_planes(p, bases, kinds, ("enumerate", "raw", "kernel"))
+    assert rows.tolist() == swapped[0].tolist() == list(range(len(bases)))
+    assert {route: column.tolist() for route, column in counts.items()} == {
+        route: column.tolist() for route, column in swapped[1].items()}
+    assert failures == swapped[2] and worker_failure is None and swapped[3] is None
+    assert len(failures) == (len(bases) if fault else 0)
 
 
 # -- raw oracle ---------------------------------------------------------------------
@@ -500,18 +512,18 @@ def test_sweep_method_gating(monkeypatch):
             assert "kernel" in routes  # the kernel route runs at every prime
         plain, oracle = row
         assert set(plain) <= set(oracle)  # --full-oracle only adds routes
-    real_kernel, real_join, counted = locus_module._kernel_counts, locus_module._join_count, {}
+    real_kernel, real_join, counted = locus_module._kernel_counts, locus_module._join_counts, {}
 
     def kernel_counts(p, matrices):
         counted["kernel"] = counted.get("kernel", 0) + len(matrices)
         return real_kernel(p, matrices)
 
-    def join_count(*args):
-        counted["enumerate"] = counted.get("enumerate", 0) + 1
-        return real_join(*args)
+    def join_counts(p, matrices, pivots):
+        counted["enumerate"] = counted.get("enumerate", 0) + len(matrices)
+        return real_join(p, matrices, pivots)
 
     monkeypatch.setattr(locus_module, "_kernel_counts", kernel_counts)
-    monkeypatch.setattr(locus_module, "_join_count", join_count)
+    monkeypatch.setattr(locus_module, "_join_counts", join_counts)
     for p in SUPPORTED_PRIMES:
         for full_oracle in (False, True):
             routes = SWEEP_ROUTES[p][full_oracle]
@@ -724,22 +736,23 @@ def test_sweep_full_oracle_p3_covers_each_type(sweep3):
 
 
 def test_worker_failure_carries_partial_results(monkeypatch):
-    calls = {"n": 0}
-    real_join = locus_module._join_count
+    # at p = 3 with the raw oracle the join counts blocks of 89 planes; it
+    # raises on the second, so the sweep holds the first block, in every column
+    calls = []
+    real_join = locus_module._join_counts
 
     def flaky(*args):
-        calls["n"] += 1
-        if calls["n"] > 10:
+        calls.append(None)
+        if len(calls) > 1:
             raise RuntimeError("injected failure")
         return real_join(*args)
 
-    monkeypatch.setattr(locus_module, "_join_count", flaky)
-    partial = sweep_locus(2)
-    assert partial is not None
-    assert partial.worker_failure == "worker failed on plane 10: injected failure"
-    assert partial.failures[-1] == partial.worker_failure
-    assert len(partial.plane_index) == 10
-    assert partial.failures
+    monkeypatch.setattr(locus_module, "_join_counts", flaky)
+    partial = sweep_locus(3, full_oracle=True)
+    assert partial.worker_failure == "worker failed on plane 89: injected failure"
+    assert partial.failures == [partial.worker_failure]
+    assert partial.plane_index.tolist() == list(range(89))
+    assert len(partial.detzero_counts) == len(partial.raw_counts) == 89
 
 
 def test_fiber_report_json(sweep2):
@@ -755,12 +768,12 @@ def test_fiber_report_json(sweep2):
 
 
 def test_verification_error_on_forced_mismatch(monkeypatch):
-    real_join = locus_module._join_count
+    real_join = locus_module._join_counts
 
     def wrong(*args):
         return real_join(*args) + 1
 
-    monkeypatch.setattr(locus_module, "_join_count", wrong)
+    monkeypatch.setattr(locus_module, "_join_counts", wrong)
     sweep = sweep_locus(2)
     assert sweep.failures
     assert any("det-zero count" in f for f in sweep.failures)

@@ -43,8 +43,8 @@ def reference_document(sweep, summary: dict, worker_failure: str | None) -> str:
 
 
 def count_one_too_many(monkeypatch):
-    real = locus_module._join_count
-    monkeypatch.setattr(locus_module, "_join_count", lambda *args: real(*args) + 1)
+    real = locus_module._join_counts
+    monkeypatch.setattr(locus_module, "_join_counts", lambda *args: real(*args) + 1)
 
 
 def corrupt_raw_oracle_map(monkeypatch):
@@ -62,7 +62,7 @@ def fail_on_plane_0(monkeypatch):
     def boom(*args):
         raise RuntimeError("injected")
 
-    monkeypatch.setattr(locus_module, "_join_count", boom)
+    monkeypatch.setattr(locus_module, "_join_counts", boom)
 
 
 @pytest.mark.parametrize("p,flags,fault,code,marker", [
@@ -90,16 +90,17 @@ def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, 
     assert marker in text
 
 
-def fail_on_plane_100(monkeypatch):
-    real, calls = locus_module._join_count, []
+def fail_on_plane_89(monkeypatch):
+    # at p = 3 with the raw oracle the join counts blocks of 89 planes
+    real, calls = locus_module._join_counts, []
 
     def flaky(*args):
         calls.append(None)
-        if len(calls) == 101:
+        if len(calls) == 2:
             raise RuntimeError("injected")
         return real(*args)
 
-    monkeypatch.setattr(locus_module, "_join_count", flaky)
+    monkeypatch.setattr(locus_module, "_join_counts", flaky)
 
 
 def test_locus_document_chunks_are_blocks_of_fibers():
@@ -139,8 +140,8 @@ def test_render_memory_is_bounded_by_a_block():
 @pytest.mark.parametrize("p,flags,fault,code", [
     (7, (), None, 0),
     (3, ("--full-oracle",), None, 0),
-    (3, (), fail_on_plane_100, 3),
-], ids=["7", "3-full-oracle", "fail-on-plane-100"])
+    (3, ("--full-oracle",), fail_on_plane_89, 3),
+], ids=["7", "3-full-oracle", "fail-on-plane-89"])
 def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, code):
     argv = ["verify-locus", "--prime", str(p), *flags]
     out = tmp_path / "locus.json"
@@ -155,5 +156,5 @@ def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, 
     assert out.read_bytes() == documents[0]
     doc = json.loads(documents[0])
     assert ("worker_failure" in doc) == (code == 3)
-    if code == 3:  # the planes counted before the failure
-        assert len(doc["fibers"]) == 100
+    if code == 3:  # the block counted before the failure
+        assert len(doc["fibers"]) == 89
