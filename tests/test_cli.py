@@ -531,6 +531,25 @@ def test_a_route_that_raises_drops_its_block_exit_3(monkeypatch, capsys, name):
                for column in counts.values())
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_locus_worker_failure_exit_3(monkeypatch, capsys, workers):
+    # at p = 5 with --full-oracle the join counts blocks of 20 planes; raising
+    # on its sixth keeps the five blocks before it, whatever --workers says
+    argv = ["verify-locus", "--prime", "5", "--full-oracle"]
+    outs = []
+    for extra in (("--workers", workers), ()):
+        with monkeypatch.context() as patch:
+            calls = fail_from_call(patch, "_join_counts", 6)
+            assert cli.main([*argv, *extra]) == 3
+        assert calls == [5] * 6
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert doc["worker_failure"] == "worker failed on plane 100: injected"
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(100))
+    assert doc["summary"]["ok"] is False
+
+
 def fail_kernel_route(monkeypatch):
     # at p = 7 only: the kernel route runs at every prime
     real = locus_module._ranks_mod_p
@@ -567,6 +586,18 @@ def test_raw_oracle_failure_stops_the_run_exit_3(monkeypatch, capsys):
     assert "worker failure: worker failed on plane 0: injected" in lines
     assert calls == [2] and not any(line.startswith("locus p=3") for line in lines)
     assert lines[-1] == "verdict: FAIL"
+
+
+def test_raw_oracle_failure_in_a_later_block_keeps_earlier_blocks_exit_3(monkeypatch, capsys):
+    # at p = 3 the raw oracle counts 89 planes a block
+    calls = fail_from_call(monkeypatch, "raw_oracle_counts", 2)
+    assert cli.main(["verify-locus", "--prime", "3", "--full-oracle"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert calls == [3, 3]
+    assert doc["worker_failure"] == "worker failed on plane 89: injected"
+    assert [fiber["plane_index"] for fiber in doc["fibers"]] == list(range(89))
+    assert all(fiber["raw_ok"] is True for fiber in doc["fibers"])
+    assert doc["summary"]["ok"] is False
 
 
 @pytest.mark.parametrize("argv", list(PARTIAL_REPORT_DIGESTS),

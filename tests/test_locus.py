@@ -370,6 +370,31 @@ def test_count_planes_takes_one_plane_a_block_for_the_raw_oracle_at_p7():
     assert counts["raw"].tolist() == (p * p + counts["kernel"] * (p - 1) * p * p).tolist()
 
 
+def test_count_planes_stops_at_the_raw_block_that_raises(monkeypatch):
+    # at p = 3 every route counts blocks of 89 planes, the raw oracle's;
+    # its count raising on the second block keeps the first block's rows
+    p, calls = 3, []
+    real = locus_module.raw_oracle_counts
+    sweep = sweep_locus(p, full_oracle=True)
+
+    def flaky(p, rows):
+        calls.append(len(rows))
+        if len(calls) > 1:
+            raise RuntimeError("injected")
+        return real(p, rows)
+
+    monkeypatch.setattr(locus_module, "raw_oracle_counts", flaky)
+    bases = plane_bases(p)
+    rows, counts, failures, worker_failure = count_planes(
+        p, bases, classify_planes(p, bases)[0], SWEEP_ROUTES[p][True])
+    assert calls == [89, 41]
+    assert rows.tolist() == list(range(89))
+    assert failures == [] and worker_failure == "worker failed on plane 89: injected"
+    for route, column in counts.items():
+        expected = sweep.raw_counts if route == "raw" else sweep.detzero_counts
+        assert column.tolist() == expected[:89].tolist()
+
+
 def add_one_to_every_join_count(monkeypatch):
     real = locus_module._join_counts
     monkeypatch.setattr(locus_module, "_join_counts", lambda *args: real(*args) + 1)

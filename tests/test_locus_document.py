@@ -90,17 +90,26 @@ def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, 
     assert marker in text
 
 
-def fail_on_plane_89(monkeypatch):
-    # at p = 3 with the raw oracle the join counts blocks of 89 planes
+def fail_join_on_call(monkeypatch, call: int):
     real, calls = locus_module._join_counts, []
 
     def flaky(*args):
         calls.append(None)
-        if len(calls) == 2:
+        if len(calls) == call:
             raise RuntimeError("injected")
         return real(*args)
 
     monkeypatch.setattr(locus_module, "_join_counts", flaky)
+
+
+def fail_on_plane_89(monkeypatch):
+    # at p = 3 with the raw oracle the join counts blocks of 89 planes
+    fail_join_on_call(monkeypatch, 2)
+
+
+def fail_on_plane_100(monkeypatch):
+    # at p = 5 with --full-oracle the join counts blocks of 20 planes
+    fail_join_on_call(monkeypatch, 6)
 
 
 def test_locus_document_chunks_are_blocks_of_fibers():
@@ -137,12 +146,13 @@ def test_render_memory_is_bounded_by_a_block():
     assert abs(peak7 - peak5) < 0.1e6
 
 
-@pytest.mark.parametrize("p,flags,fault,code", [
-    (7, (), None, 0),
-    (3, ("--full-oracle",), None, 0),
-    (3, ("--full-oracle",), fail_on_plane_89, 3),
-], ids=["7", "3-full-oracle", "fail-on-plane-89"])
-def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, code):
+@pytest.mark.parametrize("p,flags,fault,code,fibers", [
+    (7, (), None, 0, None),
+    (3, ("--full-oracle",), None, 0, None),
+    (3, ("--full-oracle",), fail_on_plane_89, 3, 89),
+    (5, ("--full-oracle",), fail_on_plane_100, 3, 100),
+], ids=["7", "3-full-oracle", "fail-on-plane-89", "fail-on-plane-100"])
+def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, code, fibers):
     argv = ["verify-locus", "--prime", str(p), *flags]
     out = tmp_path / "locus.json"
     documents = []
@@ -156,5 +166,6 @@ def test_out_file_equals_stdout(monkeypatch, capsys, tmp_path, p, flags, fault, 
     assert out.read_bytes() == documents[0]
     doc = json.loads(documents[0])
     assert ("worker_failure" in doc) == (code == 3)
-    if code == 3:  # the block counted before the failure
-        assert len(doc["fibers"]) == 89
+    if code == 3:  # the blocks counted before the failure
+        assert len(doc["fibers"]) == fibers
+        assert doc["worker_failure"] == f"worker failed on plane {fibers}: injected"
