@@ -87,8 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_sweep_args(p):
         p.add_argument("--full-oracle", action="store_true",
-                       help="also run the raw pair sweeps (p = 2, 3); adds the "
-                            "fiber join at p = 5")
+                       help="count by each prime's --full-oracle row of betti.SWEEP_ROUTES")
         p.add_argument("--workers", type=int, default=1, metavar="N",
                        help="accepted for compatibility; must be at least 1 and "
                             "has no other effect (every sweep runs in one process)")

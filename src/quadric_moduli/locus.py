@@ -21,23 +21,23 @@ precondition of the counts with one failure line, so it never stops a sweep.
 Every route maps a block's kept planes to one int64 column, and a route that
 raises drops its whole block: the loop stops there, whatever the route.
 
-The determinant action is linear in the plane basis, so an 8 x 12 x 12
-tensor built once from the package's form arithmetic is contracted with
-each block of planes of a prime in one int16 product; that one contraction
-feeds every count route, so a sweep holds one block's matrices at a time.
-The kernel route counts from the rank of the action, row-reducing a
-block's stack of matrices together in int16 and reducing mod p only each
-cleared column and its pivot row.  The enumeration route
-counts the vectors of a complement of K on which the determinant vanishes,
-by a meet-in-the-middle join: the 10 complement coordinates are split 5 + 5,
-the images of the p^5 vectors of each half are keyed in base p (int32 up
-to p = 5) for a block of planes at once, and the coinciding keys of the
-whole block are counted by one sort of each plane's tagged keys.  The raw
-oracle keys and joins all p^12 first-column pairs the same way, block by
-block like every other route, and its counts are one more column.  Its
-maps come from a second table of unit form products, which shares nothing
-with the action tensors, so no sweep multiplies forms per plane.  A sweep
-runs in one process, over the planes in fixed order.
+Every map a count reads is linear in the plane basis (f1, f2): the
+determinant action, K's basis and the raw oracle's products.  Each is one
+plane table, which _plane_table builds once from the package's form
+arithmetic on the 8 unit bases, and _contract maps a block of planes through
+it in one int16 product, so no sweep multiplies forms per plane and a sweep
+holds one block's matrices at a time.  The kernel route counts from the rank
+of the action, row-reducing a block's stack of matrices together in int16
+and reducing mod p only each cleared column and its pivot row.  The
+enumeration route counts the vectors of a complement of K on which the
+determinant vanishes, by a meet-in-the-middle join: the 10 complement
+coordinates are split 5 + 5, the images of the p^5 vectors of each half are
+keyed in base p (int32 up to p = 5) for a block of planes at once, and the
+coinciding keys of the whole block are counted by one sort of each plane's
+tagged keys.  The raw oracle keys and joins all p^12 first-column pairs the
+same way, block by block like every other route, and its counts are one more
+column.  Its table is built from its own form products, never from the
+action's.  A sweep runs in one process, over the planes in fixed order.
 
 Everything is exact integer arithmetic with asserted bounds; no floating
 point enters a count.
@@ -290,36 +290,39 @@ def _join_counts(p: int, matrices, pivots) -> np.ndarray:
 
 
 @functools.cache
-def _integer_action_tensors() -> tuple[np.ndarray, np.ndarray]:
-    """det_action_matrix and _k_rows as linear maps of the 8 coefficients
-    (f1 | f2) of a plane basis: an (8, 12, 12) and an (8, 2, 12) read-only
-    integer tensor, built once by evaluating both functions on the unit
-    bases over ZZ, so that BiForm stays the one definition of the monomial
-    layout.  Their entries are -1, 0 and 1, which action_matrices' int16
-    bound rests on."""
+def _plane_table(build) -> np.ndarray:
+    """build(f1, f2), integer coefficients linear in a plane basis, as an
+    (8, K) read-only int16 table of that map of the basis' 8 coefficients
+    (f1 | f2), built once from build's values on the 8 unit bases over ZZ, so
+    that BiForm stays the one definition of the monomial layout.  Its
+    entries are -1, 0 and 1, which _contract's bound rests on."""
     zero = BiForm.zero(ZZ, 1, 1)
     units = [BiForm.monomial(ZZ, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
-    det = np.stack([det_action_matrix(f1, f2) for f1, f2 in bases])
-    k = np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64)
-    for tensor in (det, k):
-        assert np.abs(tensor).max() <= 1, "action tensor entries must be -1, 0 or 1"
-        tensor.flags.writeable = False
-    return det, k
+    table = np.array([build(f1, f2) for f1, f2 in bases], dtype=np.int64).reshape(8, -1)
+    assert np.abs(table).max() <= 1, "plane table entries must be -1, 0 or 1"
+    table = table.astype(np.int16)
+    table.flags.writeable = False
+    return table
+
+
+def _contract(p: int, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (N, K) canonical images mod p of N planes' canonical basis rows,
+    read as (N, 8) int16, under an (8, K) plane table: one int16 einsum,
+    whose sums the assert keeps within int16, reduced mod p once."""
+    rows = np.asarray(rows, dtype=np.int16).reshape(-1, 8)
+    assert rows.shape[1] * (p - 1) * int(np.abs(table).max()) < 2**15, (
+        "plane table sums must fit in int16")
+    return _reduce(np.einsum("nj,jk->nk", rows, table), p)
 
 
 def action_matrices(p: int, rows) -> tuple[np.ndarray, np.ndarray]:
     """The det action matrices (N, 12, 12) and the K bases (N, 2, 12) of N
     planes given by their canonical basis rows (f1, f2), shape (N, 2, 4), as
-    int16 canonical representatives mod p: the integer tensors contracted
-    with all N planes in one int16 einsum, whose 8-term sums stay within
-    +-8 * (p - 1), then reduced mod p once."""
-    det, k = _integer_action_tensors()
-    maps = np.concatenate([det.reshape(8, -1), k.reshape(8, -1)], axis=1).astype(np.int16)
-    rows = np.asarray(rows, dtype=np.int16).reshape(-1, 8)
-    images = _reduce(np.einsum("nj,jk->nk", rows, maps), p)
-    n = len(images)
-    return images[:, :144].reshape(n, 12, 12), images[:, 144:].reshape(n, 2, 12)
+    int16 canonical representatives mod p: the plane tables of
+    det_action_matrix and _k_rows, each contracted with all N planes."""
+    return (_contract(p, _plane_table(det_action_matrix), rows).reshape(-1, 12, 12),
+            _contract(p, _plane_table(_k_rows), rows).reshape(-1, 2, 12))
 
 
 def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
@@ -365,32 +368,29 @@ def _kernel_counts(p: int, matrices: np.ndarray) -> np.ndarray:
     return (p ** (10 - _ranks_mod_p(matrices, p)) - 1) // (p - 1)
 
 
-@functools.cache
-def _raw_products() -> np.ndarray:
-    """BiForm's products of the six (1, 2)-monomials with the four unit
-    (1, 1)-forms over ZZ, as a read-only (4, 6, 12) int16 table, built once:
-    [u, k] holds the coefficients of the k-th monomial times the u-th unit.
-    A product of monomials is a monomial, so every entry is 0 or 1."""
-    units = [BiForm.monomial(ZZ, 1, 1, i, j) for i in range(2) for j in range(2)]
-    monomials = _first_column_monomials(ZZ)
-    products = np.array([[(m * u).coeffs for m in monomials] for u in units], dtype=np.int16)
-    products.flags.writeable = False
-    return products
+def _raw_maps(f1: BiForm, f2: BiForm) -> np.ndarray:
+    """The maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms, as a
+    (2, 12, 6) integer array of two matrices whose column k is the image of
+    the k-th monomial: the raw oracle's own form products, never read off
+    det_action_matrix, or the coset identity would hold by construction."""
+    monomials = _first_column_monomials(f1.field)
+    products = [[(mono * f).coeffs for mono in monomials] for f in (f2, f1)]
+    return np.array(products).transpose(0, 2, 1)
 
 
 def raw_oracle_maps(p: int, bases) -> np.ndarray:
     """The maps phi -> phi*f2 and phi -> phi*f1 on (1, 2)-forms of N planes
     with basis rows (f1, f2), an (N, 2, 4) array-like, as an (N, 2, 12, 6)
-    stack of canonical matrices in _image_keys' layout: the products are
-    linear in the rows, so one int16 einsum (4-term sums below 4 * p)
-    contracts them with _raw_products, reduced mod p once."""
-    products = _raw_products()
-    # a product of two monomials is one monomial; a product that lost its
-    # term instead breaks the coset identity, which the sweep records
-    assert np.isin(products, (0, 1)).all() and (products.sum(axis=2) <= 1).all(), (
+    stack of canonical matrices in _image_keys' layout: _raw_maps' plane
+    table contracted with all N planes."""
+    table = _plane_table(_raw_maps)
+    # [f1 | f2 unit, map phi*f2 | phi*f1, image, monomial]: each map reads one form, and a
+    # product of monomials is one monomial; one that lost its term breaks the coset identity
+    products = table.reshape(2, 4, 2, 12, 6)
+    assert (np.isin(table, (0, 1)).all() and (products.sum(axis=3) <= 1).all()
+            and not products[0, :, 0].any() and not products[1, :, 1].any()), (
         "each raw product must be at most one monomial")
-    bases = np.asarray(bases, dtype=np.int16).reshape(-1, 2, 4)
-    return _reduce(np.einsum("nfu,ukc->nfck", bases[:, ::-1], products), p)
+    return _contract(p, table, bases).reshape(-1, 2, 12, 6)
 
 
 def raw_oracle_counts(p: int, bases) -> np.ndarray:
@@ -468,7 +468,7 @@ def count_planes(p: int, bases: np.ndarray, kinds: np.ndarray, routes) -> tuple:
     run in blocks of KEY_BLOCK // b, b the largest route block, and of at
     least one plane: 144 action-matrix entries a plane for the kernel route,
     p**5 half-vectors for the join, p**6 for the raw oracle.  Each block gets
-    one contraction of the action tensors and one _k_pivots pass, whose
+    one action_matrices contraction and one _k_pivots pass, whose
     dimensions feed the mask and whose pivots the join.  The mask holds back
     each plane whose kind is unknown, whose K does not have dimension 2,
     whose basis rows are linearly dependent (every 2 x 2 minor zero mod p),

@@ -37,41 +37,93 @@ def test_corrupted_raw_oracle_map(monkeypatch, capsys):
     assert "verdict: FAIL" in out
 
 
-@pytest.mark.parametrize(
-    "entry", [tuple(e) for e in np.argwhere(locus_module._raw_products()).tolist()],
-    ids=lambda entry: "-".join(map(str, entry)))
-def test_dropped_raw_product_entry(monkeypatch, capsys, entry):
-    # each of the 24 unit products feeds the raw maps of some p = 2 plane
-    real = locus_module._raw_products
+#: The raw oracle's plane table, by [f1 | f2 unit, map phi*f2 | phi*f1,
+#: image coefficient, monomial].
+RAW_TABLE = locus_module._plane_table(locus_module._raw_maps)
+RAW_AXES = (2, 4, 2, 12, 6)
 
-    def dropped():
-        table = real().copy()
-        table[entry] = 0
+
+def patch_raw_table(monkeypatch, entry, value):
+    """Make _plane_table give the raw table with `value` at a (row, column) entry."""
+    real = locus_module._plane_table
+
+    def patched(build):
+        table = real(build)
+        if build is locus_module._raw_maps:
+            table = table.copy()
+            table[entry] = value
         return table
 
-    monkeypatch.setattr(locus_module, "_raw_products", dropped)
-    code, out = run_verify(capsys, "--full-oracle")
-    assert code == 1
-    assert "breaks the coset identity" in out
+    monkeypatch.setattr(locus_module, "_plane_table", patched)
+
+
+def raw_entry(half, u, image_map, c, k):
+    """The (row, column) of RAW_TABLE at those RAW_AXES coordinates."""
+    return np.unravel_index(np.ravel_multi_index((half, u, image_map, c, k), RAW_AXES),
+                            RAW_TABLE.shape)
+
+
+def moved_raw_identity_breaks(p) -> bool:
+    """Whether the raw count of some plane of F_p, counted through count_planes
+    on its moved basis G B, G = [[1, 1], [1, 2]], breaks the coset identity."""
+    moved = (np.array([[1, 1], [1, 2]]) @ locus_module.plane_bases(p) % p).astype(np.int16)
+    kinds = locus_module.classify_planes(p, moved)[0]
+    _, counts, _, _ = locus_module.count_planes(p, moved, kinds, ("kernel", "raw"))
+    return bool((counts["raw"] != p * p + counts["kernel"] * (p - 1) * p * p).any())
+
+
+#: Entries whose drop no p = 2 echelon plane sees: f2 has no xz term in any
+#: echelon basis, and (u, k, c) = (3, 0, 5) in phi*f1 leaves every echelon
+#: raw count unchanged at p = 2 and 3.  The moved bases see each of them.
+ECHELON_BLIND = {raw_entry(1, 0, 0, c, k) for c, k in
+                 np.argwhere(RAW_TABLE.reshape(RAW_AXES)[1, 0, 0]).tolist()}
+ECHELON_BLIND.add(raw_entry(0, 3, 1, 5, 0))
+
+
+@pytest.mark.parametrize(
+    "product",  # (u, k, c): unit u times monomial k is monomial c
+    sorted({(u, k, c) for _, u, _, c, k in np.argwhere(RAW_TABLE.reshape(RAW_AXES)).tolist()}),
+    ids=lambda product: "-".join(map(str, product)))
+def test_dropped_raw_product_entry(monkeypatch, capsys, product):
+    # each of the 24 unit products is an entry of both maps, phi*f2 from f2's
+    # unit and phi*f1 from f1's: dropping it from both, or from either alone,
+    # breaks the coset identity of some p = 2 plane, or for ECHELON_BLIND
+    # entries of some moved plane
+    u, k, c = product
+    entries = [raw_entry(1, u, 0, c, k), raw_entry(0, u, 1, c, k)]
+    assert all(RAW_TABLE[entry] == 1 for entry in entries)
+    assert not locus_module.plane_bases(2)[:, 1, 0].any() and not moved_raw_identity_breaks(2)
+    for dropped in (entries, entries[:1], entries[1:]):
+        with monkeypatch.context() as patch:
+            patch_raw_table(patch, tuple(np.transpose(dropped)), 0)
+            if len(dropped) == 1 and dropped[0] in ECHELON_BLIND:
+                assert moved_raw_identity_breaks(2), dropped
+                continue
+            code, out = run_verify(capsys, "--full-oracle")
+        assert code == 1, dropped
+        assert "breaks the coset identity" in out, dropped
 
 
 def test_inserted_raw_product_entry_stops_the_run(monkeypatch, capsys):
-    # a product of monomials is one monomial: a second term in any of the 24
-    # products is an internal error, caught before the raw maps are used
-    real = locus_module._raw_products
-    zeros = [tuple(e) for e in np.argwhere(real() == 0).tolist()]
-    assert len(zeros) == 264
-    for entry in zeros:
-        def inserted(entry=entry):
-            table = real().copy()
-            table[entry] = 1
-            return table
-
-        monkeypatch.setattr(locus_module, "_raw_products", inserted)
-        assert cli.main(["verify", "--primes", "2", "--full-oracle"]) == 2, entry
+    # a product of monomials is one monomial, and each map reads one form: a
+    # second term in any product, or a term from the other form, is an
+    # internal error, caught before the raw maps are used; raw_oracle_maps
+    # checks every zero entry, the command every fifth
+    message = "each raw product must be at most one monomial"
+    zeros = [tuple(e) for e in np.argwhere(RAW_TABLE == 0).tolist()]
+    assert len(zeros) == 8 * 144 - 48
+    bases = locus_module.plane_bases(2)
+    for index, entry in enumerate(zeros):
+        with monkeypatch.context() as patch:
+            patch_raw_table(patch, entry, 1)
+            with pytest.raises(AssertionError, match=message):
+                locus_module.raw_oracle_maps(2, bases)
+            if index % 5:
+                continue
+            assert cli.main(["verify", "--primes", "2", "--full-oracle"]) == 2, entry
         out, err = capsys.readouterr()
         assert out == "", entry
-        assert err == "internal error: each raw product must be at most one monomial\n", entry
+        assert err == f"internal error: {message}\n", entry
 
 
 def test_corrupted_raw_oracle_map_p3(monkeypatch, capsys):

@@ -15,8 +15,9 @@ from quadric_moduli import linalg
 from quadric_moduli.betti import SUPPORTED_PRIMES
 from quadric_moduli.biform import BiForm
 from quadric_moduli.locus import (
-    KEY_BLOCK, _factoring_ok, _integer_action_tensors, _k_pivots, _k_rows, _kernel_counts,
-    _ranks_mod_p, _reduce, action_matrices, classify_planes, det_action_matrix, sweep_locus,
+    KEY_BLOCK, _contract, _factoring_ok, _k_pivots, _k_rows, _kernel_counts, _plane_table,
+    _ranks_mod_p, _raw_maps, _reduce, action_matrices, classify_planes, det_action_matrix,
+    sweep_locus,
 )
 from form_reference import GF, QQ
 from plane_reference import enumerate_planes
@@ -50,35 +51,66 @@ def test_contracted_matrices_equal_det_action_matrix(p, sample):
         assert k_basis.tolist() == [list(row) for row in _k_rows(f1, f2)]
 
 
-def unit_basis_products(field) -> tuple[np.ndarray, np.ndarray]:
-    """det_action_matrix and _k_rows on the 8 unit bases over one field."""
+#: The builds of every plane table: the det action, K's basis and the raw maps.
+BUILDS = (det_action_matrix, _k_rows, _raw_maps)
+
+
+def unit_basis_products(field) -> list[np.ndarray]:
+    """Each of BUILDS on the 8 unit bases over one field, as an (8, K) array."""
     zero = BiForm.zero(field, 1, 1)
     units = [BiForm.monomial(field, 1, 1, i, j) for i in range(2) for j in range(2)]
     bases = [(unit, zero) for unit in units] + [(zero, unit) for unit in units]
-    return (np.stack([det_action_matrix(f1, f2) for f1, f2 in bases]),
-            np.array([_k_rows(f1, f2) for f1, f2 in bases], dtype=np.int64))
+    return [np.array([build(f1, f2) for f1, f2 in bases], dtype=np.int64).reshape(8, -1)
+            for build in BUILDS]
 
 
 def test_integer_action_tensors_equal_unit_basis_products_over_qq():
-    for tensor, products in zip(_integer_action_tensors(), unit_basis_products(QQ)):
-        assert np.array_equal(tensor, products)
-        assert set(np.unique(tensor).tolist()) <= {-1, 0, 1}
+    for build, products in zip(BUILDS, unit_basis_products(QQ)):
+        table = _plane_table(build)
+        assert np.array_equal(table, products)
+        assert set(np.unique(table).tolist()) <= {-1, 0, 1}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_action_tensors_equal_unit_basis_products_over_gf_p(p):
-    # the per-prime construction the integer tensors replaced: their
-    # reduction mod p is what action_matrices contracts
-    for tensor, products in zip(_integer_action_tensors(), unit_basis_products(GF(p))):
-        assert np.array_equal(tensor % p, products)
+    # the per-prime construction the integer tables replaced: their
+    # reduction mod p is what _contract reads
+    for build, products in zip(BUILDS, unit_basis_products(GF(p))):
+        assert np.array_equal(_plane_table(build) % p, products)
 
 
 def test_cached_action_tensors_are_read_only():
-    cached = locus_module._integer_action_tensors
-    for tensor in cached():
+    for build in BUILDS:
+        table = _plane_table(build)
+        assert table.dtype == np.int16 and table.shape[0] == 8
         with pytest.raises(ValueError, match="read-only"):
-            tensor[0, 0, 0] = 1
-    assert cached() is cached()
+            table[0, 0] = 1
+        assert _plane_table(build) is table
+
+
+def test_raw_table_is_built_without_the_action_builds(monkeypatch):
+    # a raw table read off the action's builds would meet the coset identity
+    # against the action's counts by construction, whatever their defect
+    def refuse(f1, f2):
+        raise RuntimeError("the raw table reads an action build")
+
+    cached = _plane_table(_raw_maps)
+    monkeypatch.setattr(locus_module, "det_action_matrix", refuse)
+    monkeypatch.setattr(locus_module, "_k_rows", refuse)
+    assert np.array_equal(_plane_table.__wrapped__(_raw_maps), cached)
+
+
+@pytest.mark.parametrize("p,fits", [(7, True), (4096, True), (4097, False), (4099, False)])
+def test_contract_asserts_the_int16_sum_bound(p, fits):
+    # 8 rows times entries of at most 1 sum to at most 8 * (p - 1): int16
+    # holds that up to p = 4096, and the assert refuses every larger p
+    table, rows = np.ones((8, 1), dtype=np.int16), np.full((1, 2, 4), p - 1)
+    if fits:
+        assert _contract(p, table, rows).tolist() == [[8 * (p - 1) % p]]
+        assert _contract(p, _plane_table(det_action_matrix), rows).shape == (1, 144)
+    else:
+        with pytest.raises(AssertionError, match="int16"):
+            _contract(p, table, rows)
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
@@ -137,15 +169,16 @@ def test_classify_and_k_pivots_leave_their_input_as_it_was():
 
 @pytest.mark.parametrize("primes", ["2", "5", "7"])
 def test_perturbed_action_tensor_flips_verdict(monkeypatch, capsys, primes):
-    real = locus_module._integer_action_tensors
+    real = locus_module._plane_table
 
-    def perturbed():
-        det, k = real()
-        det = det.copy()
-        det[0, 0, 0] += 1
-        return det, k
+    def perturbed(build):
+        table = real(build)
+        if build is det_action_matrix:
+            table = table.copy()
+            table[0, 0] += 1
+        return table
 
-    monkeypatch.setattr(locus_module, "_integer_action_tensors", perturbed)
+    monkeypatch.setattr(locus_module, "_plane_table", perturbed)
     code = cli.main(["verify", "--primes", primes, "--workers", "1"])
     assert code == 1
     out = capsys.readouterr().out
@@ -182,7 +215,8 @@ def test_sweep_memory_is_bounded_by_a_block():
     # p = 3 the raw oracle keys 89 planes at a time (1.21 MB; 1.63 MB with
     # all 130 at once); counting a block's coinciding keys with one sort in
     # place raised the last three by 0.07 to 0.13 MB
-    _integer_action_tensors()
+    for build in BUILDS:
+        _plane_table(build)
     peaks = {}
     for p, full_oracle, bound in ((3, False, 0.8e6), (3, True, 1.3e6), (5, True, 1.35e6),
                                   (7, False, 0.7e6)):

@@ -297,23 +297,30 @@ def test_gauge_invariance():
                                            add(scale(f1, c), scale(f2, d))) == reference
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_join_does_not_depend_on_the_plane_basis(p):
-    # contracting the basis G B of every plane instead of its echelon rows
-    # moves K and the action, but neither the plane's kind nor any route's count
-    sweep = sweep_locus(p, full_oracle=True)
+def check_moved_bases(p, routes):
+    """Count every plane of F_p by `routes` through count_planes on the basis
+    G B of its echelon rows B, G = [[1, 1], [1, 2]]: that moves K and the
+    action, but neither the plane's kind nor any route's count.  No plane is
+    held back and no count raises, and each column is int64, a row per plane,
+    and equal to the sweep's, with full_oracle where "raw" is a route.  CI
+    runs it at p = 7 with ("enumerate", "kernel")."""
     bases = plane_bases(p)
-    assert sweep.plane_index.tolist() == list(range(len(bases)))
     moved = (np.array([[1, 1], [1, 2]]) @ bases % p).astype(np.int16)
     kinds = classify_planes(p, moved)[0]
-    assert np.array_equal(kinds, sweep.kinds)
-    rows, counts, failures, worker_failure = count_planes(
-        p, moved, kinds, ("enumerate", "kernel", "raw"))
-    assert rows.tolist() == sweep.plane_index.tolist()
+    rows, counts, failures, worker_failure = count_planes(p, moved, kinds, routes)
     assert failures == [] and worker_failure is None
-    assert counts["enumerate"].tolist() == sweep.detzero_counts.tolist()
-    assert counts["kernel"].tolist() == sweep.detzero_counts.tolist()
-    assert counts["raw"].tolist() == sweep.raw_counts.tolist()
+    assert rows.tolist() == list(range(len(bases)))
+    assert all(column.dtype == np.int64 and len(column) == len(rows) for column in counts.values())
+    sweep = sweep_locus(p, full_oracle="raw" in routes)
+    assert sweep.plane_index.tolist() == rows.tolist()
+    assert np.array_equal(kinds, sweep.kinds)
+    for route, column in counts.items():
+        assert np.array_equal(column, sweep.raw_counts if route == "raw" else sweep.detzero_counts)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_join_does_not_depend_on_the_plane_basis(p):
+    check_moved_bases(p, ("enumerate", "kernel", "raw"))
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -649,11 +656,14 @@ def test_sweep_builds_planes_only_for_raw_targets(monkeypatch, p, full_oracle, t
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
-    # past the cached action tensors, a full-oracle sweep multiplies forms
-    # only in the 24 unit products of the raw table, all over ZZ, once for
-    # every raw block (one at p = 2, two at p = 3), and not on a warm sweep
+    # past the cached action tables, a full-oracle sweep multiplies forms
+    # only in the 96 products of the raw table (each of the six monomials
+    # times both forms of each of the 8 unit bases), all over ZZ, once for
+    # all of its raw blocks (one at p = 2, two at p = 3), and not on a warm sweep
     sweep_locus(p, full_oracle=True)
-    locus_module._raw_products.cache_clear()
+    locus_module._plane_table.cache_clear()
+    for build in (det_action_matrix, _k_rows):
+        locus_module._plane_table(build)
     real, fields = BiForm.__mul__, []
 
     def counting(self, other):
@@ -662,7 +672,7 @@ def test_full_oracle_sweep_multiplies_forms_only_on_unit_forms(monkeypatch, p):
 
     monkeypatch.setattr(BiForm, "__mul__", counting)
     assert not sweep_locus(p, full_oracle=True).failures
-    assert fields == [ZZ] * 24
+    assert fields == [ZZ] * 96
     fields.clear()
     assert not sweep_locus(p, full_oracle=True).failures
     assert fields == []
