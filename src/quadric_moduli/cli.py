@@ -238,17 +238,13 @@ def main(argv=None) -> int:
 
 def entrypoint():
     """The qmoduli console script, also run by python -m quadric_moduli.cli."""
-    # a run builds no reference cycles, so the cyclic collector stays off for
-    # it: its passes over the numpy import that main makes for the sweeps were
-    # pure cost.  Freezing after main keeps the collections at exit off that heap
+    # a run builds no reference cycles, so the collector stays off for it; main
+    # has flushed its output, so the process ends with os._exit, skipping the
+    # collections and the final flush of the interpreter's teardown
     gc.disable()
     code = main()
-    gc.freeze()
-    try:
-        sys.stdout.flush()
-    except OSError:  # a closed pipe, which main reported: keep exit's flush from exiting 120
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -338,19 +338,22 @@ def _ranks_mod_p(stack: np.ndarray, p: int) -> np.ndarray:
     p + cols * (p - 1)**2 < 2**15.  That guard leaves p of headroom for
     _reduce: the multiple q * p of p it subtracts from an entry x lies in
     (x - p, x], so it cannot wrap either."""
-    n, _, cols = stack.shape
+    n, rows, cols = stack.shape
     if p + cols * (p - 1) ** 2 >= 2**15:
         raise ValueError(f"int16 elimination needs p + cols * (p - 1)**2 < 2**15, got p = {p}")
     inverse = _inverses(p)
     m = stack.transpose(2, 1, 0).astype(np.int16, order="C")
     rank = np.zeros(n, dtype=np.intp)
+    lanes = np.arange(n)
     for c in range(cols):
         column = _reduce(m[c], p)
-        factor = _reduce(column * inverse[column.max(axis=0)], p)
-        rank += factor.any(axis=0)
-        pivot_row = column.argmax(axis=0)[None, None]
+        top = column.max(axis=0)
+        factor = _reduce(column * inverse[top], p)
+        rank += top != 0
+        # each pivot row by one flat take; an empty rest cannot reshape to (0, -1)
         rest = m[c + 1:]
-        rest -= _reduce(np.take_along_axis(rest, pivot_row, axis=1), p) * factor
+        pivot = rest.reshape(cols - c - 1, rows * n).take(column.argmax(axis=0) * n + lanes, axis=1)
+        rest -= _reduce(pivot, p)[:, None] * factor
     return rank
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
+from test_reachable import COMMANDS as REACHABLE_COMMANDS
 
 RES_OPEN_JSON = '{"positions": [[[0, 0], [0, 0]], [[-1, -2], [-1, -1]]]}'
 RES_CURVE_JSON = '{"positions": [[[0, 0]], [[-2, -3]]]}'
@@ -704,24 +705,40 @@ def run_main(argv) -> tuple[int, bytes, bytes]:
 
 
 def run_entry_point(argv) -> tuple[int, bytes, bytes]:
+    # stdout buffered, as it is by default: an unflushed byte is then a lost one
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     result = subprocess.run([sys.executable, "-m", "quadric_moduli.cli", *argv],
-                            capture_output=True)
+                            capture_output=True, env=env)
     return result.returncode, result.stdout, result.stderr
 
 
-@pytest.mark.parametrize("argv,code", [
-    (("report", "--primes", "2,3"), 0),
-    (("verify-locus", "--prime", "2"), 0),
-    (("verify", "--primes", "2", "--golden", "{off_by_one}"), 1),
-    (("verify", "--primes", "4"), 2),
-], ids=["report", "verify-locus", "off-by-one-golden", "unsupported-prime"])
+def command_id(argv) -> str:
+    """A test id for a command line: its words, less dashes and inline JSON."""
+    return "-".join(arg.lstrip("-") for arg in argv if not arg.startswith("{"))
+
+
+#: Command lines whose console-script run must equal cli.main's, bytes and
+#: exit code: each that test_reachable runs in-process, and three more.
+ENTRY_POINT_COMMANDS = [
+    pytest.param(["report", "--primes", "2,3"], 0, id="report"),
+    pytest.param(["verify-locus", "--prime", "2"], 0, id="verify-locus"),
+    pytest.param(["verify", "--primes", "2", "--golden", "OFF_BY_ONE"], 1, id="off-by-one-golden"),
+    pytest.param(["verify", "--primes", "4"], 2, id="unsupported-prime"),
+    *(pytest.param(argv, code, id=command_id(argv))
+      for argv, code in REACHABLE_COMMANDS if argv != ["verify", "--primes", "4"]),
+]
+
+
+@pytest.mark.parametrize("argv,code", ENTRY_POINT_COMMANDS)
 def test_entry_point_equals_main(tmp_path, argv, code):
+    # the console script ends with os._exit, which drops whatever stdout still
+    # buffers: every byte must have been flushed by then
     from quadric_moduli.report import load_golden
     golden = load_golden()
     golden["moduli_point_counts"]["values"]["2"] += 1
     off_by_one = tmp_path / "golden.json"
     off_by_one.write_text(json.dumps(golden), encoding="utf-8")
-    argv = [arg.format(off_by_one=off_by_one) for arg in argv]
+    argv = [str(off_by_one) if arg == "OFF_BY_ONE" else arg for arg in argv]
     result = run_entry_point(argv)
     assert result[0] == code
     assert result == run_main(argv)
@@ -780,13 +797,14 @@ def test_sweeps_import_no_dataclasses(argv):
     assert result.returncode == 0, result.stderr
 
 
-def test_entry_point_keeps_the_collector_off_and_freezes_the_heap():
-    # verify imports numpy inside main: no collection runs during main, and
-    # the collections at exit must skip numpy's heap too
-    code = ("import gc, sys\n"
+def test_entry_point_keeps_the_collector_off():
+    # verify imports numpy inside main, and no collection may run during it.
+    # The child counts collections in main and reports them from os._exit,
+    # with which the entry point ends the process
+    code = ("import gc, os, sys\n"
             "from quadric_moduli import cli\n"
             "sys.argv = ['qmoduli', 'verify', '--primes', '2']\n"
-            "collections, main = [], cli.main\n"
+            "collections, main, exit = [], cli.main, os._exit\n"
             "def count(phase, info):\n"
             "    if phase == 'start':\n"
             "        collections.append(info['generation'])\n"
@@ -796,16 +814,15 @@ def test_entry_point_keeps_the_collector_off_and_freezes_the_heap():
             "        return main()\n"
             "    finally:\n"
             "        gc.callbacks.remove(count)\n"
-            "cli.main = counted_main\n"
-            "try:\n"
-            "    cli.entrypoint()\n"
-            "except SystemExit as exc:\n"
-            "    assert exc.code == 0, exc.code\n"
-            "assert collections == [], collections\n"
-            "import numpy\n"
-            "assert not any(o is vars(numpy) for o in gc.get_objects()), 'numpy is not frozen'\n")
+            "def reporting_exit(status):\n"
+            "    sys.stderr.write(f'exit {status}, collections {collections}')\n"
+            "    sys.stderr.flush()\n"
+            "    exit(status)\n"
+            "cli.main, os._exit = counted_main, reporting_exit\n"
+            "cli.entrypoint()\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
+    assert (result.returncode, result.stderr) == (0, "exit 0, collections []")
+    assert result.stdout.endswith("verdict: PASS\n")
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")

@@ -32,7 +32,8 @@ COMMANDS = [
 ]
 
 EXEMPT = {
-    # the console script itself, which CI runs from the installed package
+    # the console script itself, which ends the process: test_cli spawns it, and
+    # CI runs it from the installed package
     "quadric_moduli.cli.entrypoint",
 }
 EXEMPT_MODULES = {
