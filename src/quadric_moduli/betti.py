@@ -21,7 +21,7 @@ from __future__ import annotations
 SWEEP_ROUTES = {2: (("enumerate", "kernel"), ("enumerate", "kernel", "raw")),
                 3: (("enumerate", "kernel"), ("enumerate", "kernel", "raw")),
                 5: (("kernel",), ("enumerate", "kernel")),
-                7: (("kernel",), ("kernel",))}
+                7: (("kernel",), ("kernel", "enumerate"))}
 #: Primes accepted by the sweep machinery.
 SUPPORTED_PRIMES = tuple(SWEEP_ROUTES)
 

@@ -67,22 +67,11 @@ def load_golden(path: str | None = None) -> dict:
 
 
 def to_json_text(obj) -> str:
-    """Canonical JSON rendering used for all machine output (the verify-locus
-    fiber list is written in the same form by locus_document_chunks)."""
+    """Canonical JSON rendering used for all machine output; it renders the
+    fiber templates of the verify-locus document (locus_document_chunks) too."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-# A fiber as to_json_text renders it in the verify-locus document, by kind:
-# led by its separator from what comes before it and closed after its raw tail.
-_BASIS_ROW = '          [\n' + ',\n'.join(['            %s'] * 4) + '\n          ]'
-_FIBER_HEAD = ('%s    {\n      "detzero_count": %s,\n      "expected": %s,\n      "ok": %s,\n'
-               '      "plane": {\n        "basis": [\n' + _BASIS_ROW + ',\n' + _BASIS_ROW
-               + '\n        ],\n        "p": %s\n      },\n      "plane_index": %s,\n'
-               '      "plane_type": {\n        "kind": "%s",\n')
-_GENERIC_FIBER = _FIBER_HEAD + '        "rank1_lines": %s\n      }%s\n    }'
-_SHARED_FIBER = (_FIBER_HEAD + '        "shared_point": [\n          %s,\n          %s\n'
-                 '        ]\n      }%s\n    }')
-_RAW_TAIL = ',\n      "raw_count": %s,\n      "raw_ok": %s'
 #: Fibers rendered per chunk: the render holds one block, never the document.
 FIBER_BLOCK = 64
 
@@ -91,7 +80,9 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     """Yield to_json_text of a verify-locus document in pieces: the canonical
     text up to the fiber list, the fibers in blocks of FIBER_BLOCK written
     from slices of the sweep's columns, then the rest of the document.  Each
-    fiber is formatted once, with its separator, and each block joined once."""
+    kind's fiber template is to_json_text of one fiber whose values are "%s",
+    cut to the fiber's text and led by a "%s" for its separator, so each
+    fiber is one % of its kind's template, and each block is joined once."""
     from .locus import GENERIC, KINDS
     doc = {"fibers": [], "prime": sweep.p, "summary": summary,
            "worker_failure": sweep.worker_failure}
@@ -103,21 +94,29 @@ def locus_document_chunks(sweep: LocusSweep, summary: dict):
     opening, closing = text.split("[]", 1)
     yield opening + "["
     expected, raw, raw_ok = sweep.expected_counts, sweep.raw_counts, sweep.raw_ok
+    templates = []
+    for kind in KINDS:  # indexed by kind code
+        fiber = {"detzero_count": "%s", "expected": "%s", "ok": "%s",
+                 "plane": {"basis": [["%s"] * 4] * 2, "p": sweep.p}, "plane_index": "%s",
+                 "plane_type": {"kind": kind, "rank1_lines": "%s"} if kind == GENERIC
+                 else {"kind": kind, "shared_point": ["%s"] * 2}}
+        if raw is not None:
+            fiber.update(raw_count="%s", raw_ok="%s")
+        fiber_text = to_json_text({"fibers": [fiber]}).replace('"%s"', "%s")
+        templates.append("%s" + fiber_text[fiber_text.index("[") + 2:fiber_text.rindex("]") - 3])
     for start in range(0, len(sweep.plane_index), FIBER_BLOCK):
         block = slice(start, start + FIBER_BLOCK)
-        tails = ([""] * FIBER_BLOCK if raw is None else  # zip stops at the block's end
-                 [_RAW_TAIL % (count, str(ok).lower())
-                  for count, ok in zip(raw[block].tolist(), raw_ok[block].tolist())])
+        tails = ([()] * FIBER_BLOCK if raw is None else  # zip stops at the block's end
+                 zip(raw[block].tolist(), map(str.lower, map(str, raw_ok[block].tolist()))))
         fibers = []
         for row, (index, basis, kind, lines, point, count, wanted, tail) in enumerate(zip(
                 sweep.plane_index[block].tolist(), sweep.bases[block].reshape(-1, 8).tolist(),
                 sweep.kinds[block].tolist(), sweep.rank1_lines[block].tolist(),
                 sweep.shared_points[block].tolist(), sweep.detzero_counts[block].tolist(),
                 expected[block].tolist(), tails), start):
-            head = (",\n" if row else "\n", count, wanted, str(count == wanted).lower(),
-                    *basis, sweep.p, index, KINDS[kind])
-            fibers.append(_GENERIC_FIBER % (*head, lines, tail) if KINDS[kind] == GENERIC
-                          else _SHARED_FIBER % (*head, *point, tail))
+            fibers.append(templates[kind] % (
+                ",\n" if row else "\n", count, wanted, str(count == wanted).lower(), *basis,
+                index, *((lines,) if KINDS[kind] == GENERIC else point), *tail))
         yield "".join(fibers)
     yield "\n  ]" + closing
 

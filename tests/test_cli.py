@@ -440,7 +440,8 @@ REPORT_DIGESTS = {
     # adds the fiber join at p = 5, whose counts the document carries
     ("verify-locus", "--prime", "5", "--full-oracle"):
         "4e4d6f3b718b6a91945078731943f870efbd185a779d696baef33e15021f8033",
-    # --full-oracle adds nothing at p = 7: the same document as without it
+    # adds the fiber join at p = 7, whose counts the kernel route's equal:
+    # the same document as without it
     ("verify-locus", "--prime", "7", "--full-oracle"):
         "eab54445aa41a9b75ff19602dc8d92bd8e791a1309dc89b097c64e5b0caaab9a",
 }
@@ -459,7 +460,12 @@ PARTIAL_REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS),
                          ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv))
-def test_report_bytes_are_pinned(argv):
+def test_report_bytes_are_pinned(request, monkeypatch, argv):
+    if "--full-oracle" in argv and "7" in argv[2].split(","):
+        # the session's one unpatched p = 7 --full-oracle sweep, which both documents read
+        shared, real = request.getfixturevalue("sweep7_full_oracle")[0], locus_module.sweep_locus
+        monkeypatch.setattr(locus_module, "sweep_locus", lambda p, *, full_oracle=False: (
+            shared if (p, full_oracle) == (7, True) else real(p, full_oracle=full_oracle)))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(list(argv)) == 0

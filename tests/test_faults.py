@@ -204,6 +204,19 @@ def test_join_count_off_by_one_at_p5_is_caught_by_the_kernel_route(monkeypatch, 
     assert out.endswith("verdict: FAIL\n")
 
 
+def test_join_count_off_by_one_at_p7_is_caught_by_the_kernel_route(monkeypatch, capsys):
+    # the join keys p^5 half-vectors a plane at p = 7; this one builds no
+    # keys, so the fault is cheap to run on every plane
+    monkeypatch.setattr(locus_module, "_join_counts",
+                        lambda p, matrices, pivots: locus_module._kernel_counts(p, matrices) + 1)
+    assert cli.main(["verify-locus", "--prime", "7", "--full-oracle"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["fibers"]) == 2850
+    assert doc["summary"]["failures"] == [
+        f"plane {fiber['plane_index']}: kernel count {fiber['detzero_count']}, "
+        f"enumerate count {fiber['detzero_count'] + 1}" for fiber in doc["fibers"]]
+
+
 def test_wrong_expected_detzero(monkeypatch, capsys):
     real = locus_module.expected_detzero
 

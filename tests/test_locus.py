@@ -20,6 +20,7 @@ from quadric_moduli.locus import (
     _join_counts, _k_pivots, _k_rows, det_action_matrix,
 )
 from quadric_moduli.report import load_golden, locus_document_chunks, locus_summary
+from conftest import sweep_counting_planes
 from form_reference import GF, QQ, add, from_terms, is_zero, rank1_test, scale
 from plane_reference import (
     Plane, VerificationError, detzero_count_for_basis, enumerate_planes, fiber_detzero_count,
@@ -529,7 +530,7 @@ def route_block(p: int, full_oracle: bool) -> int:
     return max(blocks[route] for route in SWEEP_ROUTES[p][full_oracle])
 
 
-def test_sweep_method_gating(monkeypatch):
+def test_sweep_method_gating(sweep7_full_oracle):
     # a sweep runs every route of its prime's SWEEP_ROUTES row, without or
     # with full_oracle, on every counted plane; the first is the report's method
     assert SUPPORTED_PRIMES == tuple(SWEEP_ROUTES)
@@ -544,23 +545,11 @@ def test_sweep_method_gating(monkeypatch):
             assert "kernel" in routes  # the kernel route runs at every prime
         plain, oracle = row
         assert set(plain) <= set(oracle)  # --full-oracle only adds routes
-    real_kernel, real_join, counted = locus_module._kernel_counts, locus_module._join_counts, {}
-
-    def kernel_counts(p, matrices):
-        counted["kernel"] = counted.get("kernel", 0) + len(matrices)
-        return real_kernel(p, matrices)
-
-    def join_counts(p, matrices, pivots):
-        counted["enumerate"] = counted.get("enumerate", 0) + len(matrices)
-        return real_join(p, matrices, pivots)
-
-    monkeypatch.setattr(locus_module, "_kernel_counts", kernel_counts)
-    monkeypatch.setattr(locus_module, "_join_counts", join_counts)
     for p in SUPPORTED_PRIMES:
         for full_oracle in (False, True):
             routes = SWEEP_ROUTES[p][full_oracle]
-            counted.clear()
-            sweep = sweep_locus(p, full_oracle=full_oracle)
+            sweep, counted = (sweep7_full_oracle if (p, full_oracle) == (7, True)
+                              else sweep_counting_planes(p, full_oracle))
             assert sweep.method == routes[0] and not sweep.failures
             # each count route counted each plane once
             assert counted == {route: grass_count(p) for route in routes if route != "raw"}

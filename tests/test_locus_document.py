@@ -1,18 +1,22 @@
 """The verify-locus document writer against the canonical JSON encoder.
 
-report.locus_document_chunks writes the fiber list from fixed text
-templates, one block of fibers per chunk.  The reference here builds the
-same document as dicts, one fiber per row of the sweep, and renders it with
-json.dumps(indent=2, sort_keys=True)."""
+report.locus_document_chunks writes the fiber list from templates that
+to_json_text renders, one % of a template per fiber and one block of fibers
+per chunk.  The reference here builds the same document as dicts, one fiber
+per row of the sweep, and renders it with json.dumps(indent=2, sort_keys=True)."""
 
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import quadric_moduli.cli as cli
 import quadric_moduli.locus as locus_module
-from quadric_moduli.locus import GENERIC, KINDS, expected_detzero, sweep_locus
+from quadric_moduli.betti import SUPPORTED_PRIMES
+from quadric_moduli.locus import GENERIC, KINDS, LocusSweep, expected_detzero, sweep_locus
 from quadric_moduli.report import (
     FIBER_BLOCK, load_golden, locus_document_chunks, locus_summary, to_json_text,
 )
@@ -90,6 +94,46 @@ def test_locus_document_equals_json_dumps(monkeypatch, capsys, p, flags, fault, 
     assert marker in text
 
 
+def columns(n: int, dtype, shape=(), elements=None):
+    return hnp.arrays(dtype, (n, *shape), elements=elements)
+
+
+@st.composite
+def drawn_sweeps(draw) -> LocusSweep:
+    """A LocusSweep of any supported p built from drawn columns: a row count
+    at and around the block boundaries, any mix of kind codes, indices,
+    counts and shared points of many digits (counts often the kind's
+    expected one), and raw counts absent, or meeting the coset identity or not."""
+    p = draw(st.sampled_from(SUPPORTED_PRIMES))
+    n = draw(st.sampled_from([0, 1, FIBER_BLOCK - 1, FIBER_BLOCK, FIBER_BLOCK + 1,
+                              2 * FIBER_BLOCK + 1]))
+    kinds = draw(columns(n, np.int8, elements=st.integers(0, len(KINDS) - 1)))
+    # up to the points of a fiber's P^9, and the raw pairs of p^12
+    counts = draw(columns(n, np.int64, elements=st.integers(0, p + 1) | st.integers(0, p**10)))
+    raw = None
+    if draw(st.booleans()):
+        other = draw(columns(n, np.int64, elements=st.integers(0, p**12)))
+        raw = np.where(draw(columns(n, bool)), p * p + counts * (p - 1) * p * p, other)
+    return LocusSweep(
+        p, draw(st.sampled_from(["kernel", "enumerate"])),
+        draw(columns(n, np.int32, elements=st.integers(0, 2**31 - 1))),
+        draw(columns(n, np.int16, (2, 4))), kinds, draw(columns(n, np.int8)),
+        draw(columns(n, np.int16, (2,))), counts, raw, [],
+        draw(st.none() | st.text()))
+
+
+# no shrink phase: a LocusSweep prints as an object, so a shrunk one shows no
+# more, and shrinking columns of 129 rows ran for minutes
+@settings(max_examples=100, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(drawn_sweeps())
+def test_drawn_sweep_documents_equal_json_dumps(sweep):
+    summary = locus_summary(sweep, load_golden())
+    text = "".join(locus_document_chunks(sweep, summary))
+    assert text == reference_document(sweep, summary, sweep.worker_failure)
+    assert to_json_text(json.loads(text)) == text
+
+
 def fail_join_on_call(monkeypatch, call: int):
     real, calls = locus_module._join_counts, []
 
@@ -139,8 +183,9 @@ def render_peak(p: int) -> int:
 
 def test_render_memory_is_bounded_by_a_block():
     # the p = 7 document is 1.2 MB; its render holds one block of 64 fibers,
-    # each formatted once and joined once (0.09 MB traced; 0.48 MB with
-    # blocks of 256 that were also copied to prepend their separator)
+    # each one % of its kind's template, and joins it once (0.13 MB traced,
+    # 0.11 MB at p = 5; 0.48 MB with blocks of 256 that were also copied to
+    # prepend their separator)
     peak5, peak7 = render_peak(5), render_peak(7)
     assert peak7 < 0.2e6
     assert abs(peak7 - peak5) < 0.1e6
