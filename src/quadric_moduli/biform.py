@@ -12,6 +12,10 @@ second factor are the bidegree (0, 1) case, so products like f * (1 tensor u)
 are ordinary form multiplication.  The sweeps build their tables from the
 products defined here, over the integers ZZ.
 
+A ring is its canon: BiForm computes in plain Python numbers and passes
+every coefficient it stores through field.canon, which reduces it (mod p,
+say; a ring map, so once at the end suffices) or rejects it.
+
 All values are immutable after construction and every operation is a pure
 function.
 """
@@ -22,23 +26,11 @@ import operator
 
 
 class IntegerRing:
-    """The integers with Python int arithmetic: the constants and the
-    operations of BiForm's products and negation.  Every coefficient of a
-    sweep table is a product of monomials, so it never needs a fraction."""
+    """The integers, as BiForm's ring.  Every coefficient of a sweep table
+    is a product of monomials, so it never needs a fraction."""
 
     __slots__ = ()
-    zero = 0
-    one = 1
     canon = operator.index  # a builtin, so not bound: a TypeError for every non-integer
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntegerRing)
@@ -72,15 +64,15 @@ class BiForm:
 
     @classmethod
     def zero(cls, field, a: int, b: int) -> "BiForm":
-        return cls(field, a, b, (field.zero,) * ((a + 1) * (b + 1)))
+        return cls(field, a, b, (0,) * ((a + 1) * (b + 1)))
 
     @classmethod
     def monomial(cls, field, a: int, b: int, i: int, j: int, c=1) -> "BiForm":
         """c * x^(a-i) y^i z^(b-j) w^j."""
         if not (0 <= i <= a and 0 <= j <= b):
             raise ValueError(f"monomial index ({i}, {j}) out of range for bidegree ({a}, {b})")
-        coeffs = [field.zero] * ((a + 1) * (b + 1))
-        coeffs[i * (b + 1) + j] = field.canon(c)
+        coeffs = [0] * ((a + 1) * (b + 1))
+        coeffs[i * (b + 1) + j] = c
         return cls(field, a, b, coeffs)
 
     @classmethod
@@ -98,21 +90,18 @@ class BiForm:
     # -- arithmetic ------------------------------------------------------
 
     def __neg__(self) -> "BiForm":
-        neg = self.field.neg
-        return BiForm(self.field, self.a, self.b, tuple(map(neg, self.coeffs)))
+        return BiForm(self.field, self.a, self.b, [-c for c in self.coeffs])
 
     def __mul__(self, other: "BiForm") -> "BiForm":
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        field = self.field
         a, b = self.a + other.a, self.b + other.b
         width = b + 1
-        out = [field.zero] * ((a + 1) * width)
+        out = [0] * ((a + 1) * width)
         for (i1, j1), c1 in self.terms():
             for (i2, j2), c2 in other.terms():
-                idx = (i1 + i2) * width + (j1 + j2)
-                out[idx] = field.add(out[idx], field.mul(c1, c2))
-        return BiForm(field, a, b, out)
+                out[(i1 + i2) * width + (j1 + j2)] += c1 * c2
+        return BiForm(self.field, a, b, out)
 
     # -- equality, repr --------------------------------------------------
 

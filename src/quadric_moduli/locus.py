@@ -57,7 +57,7 @@ from .biform import ZZ, BiForm
 #: keys at once, and most action-matrix entries the kernel route row-reduces
 #: at once: a sweep contracts and counts one block at a time, sized by its
 #: row's largest route block: every plane at p = 2, and at p = 3 without the
-#: raw oracle, 89 at p = 3 with it, 20 at p = 5 with the join, else 455.
+#: raw oracle, 89 at p = 3 with it, 20 at p = 5 and 3 at p = 7 with the join, else 455.
 #: A block holds one plane at least: the raw oracle keys 7^6 vectors a block at p = 7.
 KEY_BLOCK = 2**16
 
@@ -192,9 +192,8 @@ def det_action_matrix(f1: BiForm, f2: BiForm) -> np.ndarray:
 def _k_rows(f1: BiForm, f2: BiForm):
     """Basis of K, the factoring first-columns (f1*u, f2*u), as two
     12-vectors in the concatenated (phi11 | phi21) coefficient order."""
-    field = f1.field
-    ez = BiForm.linear_zw(field, field.one, field.zero)
-    ew = BiForm.linear_zw(field, field.zero, field.one)
+    ez = BiForm.linear_zw(f1.field, 1, 0)
+    ew = BiForm.linear_zw(f1.field, 0, 1)
     return [
         (f1 * ez).coeffs + (f2 * ez).coeffs,
         (f1 * ew).coeffs + (f2 * ew).coeffs,

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -145,6 +146,51 @@ def test_mul_associativity(field):
         assert (f * g) * h == f * (g * h)
 
     check()
+
+
+# -- the ring contract ------------------------------------------------------------
+
+class CanonOnly:
+    """A ring with nothing but what BiForm reads: its canon, equality and name."""
+
+    __slots__ = ()
+    canon = operator.index
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CanonOnly)
+
+    def __repr__(self) -> str:
+        return "CanonOnly"
+
+
+def ring_forms(ring):
+    """Zero, monomial and linear_zw forms over ring, their products and negations."""
+    units = [mono(ring, 1, 1, i, j, c) for i in range(2) for j in range(2) for c in (1, -2)]
+    lines = [BiForm.linear_zw(ring, 1, 0), BiForm.linear_zw(ring, 0, 1),
+             BiForm.linear_zw(ring, 2, -3)]
+    factors = [BiForm.zero(ring, 1, 2), *units, *lines]
+    products = [f * g for f in factors for g in factors]
+    return [*factors, *products, *(-f for f in factors + products)]
+
+
+def test_a_ring_is_its_canon():
+    built = [(f.a, f.b, f.coeffs) for f in ring_forms(CanonOnly())]
+    assert built == [(f.a, f.b, f.coeffs) for f in ring_forms(ZZ)]
+    assert all(type(c) is int for _, _, coeffs in built for c in coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_products_over_gf_p_are_integer_products_reduced(p):
+    # reduction mod p is a ring map, so BiForm may reduce once, in canon
+    rng = random.Random(p)
+    for _ in range(200):
+        shapes = [(rng.randrange(3), rng.randrange(4)) for _ in range(2)]
+        values = [[rng.randrange(p) for _ in range((a + 1) * (b + 1))] for a, b in shapes]
+        (f, g), (f_zz, g_zz) = ([BiForm(ring, a, b, c) for (a, b), c in zip(shapes, values)]
+                                for ring in (GF(p), ZZ))
+        product = f_zz * g_zz
+        assert f * g == BiForm(GF(p), product.a, product.b, [c % p for c in product.coeffs])
+        assert -f == BiForm(GF(p), f.a, f.b, [c % p for c in (-f_zz).coeffs])
 
 
 # -- rank-one test -------------------------------------------------------------
